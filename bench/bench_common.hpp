@@ -3,12 +3,10 @@
 // Every binary prints the same rows/series the paper's figure plots, plus a
 // "paper" column where the paper reports a number, so EXPERIMENTS.md can be
 // regenerated by running build/bench/*. Flags: --csv emits CSV instead of
-// the aligned table; --json emits one JSON array of row objects per table
-// (machine-readable, for the BENCH trajectory); --quick shortens simulated
-// durations. The scenario-layer flags (--threads/--lock/--scenario) exist
-// only in binaries that opt in (bench_native_perf); everywhere else they
-// are unknown. Unknown, mistyped or inapplicable flags are an error: Parse
-// prints usage and exits non-zero instead of silently ignoring them.
+// the aligned table; --json emits one JSON array of row objects per table;
+// --quick shortens simulated durations. Unknown, mistyped or inapplicable
+// flags are an error: Parse prints usage and exits non-zero instead of
+// silently ignoring them.
 #ifndef BENCH_BENCH_COMMON_HPP_
 #define BENCH_BENCH_COMMON_HPP_
 
@@ -27,10 +25,6 @@ struct BenchOptions {
   bool csv = false;
   bool json = false;
   bool quick = false;
-  // Shared scenario flags; zero/empty means "binary default".
-  int threads = 0;
-  std::string lock;
-  std::string scenario;
   // Per-binary boolean flags matched from Parse's `extra_flags` (e.g.
   // fig08's --no-grace ablation switch).
   std::vector<std::string> extras;
@@ -45,39 +39,25 @@ struct BenchOptions {
   }
 
   static void PrintUsage(const char* prog, std::ostream& out,
-                         std::initializer_list<const char*> extra_flags = {},
-                         bool with_scenario_flags = false) {
-    out << "usage: " << prog << " [--csv] [--json] [--quick]\n";
-    if (with_scenario_flags) {
-      out << "  [--threads N]        scenario worker threads\n"
-          << "  [--lock NAME]        lock algorithm for scenario runs (MUTEX, TAS, ...)\n"
-          << "  [--scenario NAME]    restrict the scenario section to one scenario\n";
-    }
-    out << "  [--help]             print this message\n";
+                         std::initializer_list<const char*> extra_flags = {}) {
+    out << "usage: " << prog << " [--csv] [--json] [--quick]\n"
+        << "  [--help]             print this message\n";
     for (const char* flag : extra_flags) {
       out << "  [" << flag << "]     (this binary)\n";
     }
   }
 
   // Parses the shared flags; `extra_flags` names additional boolean flags
-  // this binary accepts (surfaced via HasExtra), and `with_scenario_flags`
-  // opts into --threads/--lock/--scenario (only meaningful for binaries
-  // that run native scenarios). Anything else prints usage and exits 2 --
-  // mistyped or inapplicable flags must not be silently ignored.
+  // this binary accepts (surfaced via HasExtra). Anything else prints usage
+  // and exits 2 -- mistyped or inapplicable flags must not be silently
+  // ignored.
   static BenchOptions Parse(int argc, char** argv,
-                            std::initializer_list<const char*> extra_flags = {},
-                            bool with_scenario_flags = false) {
+                            std::initializer_list<const char*> extra_flags = {}) {
     BenchOptions options;
     auto fail = [&](const std::string& message) {
       std::cerr << argv[0] << ": " << message << "\n";
-      PrintUsage(argv[0], std::cerr, extra_flags, with_scenario_flags);
+      PrintUsage(argv[0], std::cerr, extra_flags);
       std::exit(2);
-    };
-    auto value_of = [&](int& i, const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        fail(std::string(flag) + " requires a value");
-      }
-      return argv[++i];
     };
     auto is_extra = [&](const char* arg) {
       for (const char* flag : extra_flags) {
@@ -96,20 +76,8 @@ struct BenchOptions {
         options.quick = true;
       } else if (is_extra(argv[i])) {
         options.extras.push_back(argv[i]);
-      } else if (std::strcmp(argv[i], "--threads") == 0 && with_scenario_flags) {
-        const char* value = value_of(i, "--threads");
-        char* end = nullptr;
-        const long threads = std::strtol(value, &end, 10);
-        if (end == value || *end != '\0' || threads <= 0 || threads > 4096) {
-          fail(std::string("invalid --threads value: ") + value);
-        }
-        options.threads = static_cast<int>(threads);
-      } else if (std::strcmp(argv[i], "--lock") == 0 && with_scenario_flags) {
-        options.lock = value_of(i, "--lock");
-      } else if (std::strcmp(argv[i], "--scenario") == 0 && with_scenario_flags) {
-        options.scenario = value_of(i, "--scenario");
       } else if (std::strcmp(argv[i], "--help") == 0) {
-        PrintUsage(argv[0], std::cout, extra_flags, with_scenario_flags);
+        PrintUsage(argv[0], std::cout, extra_flags);
         std::exit(0);
       } else {
         fail(std::string("unrecognized argument: ") + argv[i]);

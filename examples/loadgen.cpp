@@ -1,7 +1,8 @@
-// NetServe client CLI: pipelined open-loop RESP load against lock_server.
+// NetServe client CLI: closed-loop, pipelined RESP load against
+// lock_server, for throughput at saturation.
 //
 //   $ ./loadgen --port 7911 --connections 8 --pipeline 64 --duration-ms 5000
-//   $ ./loadgen --port 7911 --rate 50000 --json
+//   $ ./loadgen --port 7911 --pipeline 8 --json
 //
 // Flags:
 //   --port N          server port on 127.0.0.1 (required)
@@ -11,16 +12,13 @@
 //   --get-percent P   GET share of the mix, rest SET (default 80)
 //   --key-space N     keys are uniform over [0, N) (default 10000)
 //   --value-bytes N   SET payload size (default 64)
-//   --rate N          fixed offered rate in requests/s across all
-//                     connections (default 0 = saturation: keep every
-//                     pipeline slot full)
 //   --threads N       client threads; connections are striped (default 1)
 //   --seed N          workload seed (default 42)
 //   --json            print the result as one JSON object (default: text)
 //
-// Open-loop semantics: in rate mode a late reply never delays the next
-// send, so queueing delay shows up in the latency histogram instead of
-// being silently absorbed (no coordinated omission).
+// Every connection keeps its pipeline full, so the offered load follows the
+// server's speed. Latency at a fixed offered rate is the benchmark's
+// open-loop netserve-open workload (perfbench/).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,7 +34,7 @@ void PrintUsage(const char* prog, std::FILE* out) {
   std::fprintf(out,
                "usage: %s --port N [options]\n"
                "  --connections N  --pipeline N  --duration-ms N  --get-percent P\n"
-               "  --key-space N  --value-bytes N  --rate N  --threads N  --seed N  --json\n",
+               "  --key-space N  --value-bytes N  --threads N  --seed N  --json\n",
                prog);
 }
 
@@ -81,8 +79,6 @@ int main(int argc, char** argv) {
       options.key_space = static_cast<std::uint64_t>(int_of(i, "--key-space", 1, 1000000000));
     } else if (std::strcmp(argv[i], "--value-bytes") == 0) {
       options.value_bytes = static_cast<std::size_t>(int_of(i, "--value-bytes", 1, 1000000));
-    } else if (std::strcmp(argv[i], "--rate") == 0) {
-      options.rate_per_s = static_cast<std::uint64_t>(int_of(i, "--rate", 1, 1000000000));
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       options.threads = static_cast<std::size_t>(int_of(i, "--threads", 1, 256));
     } else if (std::strcmp(argv[i], "--seed") == 0) {

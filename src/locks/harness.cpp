@@ -1,7 +1,6 @@
 #include "src/locks/harness.hpp"
 
 #include <memory>
-#include <stdexcept>
 
 #include "src/locks/static_dispatch.hpp"
 #include "src/platform/cycles.hpp"
@@ -56,7 +55,6 @@ NativeBenchResult RunOnLocks(const NativeBenchConfig& config, EnergyMeter* meter
   run.threads = config.threads;
   run.duration_ms = config.duration_ms;
   run.ops_per_thread = 0;  // a zero-length run stays empty
-  run.stop_check_every = config.stop_check_every;
   std::vector<WorkerSlot> slots;
   slots.reserve(static_cast<std::size_t>(config.threads));
   for (int t = 0; t < config.threads; ++t) {
@@ -64,7 +62,7 @@ NativeBenchResult RunOnLocks(const NativeBenchConfig& config, EnergyMeter* meter
   }
   const AcquireOp<Lock> op{lock_ptrs.data(), lock_ptrs.size(), config.cs_cycles,
                            config.non_cs_cycles, config.record_latency};
-  const DriverRun driven = RunDriver(run, "", slots, meter, config.pin_threads, op);
+  const DriverRun driven = RunDriver(run, "", slots, meter, /*pin_threads=*/true, op);
 
   NativeBenchResult result;
   result.lock_name = config.lock_name;
@@ -87,22 +85,17 @@ NativeBenchResult RunOnLocks(const NativeBenchConfig& config, EnergyMeter* meter
 
 NativeBenchResult RunNativeBench(const NativeBenchConfig& config, EnergyMeter* meter) {
   NativeBenchResult result;
-  if (config.dispatch != DispatchTier::kTypeErased) {
-    const bool dispatched =
-        WithConcreteLock(config.lock_name, config.lock_options, [&](auto tag, auto&&... args) {
-          using L = typename decltype(tag)::type;
-          result = RunOnLocks<L>(config, meter, [&] { return std::make_unique<L>(args...); });
-          result.used_static_dispatch = true;
-        });
-    if (dispatched) {
-      return result;
-    }
-    if (config.dispatch == DispatchTier::kStatic) {
-      throw std::invalid_argument("no static dispatch for lock: " + config.lock_name);
-    }
+  const bool dispatched =
+      WithConcreteLock(config.lock_name, config.lock_options, [&](auto tag, auto&&... args) {
+        using L = typename decltype(tag)::type;
+        result = RunOnLocks<L>(config, meter, [&] { return std::make_unique<L>(args...); });
+        result.used_static_dispatch = true;
+      });
+  if (dispatched) {
+    return result;
   }
-  // Type-erased fallback (ADAPTIVE, unknown names -> MakeLockOrThrow's
-  // std::invalid_argument) or an explicitly requested kTypeErased baseline.
+  // Handle tier: ADAPTIVE, or an unknown name (MakeLockOrThrow's
+  // std::invalid_argument).
   return RunOnLocks<LockHandle>(config, meter, [&] {
     return MakeLockOrThrow(config.lock_name, config.lock_options);
   });

@@ -8,15 +8,15 @@
 //
 // Each acquire/release pair is one op on the shared worker driver
 // (src/systems/driver.hpp), which owns the threads, the cache-line-aligned
-// per-thread slots, the stop cadence and the timing. The op runs on one of
-// two dispatch tiers:
+// per-thread slots, the stop cadence and the timing. Threads are pinned in
+// the paper's socket-first order. The op runs on one of two dispatch tiers:
 //   * static  -- the op is instantiated per concrete lock type
 //                (src/locks/static_dispatch.hpp), so lock()/unlock() inline
 //                into the driver's loop with zero indirect calls;
 //   * handle  -- the type-erased LockHandle path (two virtual calls per
-//                acquire/release pair), used for ADAPTIVE and kept around
-//                as the measurable-overhead baseline (BENCH_native.json
-//                reports both tiers).
+//                acquire/release pair), used for names without a concrete
+//                type (ADAPTIVE). The benchmark's per-layer metrics
+//                locks.uncontested_ns.{static,handle}.<lock> time both.
 #ifndef SRC_LOCKS_HARNESS_HPP_
 #define SRC_LOCKS_HARNESS_HPP_
 
@@ -30,13 +30,6 @@
 
 namespace lockin {
 
-// Which measured-loop implementation RunNativeBench uses.
-enum class DispatchTier {
-  kAuto,        // static when the name has a concrete type, else type-erased
-  kStatic,      // devirtualized only; std::invalid_argument otherwise
-  kTypeErased,  // force the LockHandle loop (dispatch-overhead baseline)
-};
-
 struct NativeBenchConfig {
   std::string lock_name = "MUTEXEE";
   int threads = 2;
@@ -47,13 +40,7 @@ struct NativeBenchConfig {
   // examples use much shorter runs.
   std::uint64_t duration_ms = 100;
   std::uint64_t seed = 1;
-  bool pin_threads = true;        // pin in the paper's socket-first order
   bool record_latency = true;     // per-acquire rdtsc latency histogram
-  DispatchTier dispatch = DispatchTier::kAuto;
-  // Hot-loop iterations between stop-flag loads (0 behaves as 1). The stop
-  // flag is the only cross-thread line the loop reads; checking it every
-  // iteration would put one shared load inside every measured acquire.
-  std::uint32_t stop_check_every = 32;
   LockBuildOptions lock_options;  // pause kind, yield threshold, budgets
 };
 
@@ -68,10 +55,10 @@ struct NativeBenchResult {
   LatencyHistogram acquire_latency_cycles;
 };
 
-// Runs the workload. `meter` may be null (throughput only). Unknown lock
-// names raise std::invalid_argument (the registry's throwing contract via
-// MakeLockOrThrow on the type-erased tier; the static tier throws the same
-// for names with no concrete type, i.e. ADAPTIVE and unknown).
+// Runs the workload on the static tier when the name has a concrete type
+// and on the handle tier otherwise. `meter` may be null (throughput only).
+// Unknown lock names raise std::invalid_argument (the registry's throwing
+// contract via MakeLockOrThrow).
 NativeBenchResult RunNativeBench(const NativeBenchConfig& config, EnergyMeter* meter = nullptr);
 
 }  // namespace lockin

@@ -34,7 +34,6 @@ struct ClientConn {
   std::string outbox;
   std::size_t out_off = 0;
   std::deque<std::uint64_t> sent_ns;  // enqueue timestamp per in-flight request
-  std::uint64_t next_due_ns = 0;      // rate mode: next scheduled send
   bool dead = false;
 
   std::size_t inflight() const { return sent_ns.size(); }
@@ -66,19 +65,8 @@ void RunWorker(const LoadgenOptions& options, std::size_t thread_index,
     fcntl(conn.fd, F_SETFL, fcntl(conn.fd, F_GETFL, 0) | O_NONBLOCK);
   }
 
-  const std::uint64_t start_ns = NowNs();
-  const std::uint64_t send_until_ns = start_ns + options.duration_ms * 1000000ULL;
+  const std::uint64_t send_until_ns = NowNs() + options.duration_ms * 1000000ULL;
   const std::uint64_t drain_until_ns = send_until_ns + 5ULL * 1000000000ULL;
-  // Rate mode: the global offered rate is striped over every connection.
-  const std::uint64_t total_conns =
-      std::max<std::uint64_t>(1, options.connections);
-  const std::uint64_t per_conn_interval_ns =
-      options.rate_per_s > 0
-          ? std::max<std::uint64_t>(1, 1000000000ULL * total_conns / options.rate_per_s)
-          : 0;
-  for (ClientConn& conn : conns) {
-    conn.next_due_ns = start_ns;
-  }
 
   std::vector<std::string> args;
   const auto enqueue = [&](ClientConn& conn) {
@@ -104,25 +92,13 @@ void RunWorker(const LoadgenOptions& options, std::size_t thread_index,
   for (;;) {
     const std::uint64_t now = NowNs();
 
-    // Top up the offered load: saturation keeps `pipeline` in flight,
-    // rate mode follows the per-connection schedule open-loop (a late
-    // reply does not delay the next send).
+    // Top up every live connection to `pipeline` requests in flight.
     std::size_t live = 0;
     std::size_t inflight_total = 0;
     if (now < send_until_ns) {
       for (ClientConn& conn : conns) {
-        if (conn.dead) {
-          continue;
-        }
-        if (per_conn_interval_ns == 0) {
-          while (conn.inflight() < pipeline) {
-            enqueue(conn);
-          }
-        } else {
-          while (conn.next_due_ns <= now) {
-            enqueue(conn);
-            conn.next_due_ns += per_conn_interval_ns;
-          }
+        while (!conn.dead && conn.inflight() < pipeline) {
+          enqueue(conn);
         }
       }
     }

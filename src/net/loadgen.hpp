@@ -1,15 +1,16 @@
-// NetServe load generator: a pipelined RESP client for lock_server.
+// NetServe load generator: a closed-loop, pipelined RESP client for
+// lock_server.
 //
-// Open-loop by construction: every connection keeps `pipeline` requests in
-// flight (saturation mode) or emits on a fixed schedule (rate mode), so a
-// slow server grows queueing delay instead of silently throttling the
-// offered load -- the coordinated-omission-safe way to measure a server
-// whose locks are the bottleneck. Latency is measured per request from
-// enqueue to reply parse, pipelining included.
+// Every connection keeps `pipeline` requests in flight and sends the next
+// one when a reply arrives, so it measures the server at saturation: the
+// offered load follows the server's speed. Latency is measured per request
+// from enqueue to reply parse, pipelining included. For latency at a fixed
+// offered rate, use the benchmark's open-loop netserve-open workload
+// (perfbench/), which times each request from its due time.
 //
-// This lives in src/ rather than examples/ so the native bench can run
-// client and server in one process (bench/bench_native_perf.cpp) while
-// examples/loadgen.cpp wraps the same engine behind a CLI.
+// This lives in src/ rather than examples/ so tests can run client and
+// server in one process, while examples/loadgen.cpp wraps the same engine
+// behind a CLI.
 #ifndef SRC_NET_LOADGEN_HPP_
 #define SRC_NET_LOADGEN_HPP_
 
@@ -28,7 +29,6 @@ struct LoadgenOptions {
   int get_percent = 80;           // GET share; the rest are SETs
   std::uint64_t key_space = 10000;
   std::size_t value_bytes = 64;
-  std::uint64_t rate_per_s = 0;   // 0 = saturation; else fixed offered rate
   std::uint64_t seed = 42;
   std::size_t threads = 1;        // client threads; connections are striped
 };

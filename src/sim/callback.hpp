@@ -7,7 +7,8 @@
 // an event costs a couple of stores and no allocator traffic. Closures
 // larger than the buffer still work (they spill to the heap) but the spill
 // is counted by SimEngine's pool stats, so a regression that re-introduces
-// per-event allocation is visible in bench_sim_perf.
+// per-event allocation shows in the benchmark's sim.steady_pool_allocs
+// metric and fails SimEngine.SteadyStateRecyclesSlots.
 //
 // The capacity ceiling is a design constraint, not a limitation: code that
 // wants to thread a continuation through several layers must not wrap

@@ -69,7 +69,8 @@ class SimEngine {
   // Allocator-traffic counters. In steady state (events scheduled and
   // executed at a stable pending depth) slab_blocks, queue_capacity and
   // heap_spills must not move: that is the "zero heap allocations per
-  // event" contract bench_sim_perf checks.
+  // event" contract SimEngine.SteadyStateRecyclesSlots and the benchmark's
+  // sim.steady_pool_allocs metric check.
   struct PoolStats {
     std::uint64_t slab_blocks = 0;     // event-slot slabs allocated (never freed)
     std::uint64_t slot_capacity = 0;   // total event slots across slabs

@@ -56,8 +56,9 @@ struct WorkloadResult {
   LatencyHistogram acquire_latency_cycles;
   SimLockStats lock_stats;        // aggregated over all locks
   SimFutex::Stats futex_stats;    // aggregated over all locks
-  // Engine events executed by the run (bench_sim_perf's throughput basis;
-  // also a cheap whole-run determinism fingerprint).
+  // Engine events executed by the run (the basis of the benchmark's
+  // sim.events_per_s.* metrics; also a cheap whole-run determinism
+  // fingerprint).
   std::uint64_t engine_events = 0;
   // Share of active context time spent in the futex kernel path vs in the
   // lock's spin-wait loops (the paper's section 6.1 kernel-time metric).

@@ -11,8 +11,8 @@ constexpr std::size_t kInitialSlots = 16;  // power of two
 
 // Eviction victim sampling width. The old eviction scanned *every* slot for
 // the exact-oldest ticket -- O(table) per eviction, which dominated the
-// SET-heavy path once the cache ran at capacity (the per_shard set_heavy
-// regression tracked in BENCH_native.json). A bounded clock-hand sample is
+// SET-heavy path once the cache ran at capacity (the cache/set-heavy-seglru
+// ops/s of `scenario_runner --all --json`). A bounded clock-hand sample is
 // memcached's own answer: probe from the cursor until this many live
 // entries were seen and evict the oldest of the sample. With >= 2 live
 // entries sampled the newest item is never the sample's oldest, so the

@@ -93,12 +93,16 @@ struct DriverFlags {
   std::atomic<bool> stop{false};
 };
 
+// Ops between two loads of the stop flag (or of config.external_stop in
+// fixed-op runs). The flag is the only cross-thread line the measured loop
+// reads; loading it every op would put one shared load inside every
+// measured op.
+inline constexpr std::uint32_t kStopCheckEvery = 32;
+
 // One worker's measured loop. `body` is copied per thread, so the loop reads
-// it from the worker's own stack, not through a shared reference. The stop
-// flag is the only cross-thread line the loop reads, polled once per
-// config.stop_check_every ops; fixed-op runs poll config.external_stop at
-// the same cadence, and only when one is installed, so plain seeded runs
-// keep the exact per-op instruction sequence.
+// it from the worker's own stack, not through a shared reference. Fixed-op
+// runs poll config.external_stop only when one is installed, so plain
+// seeded runs keep the exact per-op instruction sequence.
 template <typename Body>
 void DriverLoop(const ScenarioConfig& config, WorkerSlot& slot, Body body,
                 const DriverFlags& flags) {
@@ -110,15 +114,14 @@ void DriverLoop(const ScenarioConfig& config, WorkerSlot& slot, Body body,
   }
   std::atomic_ref<std::uint64_t> progress(slot.progress);
   std::uint64_t attempts = 0;
-  const std::uint32_t cadence = config.stop_check_every == 0 ? 1 : config.stop_check_every;
   if (config.duration_ms == 0) {
-    std::uint32_t countdown = cadence;
+    std::uint32_t countdown = kStopCheckEvery;
     for (int i = 0; i < config.ops_per_thread; ++i) {
       if (config.external_stop != nullptr && --countdown == 0) {
         if (config.external_stop->load(std::memory_order_relaxed)) {
           break;
         }
-        countdown = cadence;
+        countdown = kStopCheckEvery;
       }
       body(slot);
       progress.store(++attempts, std::memory_order_relaxed);
@@ -130,7 +133,7 @@ void DriverLoop(const ScenarioConfig& config, WorkerSlot& slot, Body body,
         if (flags.stop.load(std::memory_order_relaxed)) {
           break;
         }
-        countdown = cadence;
+        countdown = kStopCheckEvery;
       }
       --countdown;
       body(slot);

@@ -8,8 +8,8 @@
 // ShardCombine: the environment is now a ShardedMap of B+-tree partitions.
 // The default (shards = 1) keeps the paper's one-DB-lock shape exactly;
 // Options{shards, combine, rw} opens the scale path -- hash-partitioned
-// trees, flat-combined hot shards, shared-lock reads -- that the
-// thread-scaling rows in BENCH_native.json measure.
+// trees, flat-combined hot shards, shared-lock reads -- whose scaling
+// `scenario_runner --thread-sweep 1,2,4,8` measures.
 #ifndef SRC_SYSTEMS_KVSTORE_HPP_
 #define SRC_SYSTEMS_KVSTORE_HPP_
 

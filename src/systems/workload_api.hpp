@@ -11,10 +11,11 @@
 // runs on too: cache-line-aligned worker slots, batched latency recording,
 // stop-flag cadence, zero per-op allocation in the driver itself) runs any
 // scenario under any lock name, including ADAPTIVE. Consumers:
-// examples/scenario_runner (CLI), fig13's native section, and
-// bench/bench_native_perf's per-scenario section in BENCH_native.json. New
-// systems plug in by registering a scenario; they inherit the driver, the
-// CLI, the bench trajectory and the tests.
+// examples/scenario_runner (CLI; `--all --json` gives every scenario's
+// ops/s, latency and TPP), fig13's native section, and the benchmark's
+// kv-contended and cache-read workloads (perfbench/). New systems plug in
+// by registering a scenario; they inherit the driver, the CLI and the
+// tests.
 //
 // (The adapter interface is the "SystemWorkload" of the scenario layer but
 // is named ScenarioWorkload: lockin::SystemWorkload already names the
@@ -58,11 +59,10 @@ struct ScenarioConfig {
   // ops_per_thread operations, so a seeded single-threaded run is
   // deterministic (the registry tests rely on this). When duration_ms > 0
   // the run is time-bounded instead: workers loop until the stop flag,
-  // polled every stop_check_every ops (one shared cache line kept out of
-  // the per-op path), and ops_per_thread is ignored.
+  // polled every kStopCheckEvery ops (src/systems/driver.hpp; one shared
+  // cache line kept out of the per-op path), and ops_per_thread is ignored.
   int ops_per_thread = 40000;
   std::uint64_t duration_ms = 0;
-  std::uint32_t stop_check_every = 32;
 
   // Mix knobs. read_percent < 0 keeps the scenario's registered default
   // mix; key_space = 0 keeps its default key space / data-set size.
@@ -133,7 +133,7 @@ struct ScenarioConfig {
   // partial traces/metrics so the evidence survives the _Exit.
   std::function<void()> on_stall;
   // External cancellation (scenario_runner's SIGINT handler): polled by
-  // fixed-op workers at the stop_check_every cadence and by the duration
+  // fixed-op workers at the kStopCheckEvery cadence and by the duration
   // pacer, ending the run early but cleanly. Null = never.
   const std::atomic<bool>* external_stop = nullptr;
 

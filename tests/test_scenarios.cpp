@@ -3,7 +3,7 @@
 // lock through the one shared driver, seeded single-threaded runs are
 // deterministic, and the per-system counter invariants hold -- the
 // properties the paper's "swap the lock, not the system" experiment and the
-// BENCH_native.json trajectory rely on.
+// benchmark's kv-contended and cache-read workloads rely on.
 #include <gtest/gtest.h>
 
 #include <set>

@@ -1,6 +1,7 @@
 // Event-engine tests: ordering, cancellation, determinism, pool recycling.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -147,28 +148,83 @@ TEST(SimEngine, SlotReuseInvalidatesOldHandles) {
   EXPECT_EQ(runs, 2);
 }
 
-TEST(SimEngine, SteadyStateRecyclesSlots) {
+// The schedule pattern the machine and futex models generate: self-
+// rescheduling chains with near-monotonic delays, each step re-arming a
+// companion timeout that is cancelled before it fires.
+struct TimeoutChains {
   SimEngine engine;
-  // Warm the pool, then verify a sustained schedule/run cycle allocates
-  // nothing new (slab count, queue capacity and spill count all frozen).
-  std::uint64_t executed = 0;
-  std::function<void()> reschedule;  // drives a self-rescheduling chain
-  std::uint64_t remaining = 50000;
-  reschedule = [&] {
-    ++executed;
-    if (--remaining > 0) {
-      engine.Schedule(5, [&] { reschedule(); });
+  std::uint64_t remaining = 0;
+  std::vector<EventId> timeout;
+
+  explicit TimeoutChains(int chains) : timeout(static_cast<std::size_t>(chains), 0) {}
+  // Scheduled callbacks hold `this`.
+  TimeoutChains(const TimeoutChains&) = delete;
+  TimeoutChains& operator=(const TimeoutChains&) = delete;
+
+  // Runs `steps` chain steps in all, then winds the chains down.
+  void Run(std::uint64_t steps) {
+    remaining = steps;
+    for (std::size_t c = 0; c < timeout.size(); ++c) {
+      engine.Schedule(static_cast<SimTime>(c) * 97, [this, c] { Step(c); });
     }
-  };
-  engine.Schedule(1, [&] { reschedule(); });
-  engine.RunUntil(10 * 5);  // warm up a few events
-  const SimEngine::PoolStats before = engine.pool_stats();
-  engine.RunAll();
-  const SimEngine::PoolStats after = engine.pool_stats();
-  EXPECT_EQ(executed, 50000u);
+    engine.RunAll();
+  }
+
+  void Step(std::size_t chain) {
+    if (timeout[chain] != 0) {
+      engine.Cancel(timeout[chain]);
+      timeout[chain] = 0;
+    }
+    if (remaining == 0) {
+      return;
+    }
+    --remaining;
+    timeout[chain] = engine.Schedule(50000, [this, chain] { timeout[chain] = 0; });
+    engine.Schedule(100 + static_cast<SimTime>(chain) * 13, [this, chain] { Step(chain); });
+  }
+};
+
+void ExpectPoolsUnchanged(const SimEngine::PoolStats& before, const SimEngine::PoolStats& after) {
   EXPECT_EQ(after.slab_blocks, before.slab_blocks);
   EXPECT_EQ(after.queue_capacity, before.queue_capacity);
   EXPECT_EQ(after.slot_capacity, before.slot_capacity);
+  EXPECT_EQ(after.heap_spills, before.heap_spills);
+}
+
+TEST(SimEngine, SteadyStateRecyclesSlots) {
+  // Warm the pool, then verify a sustained schedule/run cycle allocates
+  // nothing new (slab count, slot and queue capacity and spill count all
+  // frozen), for each of two schedule patterns.
+  {
+    SCOPED_TRACE("one self-rescheduling chain");
+    SimEngine engine;
+    std::uint64_t executed = 0;
+    std::function<void()> reschedule;  // drives a self-rescheduling chain
+    std::uint64_t remaining = 50000;
+    reschedule = [&] {
+      ++executed;
+      if (--remaining > 0) {
+        engine.Schedule(5, [&] { reschedule(); });
+      }
+    };
+    engine.Schedule(1, [&] { reschedule(); });
+    engine.RunUntil(10 * 5);  // warm up a few events
+    const SimEngine::PoolStats before = engine.pool_stats();
+    engine.RunAll();
+    EXPECT_EQ(executed, 50000u);
+    ExpectPoolsUnchanged(before, engine.pool_stats());
+  }
+  {
+    SCOPED_TRACE("40 chains with cancelled timeouts");
+    TimeoutChains chains(40);
+    chains.Run(125000);  // warm-up: sizes the slabs and the heap
+    const SimEngine::PoolStats before = chains.engine.pool_stats();
+    const std::uint64_t executed_before = chains.engine.executed_events();
+    chains.Run(500000);
+    // Every step, plus one wind-down step per chain.
+    EXPECT_EQ(chains.engine.executed_events() - executed_before, 500040u);
+    ExpectPoolsUnchanged(before, chains.engine.pool_stats());
+  }
 }
 
 TEST(SimEngine, CountsHeapSpillsForOversizedClosures) {
