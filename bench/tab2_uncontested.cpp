@@ -7,38 +7,27 @@
 // the throughput and TPP trends are identical.
 //
 // Prints the simulated reproduction and, below it, the *native* throughput
-// of the real lock library on this host (no RAPL -> throughput only).
-#include <memory>
-
+// of the real lock library on this host: the lock microbenchmark on one
+// thread with the paper's shape, on the static tier (lock cost without
+// dispatch), without a meter.
 #include "bench/bench_common.hpp"
-#include "src/locks/lock_registry.hpp"
-#include "src/platform/cycles.hpp"
+#include "src/locks/harness.hpp"
 #include "src/sim/workload.hpp"
 
 namespace lockin {
 namespace {
 
 double NativeUncontestedMacqPerS(const std::string& name) {
-  auto lock = MakeLock(name);
-  if (lock == nullptr) {
-    return 0;
-  }
-  constexpr int kIters = 200000;
-  // Warm up.
-  for (int i = 0; i < 1000; ++i) {
-    lock->lock();
-    lock->unlock();
-  }
-  const std::uint64_t start = ReadCycles();
-  for (int i = 0; i < kIters; ++i) {
-    lock->lock();
-    SpinForCycles(100);  // the paper's 100-cycle critical section
-    lock->unlock();
-  }
-  const std::uint64_t cycles = ReadCycles() - start;
-  const double seconds =
-      static_cast<double>(CyclesToNs(cycles)) / 1e9;
-  return kIters / seconds / 1e6;
+  ScenarioConfig config;
+  config.lock_name = name;
+  config.threads = 1;
+  config.ops_per_thread = 200000;
+  config.record_latency = false;
+  config.meter = MeterChoice::kOff;
+  AcquireShape shape;
+  shape.cs_cycles = 100;  // the paper's 100-cycle critical section
+  shape.non_cs_cycles = 0;
+  return RunNativeBench(config, shape).MopsPerS();
 }
 
 }  // namespace
@@ -76,6 +65,6 @@ int main(int argc, char** argv) {
   native.AddNumericRow("PTHREAD", {NativeUncontestedMacqPerS("PTHREAD")}, 2);
   EmitTable(native, options,
             "Table 2 (native, this host): uncontested throughput of the real lock "
-            "library (absolute values depend on the host clock)");
+            "library on the static tier (absolute values depend on the host clock)");
   return 0;
 }

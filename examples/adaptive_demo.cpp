@@ -21,10 +21,8 @@
 #include <vector>
 
 #include "src/adaptive/adaptive_lock.hpp"
-#include "src/energy/model_meter.hpp"
 #include "src/locks/harness.hpp"
 #include "src/platform/cycles.hpp"
-#include "src/platform/topology.hpp"
 
 using namespace lockin;
 
@@ -37,17 +35,19 @@ struct Regime {
   std::uint64_t non_cs_cycles;
 };
 
-NativeBenchConfig ConfigFor(const Regime& regime, const std::string& lock) {
-  NativeBenchConfig config;
+ScenarioResult RunRegime(const Regime& regime, const std::string& lock) {
+  ScenarioConfig config;
   config.lock_name = lock;
   config.threads = regime.threads;
-  config.cs_cycles = regime.cs_cycles;
-  config.non_cs_cycles = regime.non_cs_cycles;
   config.duration_ms = 200;
   config.record_latency = false;
+  config.meter = MeterChoice::kModel;
+  AcquireShape shape;
+  shape.cs_cycles = regime.cs_cycles;
+  shape.non_cs_cycles = regime.non_cs_cycles;
   // Keep spin backends live on hosts with fewer cores than threads.
-  config.lock_options.spin.yield_after = 256;
-  return config;
+  shape.lock_options.spin.yield_after = 256;
+  return RunNativeBench(config, shape);
 }
 
 }  // namespace
@@ -59,9 +59,6 @@ int main() {
       {"long-cs", 4, 30000, 500},
   };
   const std::vector<std::string> locks = {"TTAS", "MUTEX", "MUTEXEE", "ADAPTIVE"};
-
-  auto registry = std::make_shared<ActivityRegistry>(
-      PowerModel(Topology::Detect(), PowerParams::PaperXeon()));
 
   std::printf("%-10s", "lock");
   for (const Regime& regime : regimes) {
@@ -76,10 +73,9 @@ int main() {
     std::printf("%-10s", lock.c_str());
     double sum = 0.0;
     for (const Regime& regime : regimes) {
-      ModelMeter meter(registry);
-      const NativeBenchResult result = RunNativeBench(ConfigFor(regime, lock), &meter);
-      std::printf("  %9.1f KTPP", result.tpp / 1e3);
-      sum += result.tpp / 1e3;
+      const double ktpp = RunRegime(regime, lock).Tpp() / 1e3;
+      std::printf("  %9.1f KTPP", ktpp);
+      sum += ktpp;
     }
     std::printf("  %12.1f\n", sum);
     if (lock == "ADAPTIVE") {
@@ -96,16 +92,15 @@ int main() {
     config.epoch_acquires = 64;
     config.spin.yield_after = 256;
     AdaptiveLock lock(config);
-    NativeBenchConfig bench = ConfigFor(regime, "ADAPTIVE");
     std::vector<std::thread> threads;
     std::atomic<bool> stop{false};
-    for (int t = 0; t < bench.threads; ++t) {
+    for (int t = 0; t < regime.threads; ++t) {
       threads.emplace_back([&] {
         while (!stop.load(std::memory_order_relaxed)) {
           lock.lock();
-          SpinForCycles(bench.cs_cycles);
+          SpinForCycles(regime.cs_cycles);
           lock.unlock();
-          SpinForCycles(bench.non_cs_cycles);
+          SpinForCycles(regime.non_cs_cycles);
         }
       });
     }

@@ -6,12 +6,11 @@
 //   $ ./native_bench [threads] [cs_cycles] [duration_ms]
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
 
-#include "src/energy/model_meter.hpp"
 #include "src/energy/rapl_meter.hpp"
 #include "src/locks/harness.hpp"
+#include "src/locks/static_dispatch.hpp"
 #include "src/platform/topology.hpp"
 
 int main(int argc, char** argv) {
@@ -25,38 +24,27 @@ int main(int argc, char** argv) {
   std::printf("threads=%d cs=%llu cycles, %llu ms per lock\n\n", threads,
               (unsigned long long)cs, (unsigned long long)ms);
 
-  auto registry = std::make_shared<ActivityRegistry>(
-      PowerModel(Topology::Detect(), PowerParams::PaperXeon()));
-  std::unique_ptr<EnergyMeter> meter = MakeDefaultMeter(registry);
-
   std::printf("%-10s %-6s %14s %10s %12s %10s %12s\n", "lock", "tier", "tput(acq/s)", "watts",
               "TPP(acq/J)", "p95(cyc)", "p99.99(cyc)");
   for (const std::string& name : RegisteredLockNames()) {
-    NativeBenchConfig config;
+    ScenarioConfig config;
     config.lock_name = name;
     config.threads = threads;
-    config.cs_cycles = cs;
     config.duration_ms = ms;
-    config.lock_options.spin.yield_after = 512;  // survive oversubscribed hosts
+    AcquireShape shape;
+    shape.cs_cycles = cs;
+    shape.lock_options.spin.yield_after = 512;  // survive oversubscribed hosts
     if (name == "MUTEXEE-TO") {
       // Without a timeout MUTEXEE-TO is byte-for-byte MUTEXEE; give the row
       // its distinguishing behavior (8 ms bounds the sleepers' tail within
       // the default 200 ms run).
-      config.lock_options.mutexee.sleep_timeout_ns = 8'000'000;
+      shape.lock_options.mutexee.sleep_timeout_ns = 8'000'000;
     }
-    // Report this run's threads as active contexts to the model meter.
-    for (int t = 0; t < threads; ++t) {
-      registry->SetState(t, ActivityState::kCritical);
-    }
-    const NativeBenchResult r = RunNativeBench(config, meter.get());
-    for (int t = 0; t < threads; ++t) {
-      registry->SetState(t, ActivityState::kInactive);
-    }
+    const ScenarioResult r = RunNativeBench(config, shape);
     std::printf("%-10s %-6s %14.0f %10.1f %12.0f %10llu %12llu\n", name.c_str(),
-                r.used_static_dispatch ? "static" : "handle", r.throughput_per_s,
-                r.energy.average_watts(), r.tpp,
-                (unsigned long long)r.acquire_latency_cycles.P95(),
-                (unsigned long long)r.acquire_latency_cycles.P9999());
+                IsStaticallyDispatchable(name) ? "static" : "handle", r.ops_per_s, r.AvgWatts(),
+                r.Tpp(), (unsigned long long)r.op_latency_cycles.P95(),
+                (unsigned long long)r.op_latency_cycles.P9999());
   }
   return 0;
 }

@@ -67,26 +67,6 @@ class ModelMeter : public EnergyMeter {
   ActivityRegistry::Totals start_;
 };
 
-// RAII helper: sets a context's activity on construction and restores the
-// previous scope's state on destruction.
-class ScopedActivity {
- public:
-  ScopedActivity(ActivityRegistry* registry, int ctx, ActivityState state,
-                 ActivityState restore_to)
-      : registry_(registry), ctx_(ctx), restore_(restore_to) {
-    registry_->SetState(ctx_, state);
-  }
-  ~ScopedActivity() { registry_->SetState(ctx_, restore_); }
-
-  ScopedActivity(const ScopedActivity&) = delete;
-  ScopedActivity& operator=(const ScopedActivity&) = delete;
-
- private:
-  ActivityRegistry* registry_;
-  int ctx_;
-  ActivityState restore_;
-};
-
 // Picks the best available meter: RAPL when readable, the model otherwise.
 // `registry` may be null when the caller knows RAPL is available.
 std::unique_ptr<EnergyMeter> MakeDefaultMeter(std::shared_ptr<ActivityRegistry> registry);

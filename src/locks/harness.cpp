@@ -1,6 +1,8 @@
 #include "src/locks/harness.hpp"
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "src/locks/static_dispatch.hpp"
 #include "src/platform/cycles.hpp"
@@ -41,63 +43,42 @@ struct AcquireOp {
 };
 
 template <typename Lock, typename Factory>
-NativeBenchResult RunOnLocks(const NativeBenchConfig& config, EnergyMeter* meter,
-                             Factory&& make_lock) {
+ScenarioResult RunOnLocks(const ScenarioConfig& config, const AcquireShape& shape,
+                          Factory&& make_lock) {
   std::vector<std::unique_ptr<Lock>> locks;
   std::vector<Lock*> lock_ptrs;
-  for (int i = 0; i < config.locks; ++i) {
+  for (int i = 0; i < shape.locks; ++i) {
     locks.push_back(make_lock());
     lock_ptrs.push_back(locks.back().get());
   }
 
-  ScenarioConfig run;
-  run.lock_name = config.lock_name;
-  run.threads = config.threads;
-  run.duration_ms = config.duration_ms;
-  run.ops_per_thread = 0;  // a zero-length run stays empty
   std::vector<WorkerSlot> slots;
   slots.reserve(static_cast<std::size_t>(config.threads));
   for (int t = 0; t < config.threads; ++t) {
     slots.emplace_back(config.seed * 40503 + static_cast<std::uint64_t>(t));
   }
-  const AcquireOp<Lock> op{lock_ptrs.data(), lock_ptrs.size(), config.cs_cycles,
-                           config.non_cs_cycles, config.record_latency};
-  const DriverRun driven = RunDriver(run, "", slots, meter, /*pin_threads=*/true, op);
-
-  NativeBenchResult result;
-  result.lock_name = config.lock_name;
-  result.seconds = driven.seconds;
-  result.energy = driven.energy;
-  for (const WorkerSlot& slot : slots) {
-    result.total_acquires += slot.ctx.op_index;
-    result.acquire_latency_cycles.Merge(slot.latency);
-  }
-  result.throughput_per_s = result.seconds > 0
-                                ? static_cast<double>(result.total_acquires) / result.seconds
-                                : 0;
-  result.tpp = result.energy.total_joules() > 0
-                   ? static_cast<double>(result.total_acquires) / result.energy.total_joules()
-                   : 0;
-  return result;
+  const AcquireOp<Lock> op{lock_ptrs.data(), lock_ptrs.size(), shape.cs_cycles,
+                           shape.non_cs_cycles, config.record_latency};
+  DriverRun run = RunDriver(config, "", slots, /*pin_threads=*/true, op);
+  return CollectResult(config, "", slots, std::move(run));
 }
 
 }  // namespace
 
-NativeBenchResult RunNativeBench(const NativeBenchConfig& config, EnergyMeter* meter) {
-  NativeBenchResult result;
+ScenarioResult RunNativeBench(const ScenarioConfig& config, const AcquireShape& shape) {
+  ScenarioResult result;
   const bool dispatched =
-      WithConcreteLock(config.lock_name, config.lock_options, [&](auto tag, auto&&... args) {
+      WithConcreteLock(config.lock_name, shape.lock_options, [&](auto tag, auto&&... args) {
         using L = typename decltype(tag)::type;
-        result = RunOnLocks<L>(config, meter, [&] { return std::make_unique<L>(args...); });
-        result.used_static_dispatch = true;
+        result = RunOnLocks<L>(config, shape, [&] { return std::make_unique<L>(args...); });
       });
   if (dispatched) {
     return result;
   }
   // Handle tier: ADAPTIVE, or an unknown name (MakeLockOrThrow's
   // std::invalid_argument).
-  return RunOnLocks<LockHandle>(config, meter, [&] {
-    return MakeLockOrThrow(config.lock_name, config.lock_options);
+  return RunOnLocks<LockHandle>(config, shape, [&] {
+    return MakeLockOrThrow(config.lock_name, shape.lock_options);
   });
 }
 

@@ -8,8 +8,10 @@
 //
 // Each acquire/release pair is one op on the shared worker driver
 // (src/systems/driver.hpp), which owns the threads, the cache-line-aligned
-// per-thread slots, the stop cadence and the timing. Threads are pinned in
-// the paper's socket-first order. The op runs on one of two dispatch tiers:
+// per-thread slots, the stop cadence, the timing and the energy meter, so a
+// microbenchmark run is configured and reported like any scenario run.
+// Threads are pinned in the paper's socket-first order. The op runs on one
+// of two dispatch tiers:
 //   * static  -- the op is instantiated per concrete lock type
 //                (src/locks/static_dispatch.hpp), so lock()/unlock() inline
 //                into the driver's loop with zero indirect calls;
@@ -17,49 +19,42 @@
 //                acquire/release pair), used for names without a concrete
 //                type (ADAPTIVE). The benchmark's per-layer metrics
 //                locks.uncontested_ns.{static,handle}.<lock> time both.
+// IsStaticallyDispatchable(name) (src/locks/static_dispatch.hpp) says which
+// tier a name runs on.
 #ifndef SRC_LOCKS_HARNESS_HPP_
 #define SRC_LOCKS_HARNESS_HPP_
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
-#include "src/energy/energy_meter.hpp"
 #include "src/locks/lock_registry.hpp"
-#include "src/stats/histogram.hpp"
+#include "src/systems/workload_api.hpp"
 
 namespace lockin {
 
-struct NativeBenchConfig {
-  std::string lock_name = "MUTEXEE";
-  int threads = 2;
-  int locks = 1;
+// What the microbenchmark adds to a ScenarioConfig: the shape of each op.
+struct AcquireShape {
+  int locks = 1;  // each op picks one at random when there are several
   std::uint64_t cs_cycles = 1000;
   std::uint64_t non_cs_cycles = 100;
-  // Wall-clock run length. The paper uses 10 s x 11 repetitions; tests and
-  // examples use much shorter runs.
-  std::uint64_t duration_ms = 100;
-  std::uint64_t seed = 1;
-  bool record_latency = true;     // per-acquire rdtsc latency histogram
-  LockBuildOptions lock_options;  // pause kind, yield threshold, budgets
+  // The only input that shapes how the locks are built: pause kind, yield
+  // threshold, budgets.
+  LockBuildOptions lock_options;
 };
 
-struct NativeBenchResult {
-  std::string lock_name;
-  double seconds = 0;
-  std::uint64_t total_acquires = 0;
-  double throughput_per_s = 0;
-  EnergySample energy;            // zero when no meter was supplied
-  double tpp = 0;                 // acquires/Joule (0 without a meter)
-  bool used_static_dispatch = false;  // which tier the measured loop ran on
-  LatencyHistogram acquire_latency_cycles;
-};
-
-// Runs the workload on the static tier when the name has a concrete type
-// and on the handle tier otherwise. `meter` may be null (throughput only).
-// Unknown lock names raise std::invalid_argument (the registry's throwing
-// contract via MakeLockOrThrow).
-NativeBenchResult RunNativeBench(const NativeBenchConfig& config, EnergyMeter* meter = nullptr);
+// Runs config.threads workers doing acquire/release ops shaped by `shape`,
+// on the static tier when config.lock_name has a concrete type and on the
+// handle tier otherwise. `config` supplies what the driver reads: lock name,
+// threads, run length (ops_per_thread when duration_ms == 0, as for
+// scenarios), seed (worker t seeds its RNG with seed*40503+t),
+// record_latency (one sample per acquire), meter, energy sampling, the
+// workers' trace rings, the watchdog and external_stop. The microbenchmark
+// ignores the scenario-only fields: the mix (read_percent, key_space),
+// shards/combine/rw, failpoints, the op deadline and retries, lockdep and
+// yield_after (set shape.lock_options.spin.yield_after instead). The
+// result's scenario name and metrics stay empty. Unknown lock names raise
+// std::invalid_argument (the registry's throwing contract via
+// MakeLockOrThrow).
+ScenarioResult RunNativeBench(const ScenarioConfig& config, const AcquireShape& shape);
 
 }  // namespace lockin
 

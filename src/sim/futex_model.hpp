@@ -63,6 +63,16 @@ class SimFutex {
     std::uint64_t threads_woken = 0;
     std::uint64_t timeouts = 0;
     std::uint64_t deep_sleeps = 0;  // wakes that paid the deep-idle penalty
+
+    Stats& operator+=(const Stats& other) {
+      sleep_calls += other.sleep_calls;
+      sleep_misses += other.sleep_misses;
+      wake_calls += other.wake_calls;
+      threads_woken += other.threads_woken;
+      timeouts += other.timeouts;
+      deep_sleeps += other.deep_sleeps;
+      return *this;
+    }
   };
   const Stats& stats() const { return stats_; }
   void ResetStats() { stats_ = Stats{}; }

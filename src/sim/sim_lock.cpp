@@ -2,10 +2,34 @@
 
 #include <algorithm>
 #include <cassert>
+#include <deque>
 #include <utility>
 #include <vector>
 
 namespace lockin {
+namespace {
+
+// Spinners race with CAS: the winner is effectively random among the ones
+// currently on a hardware context. Removes and returns it; -1 when none
+// qualifies. `running` is the caller's scratch buffer.
+int PopRandomRunningSpinner(const SimMachine& machine, Xoshiro256& rng,
+                            std::deque<int>& spinners, std::vector<std::size_t>& running) {
+  running.clear();
+  for (std::size_t i = 0; i < spinners.size(); ++i) {
+    if (machine.IsRunning(spinners[i])) {
+      running.push_back(i);
+    }
+  }
+  if (running.empty()) {
+    return -1;
+  }
+  const std::size_t index = running[rng.NextBelow(running.size())];
+  const int tid = spinners[index];
+  spinners.erase(spinners.begin() + static_cast<std::ptrdiff_t>(index));
+  return tid;
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // SimSpinLock
@@ -130,24 +154,6 @@ void SimSpinLock::Release(int tid, SimCallback on_released) {
 SimFutexMutex::SimFutexMutex(SimMachine* machine, SimFutexMutexConfig config)
     : SimLock(machine), config_(std::move(config)), futex_(machine), rng_(config_.rng_seed) {}
 
-// Spinners race with CAS: the winner is effectively random among the ones
-// currently on a hardware context. Returns -1 when none qualifies.
-int SimFutexMutex::PopRandomRunningSpinner() {
-  running_scratch_.clear();
-  for (std::size_t i = 0; i < spinners_.size(); ++i) {
-    if (machine_->IsRunning(spinners_[i])) {
-      running_scratch_.push_back(i);
-    }
-  }
-  if (running_scratch_.empty()) {
-    return -1;
-  }
-  const std::size_t index = running_scratch_[rng_.NextBelow(running_scratch_.size())];
-  const int tid = spinners_[index];
-  spinners_.erase(spinners_.begin() + static_cast<std::ptrdiff_t>(index));
-  return tid;
-}
-
 void SimFutexMutex::TakeOwnership(int tid, bool via_futex) {
   held_ = true;
   stats_.acquires++;
@@ -227,7 +233,7 @@ void SimFutexMutex::TryGrantToSpinner() {
   if (held_ || spinners_.empty()) {
     return;
   }
-  const int tid = PopRandomRunningSpinner();
+  const int tid = PopRandomRunningSpinner(*machine_, rng_, spinners_, running_scratch_);
   if (tid < 0) {
     return;
   }
@@ -263,22 +269,6 @@ void SimFutexMutex::Release(int tid, SimCallback on_released) {
 
 SimMutexee::SimMutexee(SimMachine* machine, SimMutexeeConfig config)
     : SimLock(machine), config_(std::move(config)), futex_(machine), rng_(config_.rng_seed) {}
-
-int SimMutexee::PopRandomRunningSpinner() {
-  running_scratch_.clear();
-  for (std::size_t i = 0; i < spinners_.size(); ++i) {
-    if (machine_->IsRunning(spinners_[i])) {
-      running_scratch_.push_back(i);
-    }
-  }
-  if (running_scratch_.empty()) {
-    return -1;
-  }
-  const std::size_t index = running_scratch_[rng_.NextBelow(running_scratch_.size())];
-  const int tid = spinners_[index];
-  spinners_.erase(spinners_.begin() + static_cast<std::ptrdiff_t>(index));
-  return tid;
-}
 
 void SimMutexee::RecordWindow(bool futex_handover) {
   window_acquires_++;
@@ -388,7 +378,7 @@ void SimMutexee::Release(int tid, SimCallback on_released) {
   // User-space handover: the defining MUTEXEE fast path. The spinners race
   // with CAS, so the recipient is a random *running* spinner. No futex
   // calls; sleepers keep sleeping (fairness traded for energy, sec 4.4).
-  const int next = PopRandomRunningSpinner();
+  const int next = PopRandomRunningSpinner(*machine_, rng_, spinners_, running_scratch_);
   if (next >= 0) {
     const SimParams& p = machine_->params();
     const std::uint64_t delay =
@@ -551,13 +541,7 @@ void SimAdaptiveLock::MaybeFinishSwitch() {
 const SimLockStats& SimAdaptiveLock::stats() const {
   aggregated_ = SimLockStats{};
   for (const auto& inner : inner_) {
-    const SimLockStats& s = inner->stats();
-    aggregated_.acquires += s.acquires;
-    aggregated_.spin_handovers += s.spin_handovers;
-    aggregated_.futex_handovers += s.futex_handovers;
-    aggregated_.timeout_handovers += s.timeout_handovers;
-    aggregated_.wake_skips += s.wake_skips;
-    aggregated_.resleeps += s.resleeps;
+    aggregated_ += inner->stats();
   }
   return aggregated_;
 }
@@ -566,12 +550,7 @@ const SimFutex::Stats* SimAdaptiveLock::futex_stats() const {
   aggregated_futex_ = SimFutex::Stats{};
   for (const auto& inner : inner_) {
     if (const SimFutex::Stats* fs = inner->futex_stats()) {
-      aggregated_futex_.sleep_calls += fs->sleep_calls;
-      aggregated_futex_.sleep_misses += fs->sleep_misses;
-      aggregated_futex_.wake_calls += fs->wake_calls;
-      aggregated_futex_.threads_woken += fs->threads_woken;
-      aggregated_futex_.timeouts += fs->timeouts;
-      aggregated_futex_.deep_sleeps += fs->deep_sleeps;
+      aggregated_futex_ += *fs;
     }
   }
   return &aggregated_futex_;

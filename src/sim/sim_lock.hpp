@@ -44,6 +44,16 @@ struct SimLockStats {
   std::uint64_t timeout_handovers = 0;
   std::uint64_t wake_skips = 0;
   std::uint64_t resleeps = 0;  // woken threads that found the lock taken
+
+  SimLockStats& operator+=(const SimLockStats& other) {
+    acquires += other.acquires;
+    spin_handovers += other.spin_handovers;
+    futex_handovers += other.futex_handovers;
+    timeout_handovers += other.timeout_handovers;
+    wake_skips += other.wake_skips;
+    resleeps += other.resleeps;
+    return *this;
+  }
 };
 
 class SimLock {
@@ -144,7 +154,6 @@ class SimFutexMutex final : public SimLock {
   void EnterSleepLoop(int tid);
   void TryGrantToSpinner();
   void TakeOwnership(int tid, bool via_futex);
-  int PopRandomRunningSpinner();
 
   SimFutexMutexConfig config_;
   SimFutex futex_;
@@ -192,7 +201,6 @@ class SimMutexee final : public SimLock {
   void BecomePersistentSpinner(int tid);
   void TakeOwnership(int tid, int kind);  // 0 spin, 1 futex, 2 timeout
   void RecordWindow(bool futex_handover);
-  int PopRandomRunningSpinner();
 
   SimMutexeeConfig config_;
   SimFutex futex_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
 #include <memory>
 
 #include "src/sim/futex_model.hpp"

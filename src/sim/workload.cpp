@@ -149,20 +149,9 @@ WorkloadResult RunLockWorkload(const std::string& lock_name, const WorkloadConfi
                            driver.machine->ActiveShare(ActivityState::kSpinLocal) +
                            driver.machine->ActiveShare(ActivityState::kSpinGlobal);
   for (const auto& lock : driver.locks) {
-    const SimLockStats& s = lock->stats();
-    result.lock_stats.acquires += s.acquires;
-    result.lock_stats.spin_handovers += s.spin_handovers;
-    result.lock_stats.futex_handovers += s.futex_handovers;
-    result.lock_stats.timeout_handovers += s.timeout_handovers;
-    result.lock_stats.wake_skips += s.wake_skips;
-    result.lock_stats.resleeps += s.resleeps;
+    result.lock_stats += lock->stats();
     if (const SimFutex::Stats* fs = lock->futex_stats()) {
-      result.futex_stats.sleep_calls += fs->sleep_calls;
-      result.futex_stats.sleep_misses += fs->sleep_misses;
-      result.futex_stats.wake_calls += fs->wake_calls;
-      result.futex_stats.threads_woken += fs->threads_woken;
-      result.futex_stats.timeouts += fs->timeouts;
-      result.futex_stats.deep_sleeps += fs->deep_sleeps;
+      result.futex_stats += *fs;
     }
   }
   return result;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace lockin {
 
@@ -31,18 +30,6 @@ double Mean(const std::vector<double>& values) {
   return sum / static_cast<double>(values.size());
 }
 
-double StdDev(const std::vector<double>& values) {
-  if (values.size() < 2) {
-    return 0.0;
-  }
-  const double mean = Mean(values);
-  double acc = 0.0;
-  for (double v : values) {
-    acc += (v - mean) * (v - mean);
-  }
-  return std::sqrt(acc / static_cast<double>(values.size() - 1));
-}
-
 double PearsonCorrelation(const std::vector<double>& x, const std::vector<double>& y) {
   if (x.size() != y.size() || x.size() < 2) {
     return 0.0;
@@ -62,26 +49,5 @@ double PearsonCorrelation(const std::vector<double>& x, const std::vector<double
   }
   return sxy / std::sqrt(sxx * syy);
 }
-
-RepeatedTrial::RepeatedTrial(std::vector<std::string> metric_names, std::size_t repetitions)
-    : names_(std::move(metric_names)), repetitions_(repetitions), samples_(names_.size()) {}
-
-void RepeatedTrial::Run(const std::function<std::vector<double>()>& trial) {
-  for (std::size_t rep = 0; rep < repetitions_; ++rep) {
-    std::vector<double> result = trial();
-    if (result.size() != names_.size()) {
-      throw std::runtime_error("RepeatedTrial: metric count mismatch");
-    }
-    for (std::size_t i = 0; i < result.size(); ++i) {
-      samples_[i].push_back(result[i]);
-    }
-  }
-}
-
-double RepeatedTrial::MedianOf(std::size_t metric) const { return Median(samples_.at(metric)); }
-
-double RepeatedTrial::MeanOf(std::size_t metric) const { return Mean(samples_.at(metric)); }
-
-double RepeatedTrial::StdDevOf(std::size_t metric) const { return StdDev(samples_.at(metric)); }
 
 }  // namespace lockin

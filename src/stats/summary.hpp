@@ -1,14 +1,8 @@
-// Run-level statistics helpers.
-//
-// Methodology from section 2 of the paper: "Our microbenchmark results are
-// the median of 11 repetitions of 10 seconds." RunSummary implements the
-// repeat-and-take-median protocol over arbitrary scalar metrics.
+// Run-level statistics helpers: median, mean and correlation of scalar
+// samples.
 #ifndef SRC_STATS_SUMMARY_HPP_
 #define SRC_STATS_SUMMARY_HPP_
 
-#include <cstddef>
-#include <functional>
-#include <string>
 #include <vector>
 
 namespace lockin {
@@ -19,36 +13,9 @@ double Median(std::vector<double> values);
 // Arithmetic mean; 0 for empty input.
 double Mean(const std::vector<double>& values);
 
-// Sample standard deviation; 0 for fewer than two samples.
-double StdDev(const std::vector<double>& values);
-
 // Pearson correlation coefficient of two equally sized series. Used by the
 // Figure 12 reproduction to quantify the throughput<->TPP correlation.
 double PearsonCorrelation(const std::vector<double>& x, const std::vector<double>& y);
-
-// Runs `trial` `repetitions` times and reports the median of each metric.
-// `trial` returns one scalar per metric name; all repetitions must return
-// the same number of metrics.
-class RepeatedTrial {
- public:
-  RepeatedTrial(std::vector<std::string> metric_names, std::size_t repetitions);
-
-  // Runs all repetitions. The callback fills one value per metric.
-  void Run(const std::function<std::vector<double>()>& trial);
-
-  // Median across repetitions for metric `i`.
-  double MedianOf(std::size_t metric) const;
-  double MeanOf(std::size_t metric) const;
-  double StdDevOf(std::size_t metric) const;
-
-  const std::vector<std::string>& metric_names() const { return names_; }
-  std::size_t repetitions() const { return repetitions_; }
-
- private:
-  std::vector<std::string> names_;
-  std::size_t repetitions_;
-  std::vector<std::vector<double>> samples_;  // [metric][repetition]
-};
 
 }  // namespace lockin
 

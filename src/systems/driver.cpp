@@ -6,8 +6,11 @@
 #include <cstdlib>
 #include <memory>
 #include <thread>
+#include <utility>
 
 #include "src/analysis/lockdep.hpp"
+#include "src/energy/model_meter.hpp"
+#include "src/energy/power_model.hpp"
 #include "src/obs/trace.hpp"
 #include "src/platform/failpoint.hpp"
 #include "src/platform/topology.hpp"
@@ -93,7 +96,7 @@ std::uint64_t WatchStalls(const ScenarioConfig& config, const std::string& scena
 }  // namespace
 
 DriverRun RunDriverPhase(const ScenarioConfig& config, const std::string& scenario_name,
-                         std::vector<WorkerSlot>& slots, EnergyMeter* meter, bool pin_threads,
+                         std::vector<WorkerSlot>& slots, bool pin_threads,
                          const std::function<void(WorkerSlot&, const DriverFlags&)>& worker) {
   // Trace tids: 0..threads-1 are the workers, threads is the caller's
   // driver thread, threads+1 the energy sampler, threads+2 the watchdog.
@@ -120,12 +123,24 @@ DriverRun RunDriverPhase(const ScenarioConfig& config, const std::string& scenar
     });
   }
 
-  if (meter != nullptr) {
+  // kAuto follows the fallback chain (RAPL when readable, else the model).
+  // The model integrates the activity registry, in which the workers'
+  // contexts are busy for the whole run phase; RAPL ignores the registry.
+  // The registry dies with the run, so nothing marks the contexts idle again.
+  std::unique_ptr<EnergyMeter> meter;
+  if (config.meter != MeterChoice::kOff) {
+    auto activity = std::make_shared<ActivityRegistry>(
+        PowerModel(Topology::Detect(), PowerParams::PaperXeon()));
+    for (std::size_t t = 0; t < slots.size(); ++t) {
+      activity->SetState(static_cast<int>(t), ActivityState::kCritical);
+    }
+    meter = config.meter == MeterChoice::kModel ? std::make_unique<ModelMeter>(activity)
+                                                : MakeDefaultMeter(activity);
     meter->Start();
   }
   std::unique_ptr<EnergySampler> sampler;
   if (meter != nullptr && config.energy_sample_ms > 0) {
-    sampler = std::make_unique<EnergySampler>(meter, config.energy_sample_ms,
+    sampler = std::make_unique<EnergySampler>(meter.get(), config.energy_sample_ms,
                                               NewTraceBuffer(config, config.threads + 1));
   }
   std::atomic<bool> watchdog_stop{false};
@@ -175,8 +190,29 @@ DriverRun RunDriverPhase(const ScenarioConfig& config, const std::string& scenar
   }
   if (meter != nullptr) {
     run.energy = meter->Stop();
+    run.meter_name = meter->Name();
   }
   return run;
+}
+
+ScenarioResult CollectResult(const ScenarioConfig& config, const std::string& scenario_name,
+                             const std::vector<WorkerSlot>& slots, DriverRun run) {
+  ScenarioResult result;
+  result.scenario = scenario_name;
+  result.lock_name = config.lock_name;
+  result.threads = config.threads;
+  result.seconds = run.seconds;
+  for (const WorkerSlot& slot : slots) {
+    result.total_ops += slot.ctx.op_index;
+    result.op_latency_cycles.Merge(slot.latency);
+  }
+  result.ops_per_s =
+      result.seconds > 0 ? static_cast<double>(result.total_ops) / result.seconds : 0;
+  result.energy = run.energy;
+  result.meter_name = std::move(run.meter_name);
+  result.energy_series = std::move(run.energy_series);
+  result.watchdog_stalls = run.watchdog_stalls;
+  return result;
 }
 
 }  // namespace lockin

@@ -10,6 +10,8 @@
 //   * RunNativeBench (src/locks/harness.cpp) runs one acquire/release per
 //     op, instantiated per concrete lock type so lock()/unlock() inline (the
 //     static tier), or over LockHandle (the handle tier).
+// Both take a ScenarioConfig and report a ScenarioResult whose common
+// fields CollectResult fills.
 #ifndef SRC_SYSTEMS_DRIVER_HPP_
 #define SRC_SYSTEMS_DRIVER_HPP_
 
@@ -84,7 +86,8 @@ static_assert(sizeof(WorkerSlot) % kCacheLineSize == 0,
 struct DriverRun {
   double seconds = 0;
   std::uint64_t watchdog_stalls = 0;
-  EnergySample energy;                     // zero without a meter
+  EnergySample energy;                     // zero when config.meter is kOff
+  std::string meter_name;                  // "rapl", "model", "" when off
   std::vector<EnergyPoint> energy_series;  // non-empty when energy_sample_ms > 0
 };
 
@@ -145,24 +148,32 @@ void DriverLoop(const ScenarioConfig& config, WorkerSlot& slot, Body body,
 }
 
 // The run phase around the workers: starts `worker` on one thread per slot
-// (pinned in the socket-first order when `pin_threads`), starts `meter` (may
-// be null), the energy sampler and the watchdog as `config` asks, releases
-// the workers together and stops them by op count or by duration.
+// (pinned in the socket-first order when `pin_threads`), the energy meter
+// config.meter names, the energy sampler and the watchdog as `config` asks,
+// releases the workers together and stops them by op count or by duration.
 // Slot t runs as thread_index t. `scenario_name` labels watchdog reports.
+// This is the one place that tells the model meter which contexts are busy:
+// contexts 0..threads-1 run as kCritical from its Start() to its Stop().
 DriverRun RunDriverPhase(const ScenarioConfig& config, const std::string& scenario_name,
-                         std::vector<WorkerSlot>& slots, EnergyMeter* meter, bool pin_threads,
+                         std::vector<WorkerSlot>& slots, bool pin_threads,
                          const std::function<void(WorkerSlot&, const DriverFlags&)>& worker);
 
 // Runs `body(slot)` as every worker's op; see DriverLoop and RunDriverPhase.
 template <typename Body>
 DriverRun RunDriver(const ScenarioConfig& config, const std::string& scenario_name,
-                    std::vector<WorkerSlot>& slots, EnergyMeter* meter, bool pin_threads,
-                    const Body& body) {
-  return RunDriverPhase(config, scenario_name, slots, meter, pin_threads,
+                    std::vector<WorkerSlot>& slots, bool pin_threads, const Body& body) {
+  return RunDriverPhase(config, scenario_name, slots, pin_threads,
                         [&config, &body](WorkerSlot& slot, const DriverFlags& flags) {
                           DriverLoop(config, slot, body, flags);
                         });
 }
+
+// The result fields every driver caller reports the same way: scenario,
+// lock, threads, seconds, total_ops (the slots' op_index), ops_per_s, the
+// merged latency histogram, energy, meter name, energy series and watchdog
+// stalls.
+ScenarioResult CollectResult(const ScenarioConfig& config, const std::string& scenario_name,
+                             const std::vector<WorkerSlot>& slots, DriverRun run);
 
 }  // namespace lockin
 

@@ -6,12 +6,9 @@
 #include <utility>
 
 #include "src/analysis/lockdep.hpp"
-#include "src/energy/model_meter.hpp"
-#include "src/energy/power_model.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/platform/cycles.hpp"
 #include "src/platform/failpoint.hpp"
-#include "src/platform/topology.hpp"
 #include "src/systems/driver.hpp"
 #include "src/systems/scenarios/scenario_defs.hpp"
 
@@ -89,18 +86,6 @@ ScenarioResult RunScenario(ScenarioWorkload& workload, const ScenarioConfig& con
   // No-op (and leaves any env-armed profile in place) when the spec is empty.
   ScopedFailpoints failpoint_scope(config.failpoints, config.seed);
 
-  // LockScope: energy meter for the run phase. kAuto follows the fallback
-  // chain (RAPL when readable, else the model integrating this run's worker
-  // contexts); the result carries joules/TPP as dedicated fields.
-  std::shared_ptr<ActivityRegistry> activity;
-  std::unique_ptr<EnergyMeter> meter;
-  if (config.meter != MeterChoice::kOff) {
-    activity = std::make_shared<ActivityRegistry>(
-        PowerModel(Topology::Detect(), PowerParams::PaperXeon()));
-    meter = config.meter == MeterChoice::kModel ? std::make_unique<ModelMeter>(activity)
-                                                : MakeDefaultMeter(activity);
-  }
-
   // LockScope: the driver thread's trace ring (tid = threads; setup/run
   // phase markers). Setup runs with it installed so preload-time lock
   // activity is visible too.
@@ -129,43 +114,18 @@ ScenarioResult RunScenario(ScenarioWorkload& workload, const ScenarioConfig& con
     slots.emplace_back(config.seed + static_cast<std::uint64_t>(t) * 7 + 1);
   }
 
-  // The model meter integrates "worker contexts busy" between the driver's
-  // meter Start() and Stop(); RAPL ignores the registry.
-  if (activity != nullptr) {
-    for (int t = 0; t < config.threads; ++t) {
-      activity->SetState(t, ActivityState::kCritical);
-    }
-  }
-  DriverRun run = RunDriver(config, scenario_name, slots, meter.get(), /*pin_threads=*/false,
+  DriverRun run = RunDriver(config, scenario_name, slots, /*pin_threads=*/false,
                             [&workload, &config, record = config.record_latency](
                                 WorkerSlot& slot) { DoOneOp(workload, config, slot, record); });
-  if (activity != nullptr) {
-    for (int t = 0; t < config.threads; ++t) {
-      activity->SetState(t, ActivityState::kInactive);
-    }
-  }
-
-  ScenarioResult result;
-  result.energy_series = std::move(run.energy_series);
-  result.energy = run.energy;
-  if (meter != nullptr) {
-    result.meter_name = meter->Name();
-  }
-  result.scenario = scenario_name;
-  result.lock_name = config.lock_name;
-  result.threads = config.threads;
-  result.seconds = run.seconds;
+  ScenarioResult result = CollectResult(config, scenario_name, slots, std::move(run));
   std::vector<std::uint64_t> counter_sums(counter_names.size(), 0);
   for (const WorkerSlot& slot : slots) {
-    result.total_ops += slot.ctx.op_index;
     result.ops_shed += slot.shed;
     result.shed_retries += slot.shed_retries;
-    result.op_latency_cycles.Merge(slot.latency);
     for (std::size_t c = 0; c < counter_sums.size(); ++c) {
       counter_sums[c] += slot.counters[c];
     }
   }
-  result.watchdog_stalls = run.watchdog_stalls;
   if (config.op_deadline_ns > 0) {
     MetricsRegistry::Instance().Counter("failsafe.ops_shed").Add(result.ops_shed);
     MetricsRegistry::Instance().Counter("failsafe.shed_retries").Add(result.shed_retries);
@@ -173,8 +133,6 @@ ScenarioResult RunScenario(ScenarioWorkload& workload, const ScenarioConfig& con
   if (config.watchdog_ms > 0) {
     MetricsRegistry::Instance().Counter("failsafe.watchdog_stalls").Add(result.watchdog_stalls);
   }
-  result.ops_per_s =
-      result.seconds > 0 ? static_cast<double>(result.total_ops) / result.seconds : 0;
   result.metrics.reserve(counter_names.size());
   for (std::size_t c = 0; c < counter_names.size(); ++c) {
     result.metrics.push_back({counter_names[c], static_cast<double>(counter_sums[c])});

@@ -12,10 +12,10 @@
 // stop-flag cadence, zero per-op allocation in the driver itself) runs any
 // scenario under any lock name, including ADAPTIVE. Consumers:
 // examples/scenario_runner (CLI; `--all --json` gives every scenario's
-// ops/s, latency and TPP), fig13's native section, and the benchmark's
-// kv-contended and cache-read workloads (perfbench/). New systems plug in
-// by registering a scenario; they inherit the driver, the CLI and the
-// tests.
+// ops/s, latency and TPP), fig13_15_systems' native section, and the
+// benchmark's kv-contended and cache-read workloads (perfbench/). New
+// systems plug in by registering a scenario; they inherit the driver, the
+// CLI and the tests.
 //
 // (The adapter interface is the "SystemWorkload" of the scenario layer but
 // is named ScenarioWorkload: lockin::SystemWorkload already names the
@@ -97,9 +97,10 @@ struct ScenarioConfig {
   // see src/analysis/lockdep.hpp). Independent of `trace`: lockdep needs
   // the locks' events but not the per-thread rings.
   bool lockdep = false;
-  // Energy accounting for the run phase. kAuto follows the meter fallback
-  // chain (RAPL -> model); the model integrates the run's worker contexts
-  // as active. result.energy/Tpp() report the outcome.
+  // Energy accounting for the run phase, built by the driver
+  // (RunDriverPhase). kAuto follows the meter fallback chain (RAPL ->
+  // model); the model integrates the run's worker contexts as active.
+  // result.energy/Tpp() report the outcome.
   MeterChoice meter = MeterChoice::kAuto;
   // When > 0, a background sampler thread snapshots the meter every
   // energy_sample_ms into result.energy_series (and, when tracing, a

@@ -356,15 +356,17 @@ TEST(AdaptiveRegistryTest, RegistryKnobsReachTheBackends) {
 }
 
 TEST(AdaptiveRegistryTest, NativeHarnessRunsAdaptive) {
-  NativeBenchConfig config;
+  ScenarioConfig config;
   config.lock_name = "ADAPTIVE";
   config.threads = 2;
-  config.cs_cycles = 200;
-  config.non_cs_cycles = 100;
   config.duration_ms = 30;
-  config.lock_options.spin.yield_after = 64;
-  const NativeBenchResult result = RunNativeBench(config);
-  EXPECT_GT(result.total_acquires, 100u);
+  config.meter = MeterChoice::kOff;
+  AcquireShape shape;
+  shape.cs_cycles = 200;
+  shape.non_cs_cycles = 100;
+  shape.lock_options.spin.yield_after = 64;
+  const ScenarioResult result = RunNativeBench(config, shape);
+  EXPECT_GT(result.total_ops, 100u);
   EXPECT_EQ(result.lock_name, "ADAPTIVE");
 }
 

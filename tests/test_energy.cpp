@@ -187,21 +187,6 @@ TEST(ActivityRegistryTest, IntegratesEnergyOverTime) {
   EXPECT_GT(sample.average_watts(), 55.0);
 }
 
-TEST(ActivityRegistryTest, ScopedActivityRestores) {
-  auto registry = std::make_shared<ActivityRegistry>(
-      PowerModel(Topology::PaperCoreI7(), PowerParams::PaperXeon()));
-  {
-    ScopedActivity scope(registry.get(), 0, ActivityState::kSpinMbar,
-                         ActivityState::kWorking);
-  }
-  // After the scope, context 0 is kWorking: power above idle.
-  ModelMeter meter(registry);
-  meter.Start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  const EnergySample sample = meter.Stop();
-  EXPECT_GT(sample.average_watts(), 55.5);
-}
-
 TEST(RaplMeterTest, AvailabilityProbeDoesNotCrash) {
   const bool available = RaplMeter::Available();
   if (!available) {

@@ -193,11 +193,8 @@ TEST(Summary, MedianOddEven) {
   EXPECT_DOUBLE_EQ(Median({7}), 7.0);
 }
 
-TEST(Summary, MeanAndStdDev) {
+TEST(Summary, Mean) {
   EXPECT_DOUBLE_EQ(Mean({2, 4, 6}), 4.0);
-  EXPECT_DOUBLE_EQ(StdDev({2, 2, 2}), 0.0);
-  EXPECT_NEAR(StdDev({2, 4, 6}), 2.0, 1e-9);
-  EXPECT_DOUBLE_EQ(StdDev({1}), 0.0);
 }
 
 TEST(Summary, PearsonCorrelation) {
@@ -208,23 +205,6 @@ TEST(Summary, PearsonCorrelation) {
   // Degenerate inputs.
   EXPECT_DOUBLE_EQ(PearsonCorrelation({1, 1, 1}, {1, 2, 3}), 0.0);
   EXPECT_DOUBLE_EQ(PearsonCorrelation({1, 2}, {1}), 0.0);
-}
-
-TEST(Summary, RepeatedTrialTakesMedian) {
-  RepeatedTrial trial({"metric"}, 5);
-  int call = 0;
-  trial.Run([&call]() -> std::vector<double> {
-    static const double values[] = {10, 50, 30, 20, 40};
-    return {values[call++]};
-  });
-  EXPECT_EQ(call, 5);
-  EXPECT_DOUBLE_EQ(trial.MedianOf(0), 30.0);
-  EXPECT_DOUBLE_EQ(trial.MeanOf(0), 30.0);
-}
-
-TEST(Summary, RepeatedTrialRejectsWrongArity) {
-  RepeatedTrial trial({"a", "b"}, 1);
-  EXPECT_THROW(trial.Run([]() -> std::vector<double> { return {1.0}; }), std::runtime_error);
 }
 
 TEST(Table, PrintsHeaderAndRows) {
