@@ -10,13 +10,10 @@ AdaptiveLock::AdaptiveLock(AdaptiveLockConfig config)
 
 AdaptiveLock::AdaptiveLock(AdaptiveLockConfig config, std::unique_ptr<AdaptivePolicy> policy)
     : config_(std::move(config)),
-      policy_(policy ? std::move(policy) : MakePolicy(config_.policy)),
+      policy_(policy ? std::move(policy) : std::make_unique<EwmaThresholdPolicy>()),
       ttas_(config_.spin),
       futex_(config_.sleep),
-      mutexee_(config_.mutexee),
-      current_(config_.initial),
-      held_(config_.initial),
-      stats_(config_.energy, config_.stats_ewma_alpha) {
+      mutexee_(config_.mutexee) {
   if (config_.epoch_acquires == 0) {
     config_.epoch_acquires = 1;
   }
@@ -69,11 +66,9 @@ std::uint64_t AdaptiveLock::BackendSleepCalls() const {
 
 void AdaptiveLock::lock() {
   // Per-thread sampling tick shared across adaptive locks: timings (two
-  // rdtsc reads plus EWMA math) only for 1-in-2^sample_shift acquisitions.
+  // rdtsc reads plus EWMA math) only for 1-in-2^kSampleShift acquisitions.
   thread_local std::uint64_t acquire_tick = 0;
-  const bool sample =
-      config_.sample_shift == 0 ||
-      ((++acquire_tick) & ((std::uint64_t{1} << config_.sample_shift) - 1)) == 0;
+  const bool sample = ((++acquire_tick) & ((std::uint64_t{1} << kSampleShift) - 1)) == 0;
   const std::uint64_t requested_at = sample ? ReadCycles() : 0;
   for (;;) {
     const AdaptiveBackend b = current_.load(std::memory_order_acquire);
@@ -118,18 +113,14 @@ bool AdaptiveLock::try_lock() {
 }
 
 void AdaptiveLock::OwnerEpochMaintenance() {
-  const std::uint64_t now = ReadCycles();
   const std::uint64_t sleep_calls = BackendSleepCalls();
-  const LockSiteSnapshot snapshot =
-      stats_.EndEpoch(now, sleep_calls - last_sleep_calls_);
+  const LockSiteSnapshot snapshot = stats_.EndEpoch(sleep_calls - last_sleep_calls_);
   last_sleep_calls_ = sleep_calls;
   epochs_.fetch_add(1, std::memory_order_relaxed);
 
   const AdaptiveBackend next = policy_->Decide(snapshot, held_);
-  if (config_.policy.retune_mutexee &&
-      (next == AdaptiveBackend::kMutexee || held_ == AdaptiveBackend::kMutexee)) {
-    const MutexeeBudgets budgets =
-        RetuneMutexeeBudgets(snapshot, config_.policy.mutexee_bounds);
+  if (next == AdaptiveBackend::kMutexee || held_ == AdaptiveBackend::kMutexee) {
+    const MutexeeBudgets budgets = RetuneMutexeeBudgets(snapshot);
     mutexee_.Retune(budgets.spin_cycles, budgets.grace_cycles);
   }
   if (next != held_) {

@@ -14,10 +14,11 @@
 //
 //   * unlock(): the owner records the acquisition into the profiler; every
 //     `epoch_acquires` acquisitions it closes the epoch, asks the policy
-//     for the next backend, optionally retunes MUTEXEE's budgets, publishes
-//     the (possibly new) backend, and only then releases. Publishing while
-//     still holding the backend guarantees no other thread is between
-//     validation and release -- the quiesce point the switch needs.
+//     for the next backend, retunes MUTEXEE's budgets when MUTEXEE is the
+//     current or next backend, publishes the (possibly new) backend, and
+//     only then releases. Publishing while still holding the backend
+//     guarantees no other thread is between validation and release -- the
+//     quiesce point the switch needs.
 //
 //   * waiters stranded inside a de-published backend drain naturally: each
 //     eventually acquires it, fails validation, releases (waking the next
@@ -41,32 +42,30 @@
 namespace lockin {
 
 struct AdaptiveLockConfig {
-  PolicyConfig policy;
   // Epoch length in acquisitions. Shorter epochs react faster to phase
   // changes but run the policy more often; the policy itself is a handful
   // of comparisons, so even 64 is cheap.
   std::uint64_t epoch_acquires = 256;
-  // Wait/hold timings are sampled on 1-in-2^sample_shift acquisitions per
-  // thread, keeping the rdtsc reads off the uncontended fast path (the
-  // profiler still counts every acquisition for epoch progress and rates).
-  // 0 samples every acquisition.
-  std::uint32_t sample_shift = 3;
-  AdaptiveBackend initial = AdaptiveBackend::kMutexee;
 
   // Backend construction parameters.
   SpinConfig spin;          // TTAS backend (yield_after matters on small hosts)
   FutexLockConfig sleep;    // futex-mutex backend
   MutexeeConfig mutexee;    // MUTEXEE backend; budgets are retuned online
-
-  AdaptiveEnergyParams energy = AdaptiveEnergyParams{};
-  double stats_ewma_alpha = 0.2;
 };
 
 class LL_CAPABILITY("mutex") AdaptiveLock {
  public:
+  // Wait/hold timings are sampled on 1-in-2^kSampleShift acquisitions per
+  // thread, keeping the rdtsc reads off the uncontended fast path (the
+  // profiler still counts every acquisition for epoch progress).
+  static constexpr std::uint32_t kSampleShift = 3;
+  // Every site starts on the middle ground until its first epoch closes.
+  static constexpr AdaptiveBackend kInitialBackend = AdaptiveBackend::kMutexee;
+
   AdaptiveLock() : AdaptiveLock(AdaptiveLockConfig{}) {}
   explicit AdaptiveLock(AdaptiveLockConfig config);
-  // Injects a custom policy (tests use a deterministic switcher).
+  // Injects a custom policy (tests use a deterministic switcher); null
+  // selects the EwmaThresholdPolicy.
   AdaptiveLock(AdaptiveLockConfig config, std::unique_ptr<AdaptivePolicy> policy);
 
   AdaptiveLock(const AdaptiveLock&) = delete;
@@ -86,8 +85,6 @@ class LL_CAPABILITY("mutex") AdaptiveLock {
   }
   std::uint64_t epochs() const { return epochs_.load(std::memory_order_relaxed); }
   const LockSiteSnapshot& last_snapshot() const { return stats_.last_snapshot(); }
-  const AdaptivePolicy& policy() const { return *policy_; }
-  const MutexeeLock& mutexee_backend() const { return mutexee_; }
   const AdaptiveLockConfig& config() const { return config_; }
 
  private:
@@ -107,13 +104,13 @@ class LL_CAPABILITY("mutex") AdaptiveLock {
   FutexLock futex_;
   MutexeeLock mutexee_;
 
-  alignas(kCacheLineSize) std::atomic<AdaptiveBackend> current_;
+  alignas(kCacheLineSize) std::atomic<AdaptiveBackend> current_{kInitialBackend};
   std::atomic<std::uint64_t> switches_{0};
   std::atomic<std::uint64_t> epochs_{0};
 
   // Owner-only state: written between a validated acquire and the matching
   // release, i.e. under the adaptive lock itself.
-  AdaptiveBackend held_ = AdaptiveBackend::kMutexee;
+  AdaptiveBackend held_ = kInitialBackend;
   bool sampled_ = false;
   std::uint64_t wait_cycles_pending_ = 0;
   std::uint64_t hold_start_cycles_ = 0;

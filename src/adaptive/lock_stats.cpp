@@ -4,44 +4,6 @@
 
 namespace lockin {
 
-AdaptiveEnergyParams AdaptiveEnergyParams::FromPowerParams(const PowerParams& params,
-                                                           double cycles_per_second) {
-  AdaptiveEnergyParams e;
-  e.cycles_per_second = cycles_per_second;
-  // Per-context dynamic watts: activity factor x the power of one fully
-  // working core (the same decomposition PowerModel::TotalWatts uses).
-  e.spin_watts = params.factor_spin_mbar * params.core_active_w_max;
-  e.hold_watts = params.factor_critical * params.core_active_w_max;
-  e.sleep_watts = params.sleeping_thread_w;
-  // One futex round trip: sleep call (~2100 cycles) + wake call (~2700) +
-  // turnaround (~7000), all executed at kernel activity (Figure 6).
-  const double kernel_watts = params.factor_kernel * params.core_active_w_max;
-  e.kernel_joules_per_sleep = 11800.0 / cycles_per_second * kernel_watts;
-  return e;
-}
-
-double EstimateEnergyPerAcquire(double avg_wait_cycles, double avg_hold_cycles,
-                                double sleep_ratio, const AdaptiveEnergyParams& params) {
-  const double cps = params.cycles_per_second;
-  if (cps <= 0) {
-    return 0.0;
-  }
-  const double wait_s = std::max(0.0, avg_wait_cycles) / cps;
-  const double hold_s = std::max(0.0, avg_hold_cycles) / cps;
-  const double sleep = std::clamp(sleep_ratio, 0.0, 1.0);
-  // A spinning waiter burns spin power for the whole wait; a sleeping one
-  // pays the kernel transition once and near-zero power while blocked.
-  const double wait_j = (1.0 - sleep) * wait_s * params.spin_watts +
-                        sleep * (params.kernel_joules_per_sleep + wait_s * params.sleep_watts);
-  return wait_j + hold_s * params.hold_watts;
-}
-
-LockSiteStats::LockSiteStats(AdaptiveEnergyParams energy, double ewma_alpha,
-                             std::uint64_t contended_threshold_cycles)
-    : energy_(energy),
-      alpha_(std::clamp(ewma_alpha, 0.0, 1.0)),
-      contended_threshold_(contended_threshold_cycles) {}
-
 void LockSiteStats::RecordAcquire(std::uint64_t wait_cycles, std::uint64_t hold_cycles) {
   const double wait = static_cast<double>(wait_cycles);
   const double hold = static_cast<double>(hold_cycles);
@@ -50,26 +12,20 @@ void LockSiteStats::RecordAcquire(std::uint64_t wait_cycles, std::uint64_t hold_
     hold_ewma_ = hold;
     ewma_seeded_ = true;
   } else {
-    wait_ewma_ += alpha_ * (wait - wait_ewma_);
-    hold_ewma_ += alpha_ * (hold - hold_ewma_);
+    wait_ewma_ += kEwmaAlpha * (wait - wait_ewma_);
+    hold_ewma_ += kEwmaAlpha * (hold - hold_ewma_);
   }
   ++epoch_acquires_;
-  ++total_acquires_;
   ++epoch_sampled_;
-  if (wait_cycles > contended_threshold_) {
+  if (wait_cycles > kContendedThresholdCycles) {
     ++epoch_contended_;
   }
 }
 
-void LockSiteStats::RecordUnsampled() {
-  ++epoch_acquires_;
-  ++total_acquires_;
-}
+void LockSiteStats::RecordUnsampled() { ++epoch_acquires_; }
 
-LockSiteSnapshot LockSiteStats::EndEpoch(std::uint64_t now_cycles,
-                                         std::uint64_t epoch_sleep_calls) {
+LockSiteSnapshot LockSiteStats::EndEpoch(std::uint64_t epoch_sleep_calls) {
   LockSiteSnapshot snap;
-  snap.epoch = ++epochs_;
   snap.acquires = epoch_acquires_;
   snap.avg_wait_cycles = wait_ewma_;
   snap.avg_hold_cycles = hold_ewma_;
@@ -83,22 +39,10 @@ LockSiteSnapshot LockSiteStats::EndEpoch(std::uint64_t now_cycles,
     snap.sleep_ratio = std::min(
         1.0, static_cast<double>(epoch_sleep_calls) / static_cast<double>(epoch_acquires_));
   }
-  if (epoch_started_ && now_cycles > epoch_start_cycles_ && energy_.cycles_per_second > 0) {
-    const double seconds =
-        static_cast<double>(now_cycles - epoch_start_cycles_) / energy_.cycles_per_second;
-    if (seconds > 0) {
-      snap.acquires_per_second = static_cast<double>(epoch_acquires_) / seconds;
-    }
-  }
-  snap.energy_per_acquire_joules =
-      EstimateEnergyPerAcquire(snap.avg_wait_cycles, snap.avg_hold_cycles,
-                               snap.sleep_ratio, energy_);
 
   epoch_acquires_ = 0;
   epoch_sampled_ = 0;
   epoch_contended_ = 0;
-  epoch_start_cycles_ = now_cycles;
-  epoch_started_ = true;
   last_ = snap;
   return snap;
 }

@@ -16,18 +16,6 @@ const char* AdaptiveBackendName(AdaptiveBackend backend) {
   return "?";
 }
 
-MutexeeBudgetBounds MutexeeBudgetBounds::FromTunerReport(const TunerReport& report) {
-  MutexeeBudgetBounds bounds;
-  // The tuner already clamps its measurements to sane values; bracket them.
-  const std::uint64_t turnaround = std::max<std::uint64_t>(report.futex_turnaround_cycles, 1000);
-  const std::uint64_t transfer = std::max<std::uint64_t>(report.line_transfer_cycles, 64);
-  bounds.spin_min_cycles = turnaround;
-  bounds.spin_max_cycles = 4 * turnaround;
-  bounds.grace_min_cycles = transfer;
-  bounds.grace_max_cycles = 4 * transfer;
-  return bounds;
-}
-
 AdaptiveBackend EwmaThresholdPolicy::Decide(const LockSiteSnapshot& snapshot,
                                             AdaptiveBackend current) {
   double wait = snapshot.avg_wait_cycles;
@@ -42,21 +30,20 @@ AdaptiveBackend EwmaThresholdPolicy::Decide(const LockSiteSnapshot& snapshot,
   if (snapshot.sleep_ratio > 0.1 || snapshot.contended_ratio > 0.1) {
     wait = std::max(wait, snapshot.avg_hold_cycles);
   }
-  const double h = std::max(1.0, config_.hysteresis);
   // Hysteresis: moving away from the current backend requires crossing the
   // boundary by the factor; moving toward it only requires crossing it.
-  double spin_max = config_.spin_wait_max_cycles;
-  double sleep_min = config_.sleep_wait_min_cycles;
+  double spin_max = kSpinWaitMaxCycles;
+  double sleep_min = kSleepWaitMinCycles;
   switch (current) {
     case AdaptiveBackend::kSpin:
-      spin_max *= h;  // stickier: stay spinning a bit past the boundary
+      spin_max *= kHysteresis;  // stickier: stay spinning a bit past the boundary
       break;
     case AdaptiveBackend::kSleep:
-      sleep_min /= h;  // stickier: keep sleeping a bit below the boundary
+      sleep_min /= kHysteresis;  // stickier: keep sleeping a bit below the boundary
       break;
     case AdaptiveBackend::kMutexee:
-      spin_max /= h;  // harder to leave the middle ground in either direction
-      sleep_min *= h;
+      spin_max /= kHysteresis;  // harder to leave the middle ground in either direction
+      sleep_min *= kHysteresis;
       break;
   }
   if (wait <= spin_max) {
@@ -75,74 +62,20 @@ AdaptiveBackend EwmaThresholdPolicy::Decide(const LockSiteSnapshot& snapshot,
   return AdaptiveBackend::kMutexee;
 }
 
-EpsilonGreedyPolicy::EpsilonGreedyPolicy(const PolicyConfig& config)
-    : config_(config), rng_(config.seed * 2654435761ULL + 1), epsilon_(config.epsilon) {}
-
-double EpsilonGreedyPolicy::value(AdaptiveBackend backend) const {
-  return values_[static_cast<int>(backend)];
-}
-
-AdaptiveBackend EpsilonGreedyPolicy::Decide(const LockSiteSnapshot& snapshot,
-                                            AdaptiveBackend current) {
-  // Credit the closed epoch's reward to the backend that produced it.
-  const int cur = static_cast<int>(current);
-  const double reward = snapshot.EstimatedTpp();
-  if (!tried_[cur]) {
-    values_[cur] = reward;
-    tried_[cur] = true;
-  } else {
-    values_[cur] += config_.reward_alpha * (reward - values_[cur]);
-  }
-
-  // Try every arm once before exploiting.
-  for (int b = 0; b < kAdaptiveBackendCount; ++b) {
-    if (!tried_[b]) {
-      return static_cast<AdaptiveBackend>(b);
-    }
-  }
-
-  const double roll = rng_.NextDouble();
-  AdaptiveBackend choice = current;
-  if (roll < epsilon_) {
-    choice = static_cast<AdaptiveBackend>(rng_.NextBelow(kAdaptiveBackendCount));
-  } else {
-    int best = 0;
-    for (int b = 1; b < kAdaptiveBackendCount; ++b) {
-      if (values_[b] > values_[best]) {
-        best = b;
-      }
-    }
-    choice = static_cast<AdaptiveBackend>(best);
-  }
-  epsilon_ = std::max(config_.epsilon_min, epsilon_ * config_.epsilon_decay);
-  return choice;
-}
-
-std::unique_ptr<AdaptivePolicy> MakePolicy(const PolicyConfig& config) {
-  switch (config.kind) {
-    case PolicyConfig::Kind::kEwmaThreshold:
-      return std::make_unique<EwmaThresholdPolicy>(config);
-    case PolicyConfig::Kind::kEpsilonGreedy:
-      return std::make_unique<EpsilonGreedyPolicy>(config);
-  }
-  return std::make_unique<EwmaThresholdPolicy>(config);
-}
-
-MutexeeBudgets RetuneMutexeeBudgets(const LockSiteSnapshot& snapshot,
-                                    const MutexeeBudgetBounds& bounds) {
+MutexeeBudgets RetuneMutexeeBudgets(const LockSiteSnapshot& snapshot) {
   MutexeeBudgets budgets;
   // Spin long enough to cover the typical wait (2x the EWMA), so handovers
   // resolve in user space, but never past the bound where spinning costs
   // more than the futex round trip it avoids.
   const double target_spin = 2.0 * std::max(0.0, snapshot.avg_wait_cycles);
   budgets.spin_cycles = std::clamp(static_cast<std::uint64_t>(target_spin),
-                                   bounds.spin_min_cycles, bounds.spin_max_cycles);
+                                   kRetuneSpinMinCycles, kRetuneSpinMaxCycles);
   // Grace stretches with kernel involvement: the more acquisitions end in a
   // futex sleep, the more a skipped wake (>= 7000-cycle turnaround) is worth.
   const double stretch = 1.0 + 2.0 * std::clamp(snapshot.sleep_ratio, 0.0, 1.0);
-  const double target_grace = static_cast<double>(bounds.grace_min_cycles) * stretch;
+  const double target_grace = static_cast<double>(kRetuneGraceMinCycles) * stretch;
   budgets.grace_cycles = std::clamp(static_cast<std::uint64_t>(target_grace),
-                                    bounds.grace_min_cycles, bounds.grace_max_cycles);
+                                    kRetuneGraceMinCycles, kRetuneGraceMaxCycles);
   return budgets;
 }
 

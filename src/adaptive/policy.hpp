@@ -4,33 +4,23 @@
 // should use -- the decision the paper shows cannot be made statically
 // (sections 3-5: spinning wastes power under long waits, sleeping destroys
 // throughput and tail latency under short ones, MUTEXEE's fixed budgets are
-// tuned per platform). Two policies are provided:
+// tuned per platform).
 //
-//   * EwmaThresholdPolicy: classifies the observed wait-time EWMA into the
-//     three regimes with hysteresis. Short waits -> pure spinning (TTAS);
-//     long waits or heavy kernel involvement -> sleeping (MUTEX/futex);
-//     the middle ground -> MUTEXEE's spin-then-sleep. This mirrors the
-//     active/passive wait-policy tradeoff studied for OpenMP runtimes
-//     (Valter et al., 2022) with the paper's cycle budgets as thresholds.
+// EwmaThresholdPolicy classifies the observed wait-time EWMA into the three
+// regimes with hysteresis. Short waits -> pure spinning (TTAS); long waits
+// or heavy kernel involvement -> sleeping (MUTEX/futex); the middle ground
+// -> MUTEXEE's spin-then-sleep. This mirrors the active/passive wait-policy
+// tradeoff studied for OpenMP runtimes (Valter et al., 2022) with the
+// paper's cycle budgets as thresholds.
 //
-//   * EpsilonGreedyPolicy: a bandit over the three backends that maximizes
-//     the profiler's estimated TPP (acquires/Joule) directly, for workloads
-//     whose regime the threshold rule misclassifies.
-//
-// The engine also retunes MUTEXEE's spin/grace budgets inside bounds
-// derived from the platform tuner (RunMutexeeTuner) instead of trusting
-// one fixed per-platform configuration.
+// The engine also retunes MUTEXEE's spin/grace budgets to the observed
+// regime, inside fixed bounds around the paper's Xeon budgets.
 #ifndef SRC_ADAPTIVE_POLICY_HPP_
 #define SRC_ADAPTIVE_POLICY_HPP_
 
 #include <cstdint>
-#include <memory>
-#include <string>
 
 #include "src/adaptive/lock_stats.hpp"
-#include "src/locks/mutexee.hpp"
-#include "src/locks/tuner.hpp"
-#include "src/platform/rng.hpp"
 
 namespace lockin {
 
@@ -44,45 +34,6 @@ inline constexpr int kAdaptiveBackendCount = 3;
 
 const char* AdaptiveBackendName(AdaptiveBackend backend);
 
-// Allowed range for MUTEXEE's spin-mode budgets when the policy retunes
-// them. Defaults bracket the paper's Xeon values (8000-cycle spin, 384-cycle
-// grace); FromTunerReport derives host-specific bounds from the measured
-// futex turnaround and cache-line transfer latencies.
-struct MutexeeBudgetBounds {
-  std::uint64_t spin_min_cycles = 4000;
-  std::uint64_t spin_max_cycles = 32000;
-  std::uint64_t grace_min_cycles = 128;
-  std::uint64_t grace_max_cycles = 1536;
-
-  // Spin in [1x, 4x] the futex turnaround ("spinning for more than 4000
-  // cycles is crucial"; spinning much beyond the turnaround only burns
-  // power), grace in [1x, 4x] one line transfer.
-  static MutexeeBudgetBounds FromTunerReport(const TunerReport& report);
-};
-
-struct PolicyConfig {
-  enum class Kind { kEwmaThreshold, kEpsilonGreedy };
-  Kind kind = Kind::kEwmaThreshold;
-
-  // EWMA-threshold policy: regime boundaries on the wait-time EWMA, and the
-  // multiplicative hysteresis a boundary must be crossed by to leave the
-  // current backend (prevents flapping at a threshold).
-  double spin_wait_max_cycles = 4000.0;    // below: pure spinning wins
-  double sleep_wait_min_cycles = 40000.0;  // above: sleeping wins
-  double hysteresis = 1.5;
-
-  // Epsilon-greedy bandit.
-  double epsilon = 0.2;
-  double epsilon_decay = 0.98;
-  double epsilon_min = 0.02;
-  double reward_alpha = 0.3;  // EWMA weight for per-backend reward updates
-  std::uint64_t seed = 1;
-
-  // MUTEXEE budget retuning (applies to both policies).
-  bool retune_mutexee = true;
-  MutexeeBudgetBounds mutexee_bounds;
-};
-
 class AdaptivePolicy {
  public:
   virtual ~AdaptivePolicy() = default;
@@ -90,51 +41,36 @@ class AdaptivePolicy {
   // Picks the backend for the next epoch given the closed epoch's digest.
   virtual AdaptiveBackend Decide(const LockSiteSnapshot& snapshot,
                                  AdaptiveBackend current) = 0;
-
-  virtual std::string name() const = 0;
 };
 
 class EwmaThresholdPolicy final : public AdaptivePolicy {
  public:
-  explicit EwmaThresholdPolicy(const PolicyConfig& config) : config_(config) {}
+  // Regime boundaries on the wait-time EWMA, and the multiplicative
+  // hysteresis a boundary must be crossed by to leave the current backend
+  // (prevents flapping at a threshold).
+  static constexpr double kSpinWaitMaxCycles = 4000.0;    // below: pure spinning wins
+  static constexpr double kSleepWaitMinCycles = 40000.0;  // above: sleeping wins
+  static constexpr double kHysteresis = 1.5;
 
   AdaptiveBackend Decide(const LockSiteSnapshot& snapshot, AdaptiveBackend current) override;
-  std::string name() const override { return "ewma-threshold"; }
-
- private:
-  PolicyConfig config_;
 };
 
-class EpsilonGreedyPolicy final : public AdaptivePolicy {
- public:
-  explicit EpsilonGreedyPolicy(const PolicyConfig& config);
+// Allowed range for MUTEXEE's retuned spin-mode budgets: fixed constants
+// bracketing the paper's Xeon values (8000-cycle spin, 384-cycle grace).
+inline constexpr std::uint64_t kRetuneSpinMinCycles = 4000;
+inline constexpr std::uint64_t kRetuneSpinMaxCycles = 32000;
+inline constexpr std::uint64_t kRetuneGraceMinCycles = 128;
+inline constexpr std::uint64_t kRetuneGraceMaxCycles = 1536;
 
-  AdaptiveBackend Decide(const LockSiteSnapshot& snapshot, AdaptiveBackend current) override;
-  std::string name() const override { return "epsilon-greedy"; }
-
-  // Learned value estimate for a backend (tests/diagnostics).
-  double value(AdaptiveBackend backend) const;
-
- private:
-  PolicyConfig config_;
-  Xoshiro256 rng_;
-  double epsilon_;
-  double values_[kAdaptiveBackendCount] = {0.0, 0.0, 0.0};
-  bool tried_[kAdaptiveBackendCount] = {false, false, false};
-};
-
-std::unique_ptr<AdaptivePolicy> MakePolicy(const PolicyConfig& config);
-
-// Retuned MUTEXEE spin-mode budgets for the observed regime, clamped to
-// `bounds`: spin a bit past the typical wait (so handovers stay in user
+// Retuned MUTEXEE spin-mode budgets for the observed regime, clamped to the
+// bounds above: spin a bit past the typical wait (so handovers stay in user
 // space), stretch the unlock grace when many waiters reach the futex (each
 // skipped wake saves a >= 7000-cycle turnaround).
 struct MutexeeBudgets {
   std::uint64_t spin_cycles;
   std::uint64_t grace_cycles;
 };
-MutexeeBudgets RetuneMutexeeBudgets(const LockSiteSnapshot& snapshot,
-                                    const MutexeeBudgetBounds& bounds);
+MutexeeBudgets RetuneMutexeeBudgets(const LockSiteSnapshot& snapshot);
 
 }  // namespace lockin
 

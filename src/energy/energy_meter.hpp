@@ -29,11 +29,6 @@ struct EnergySample {
   double Tpp(double operations) const {
     return total_joules() > 0 ? operations / total_joules() : 0.0;
   }
-
-  // Energy-per-operation (EPO, Joule/operation); TPP = 1/EPO.
-  double Epo(double operations) const {
-    return operations > 0 ? total_joules() / operations : 0.0;
-  }
 };
 
 class EnergyMeter {

@@ -178,8 +178,6 @@ class PowerModel {
     return any_core_at_max_vf ? params_.uncore_active_w_max : params_.uncore_active_w_min;
   }
 
-  double IdleWatts() const { return params_.idle_package_w + params_.idle_dram_w; }
-
  private:
   template <typename VfOf>
   Breakdown ComputeWatts(const std::vector<ActivityState>& states, const VfOf& vf_of) const;

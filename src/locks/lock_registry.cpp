@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "src/adaptive/adaptive_lock.hpp"
 #include "src/locks/static_dispatch.hpp"
 
 namespace lockin {
@@ -22,7 +23,7 @@ std::unique_ptr<LockHandle> MakeLock(const std::string& name, const LockBuildOpt
     return handle;
   }
   if (name == "ADAPTIVE") {
-    AdaptiveLockConfig config = options.adaptive;
+    AdaptiveLockConfig config;
     // Registry-wide knobs reach the backends: the spin config keeps TTAS
     // yielding on oversubscribed hosts, the MUTEXEE config carries budget /
     // ablation choices made for the static MUTEXEE, and the futex backend

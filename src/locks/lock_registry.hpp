@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "src/adaptive/adaptive_lock.hpp"
 #include "src/locks/lock_api.hpp"
 #include "src/locks/mutexee.hpp"
 #include "src/locks/spinlocks.hpp"
@@ -23,10 +22,6 @@ struct LockBuildOptions {
   SpinConfig spin;           // spinlock pausing / yield policy
   MutexeeConfig mutexee;     // MUTEXEE budgets, timeout, ablation switches
   std::uint32_t mutex_spin_tries = 1;  // FutexLock pre-sleep attempts
-  // ADAPTIVE runtime knobs (policy kind, epoch length, thresholds). The
-  // registry overrides its `spin` and `mutexee` backend configs with the
-  // two fields above so registry-wide options reach the backends too.
-  AdaptiveLockConfig adaptive;
 };
 
 // Creates a lock by paper name. Recognized names: "MUTEX" (FutexLock),

@@ -56,20 +56,6 @@ inline void SpinForCycles(std::uint64_t cycles) {
   }
 }
 
-// Simple scoped timer in cycles.
-class CycleTimer {
- public:
-  CycleTimer() : start_(ReadCycles()) {}
-
-  // Cycles elapsed since construction or the last Reset().
-  std::uint64_t Elapsed() const { return ReadCycles() - start_; }
-
-  void Reset() { start_ = ReadCycles(); }
-
- private:
-  std::uint64_t start_;
-};
-
 }  // namespace lockin
 
 #endif  // SRC_PLATFORM_CYCLES_HPP_

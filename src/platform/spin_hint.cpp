@@ -2,42 +2,8 @@
 
 #include <sched.h>
 
-#include <cstring>
-
 namespace lockin {
 
 void SpinYield() { sched_yield(); }
-
-PauseKind PauseKindFromName(const char* name) {
-  if (std::strcmp(name, "none") == 0) {
-    return PauseKind::kNone;
-  }
-  if (std::strcmp(name, "nop") == 0) {
-    return PauseKind::kNop;
-  }
-  if (std::strcmp(name, "pause") == 0) {
-    return PauseKind::kPause;
-  }
-  if (std::strcmp(name, "yield") == 0) {
-    return PauseKind::kYield;
-  }
-  return PauseKind::kMfence;
-}
-
-const char* PauseKindName(PauseKind kind) {
-  switch (kind) {
-    case PauseKind::kNone:
-      return "none";
-    case PauseKind::kNop:
-      return "nop";
-    case PauseKind::kPause:
-      return "pause";
-    case PauseKind::kMfence:
-      return "mfence";
-    case PauseKind::kYield:
-      return "yield";
-  }
-  return "mfence";
-}
 
 }  // namespace lockin

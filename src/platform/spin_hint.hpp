@@ -52,13 +52,6 @@ inline void SpinPause(PauseKind kind) {
   }
 }
 
-// Parses a pause kind from its paper-facing name ("none", "nop", "pause",
-// "mfence", "yield"). Returns kMfence for unknown names.
-PauseKind PauseKindFromName(const char* name);
-
-// Paper-facing name of a pause kind.
-const char* PauseKindName(PauseKind kind);
-
 }  // namespace lockin
 
 #endif  // SRC_PLATFORM_SPIN_HINT_HPP_

@@ -34,9 +34,6 @@ class Topology {
   // The paper's Xeon testbed: 2 sockets x 10 cores x 2 hyper-threads.
   static Topology PaperXeon() { return Topology(2, 10, 2); }
 
-  // The paper's Core-i7 desktop: 1 socket x 4 cores x 2 hyper-threads.
-  static Topology PaperCoreI7() { return Topology(1, 4, 2); }
-
   int sockets() const { return sockets_; }
   int cores_per_socket() const { return cores_per_socket_; }
   int smt_per_core() const { return smt_per_core_; }

@@ -425,13 +425,8 @@ void SimMutexee::Release(int tid, SimCallback on_released) {
 // SimAdaptiveLock
 // ---------------------------------------------------------------------------
 
-SimAdaptiveLock::SimAdaptiveLock(SimMachine* machine, SimAdaptiveConfig config,
-                                 const SimLockOptions& inner_options)
-    : SimLock(machine),
-      config_(std::move(config)),
-      policy_(MakePolicy(config_.policy)),
-      profile_(AdaptiveEnergyParams::FromPowerParams(
-          config_.power, machine->params().cycles_per_second)) {
+SimAdaptiveLock::SimAdaptiveLock(SimMachine* machine, const SimLockOptions& inner_options)
+    : SimLock(machine) {
   inner_[static_cast<int>(AdaptiveBackend::kSpin)] =
       MakeSimLock("TTAS", machine, inner_options);
   inner_[static_cast<int>(AdaptiveBackend::kSleep)] =
@@ -477,21 +472,19 @@ void SimAdaptiveLock::Acquire(int tid, SimCallback on_acquired) {
   IssueAcquire(current_, tid, std::move(on_acquired), requested_at);
 }
 
-void SimAdaptiveLock::EpochMaintenance(SimTime now) {
+void SimAdaptiveLock::EpochMaintenance() {
   const std::uint64_t sleeps = InnerSleepCalls();
-  const LockSiteSnapshot snapshot = profile_.EndEpoch(now, sleeps - last_sleep_calls_);
+  const LockSiteSnapshot snapshot = profile_.EndEpoch(sleeps - last_sleep_calls_);
   last_sleep_calls_ = sleeps;
   ++epochs_;
   if (switching_) {
     return;  // one switch at a time; the policy re-decides next epoch
   }
-  const AdaptiveBackend next = policy_->Decide(snapshot, current_);
-  if (config_.policy.retune_mutexee &&
-      (next == AdaptiveBackend::kMutexee || current_ == AdaptiveBackend::kMutexee)) {
+  const AdaptiveBackend next = policy_.Decide(snapshot, current_);
+  if (next == AdaptiveBackend::kMutexee || current_ == AdaptiveBackend::kMutexee) {
     // Mirror the native runtime: keep MUTEXEE's budgets matched to the
-    // observed regime, inside the tuner-derived bounds.
-    const MutexeeBudgets budgets =
-        RetuneMutexeeBudgets(snapshot, config_.policy.mutexee_bounds);
+    // observed regime, inside the fixed retune bounds.
+    const MutexeeBudgets budgets = RetuneMutexeeBudgets(snapshot);
     static_cast<SimMutexee&>(Inner(AdaptiveBackend::kMutexee))
         .Retune(budgets.spin_cycles, budgets.grace_cycles);
   }
@@ -504,8 +497,8 @@ void SimAdaptiveLock::EpochMaintenance(SimTime now) {
 void SimAdaptiveLock::Release(int tid, SimCallback on_released) {
   const SimTime now = machine_->engine().now();
   profile_.RecordAcquire(pending_wait_cycles_, now - holder_granted_at_);
-  if (profile_.epoch_acquires() >= config_.epoch_acquires) {
-    EpochMaintenance(now);
+  if (profile_.epoch_acquires() >= kEpochAcquires) {
+    EpochMaintenance();
   }
   // Every in-flight acquisition targets the same backend (a switch only
   // completes after they drain), so the holder releases the active one.
@@ -563,11 +556,7 @@ const SimFutex::Stats* SimAdaptiveLock::futex_stats() const {
 std::unique_ptr<SimLock> MakeSimLock(const std::string& name, SimMachine* machine,
                                      const SimLockOptions& options) {
   if (name == "ADAPTIVE") {
-    SimAdaptiveConfig config;
-    config.policy = options.adaptive_policy;
-    config.epoch_acquires = options.adaptive_epoch_acquires;
-    config.power = options.power;
-    return std::make_unique<SimAdaptiveLock>(machine, config, options);
+    return std::make_unique<SimAdaptiveLock>(machine, options);
   }
   if (name == "MUTEX") {
     SimFutexMutexConfig config;

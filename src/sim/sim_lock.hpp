@@ -226,25 +226,18 @@ class SimMutexee final : public SimLock {
 // arrivals are flushed to the new backend -- the simulated counterpart of
 // the native lock's validate-on-acquire epoch switch.
 // ---------------------------------------------------------------------------
-struct SimAdaptiveConfig {
-  PolicyConfig policy;              // shared native policy engine
-  std::uint64_t epoch_acquires = 128;
-  std::string name = "ADAPTIVE";
-  // Power calibration for the profiler's energy-per-acquire estimate; must
-  // match the machine the workload charges Joules with (WorkloadEnv::power)
-  // or the TPP-maximizing policy optimizes the wrong platform.
-  PowerParams power = PowerParams::PaperXeon();
-};
-
 class SimAdaptiveLock final : public SimLock {
  public:
+  // Epoch length in acquisitions (native: AdaptiveLockConfig, 256). Unlike
+  // the native lock, every simulated acquisition is timed.
+  static constexpr std::uint64_t kEpochAcquires = 128;
+
   // `inner_options` configures the delegate locks (MUTEXEE budgets, seeds).
-  SimAdaptiveLock(SimMachine* machine, SimAdaptiveConfig config,
-                  const struct SimLockOptions& inner_options);
+  SimAdaptiveLock(SimMachine* machine, const struct SimLockOptions& inner_options);
 
   void Acquire(int tid, SimCallback on_acquired) override;
   void Release(int tid, SimCallback on_released) override;
-  std::string name() const override { return config_.name; }
+  std::string name() const override { return "ADAPTIVE"; }
   const SimLockStats& stats() const override;
   const SimFutex::Stats* futex_stats() const override;
 
@@ -264,12 +257,11 @@ class SimAdaptiveLock final : public SimLock {
   void IssueAcquire(AdaptiveBackend b, int tid, SimCallback on_acquired,
                     SimTime requested_at);
   void OnInnerAcquired(int tid, SimTime requested_at);
-  void EpochMaintenance(SimTime now);
+  void EpochMaintenance();
   void MaybeFinishSwitch();
   std::uint64_t InnerSleepCalls() const;
 
-  SimAdaptiveConfig config_;
-  std::unique_ptr<AdaptivePolicy> policy_;
+  EwmaThresholdPolicy policy_;
   std::unique_ptr<SimLock> inner_[kAdaptiveBackendCount];
   LockSiteStats profile_;
 
@@ -301,11 +293,6 @@ struct SimLockOptions {
   MutexeeConfig mutexee;            // budgets / timeout for MUTEXEE variants
   std::uint64_t mutex_spin_cycles = 300;
   std::uint64_t rng_seed = 42;
-  // ADAPTIVE runtime knobs. `power` must mirror the WorkloadEnv's power
-  // params (RunLockWorkload's setup copies it over).
-  PolicyConfig adaptive_policy;
-  std::uint64_t adaptive_epoch_acquires = 128;
-  PowerParams power = PowerParams::PaperXeon();
 };
 
 // Names: MUTEX, TAS, TTAS, TICKET, MCS, CLH, TAS-BO, COHORT, MUTEXEE,

@@ -86,9 +86,6 @@ void SetupDriver(Driver& driver, const std::string& lock_name, const WorkloadCon
   for (int i = 0; i < config.locks; ++i) {
     SimLockOptions options = env.lock_options;
     options.rng_seed = config.seed * 7919 + static_cast<std::uint64_t>(i);
-    // The adaptive profiler must estimate energy with the same calibration
-    // the machine charges Joules with.
-    options.power = env.power;
     driver.locks.push_back(MakeSimLock(lock_name, driver.machine.get(), options));
   }
 

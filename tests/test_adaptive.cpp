@@ -1,7 +1,7 @@
 // Adaptive lock runtime tests: policy decisions under synthetic statistics,
 // profiler epoch accounting, MUTEXEE budget retuning, epoch-switch safety
-// under threads, the "ADAPTIVE" registry round-trip, and the simulated
-// counterpart (MakeSimLock + phased workloads).
+// under threads and in the trace, the "ADAPTIVE" registry round-trip, and
+// the simulated counterpart (MakeSimLock + phased workloads).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +15,7 @@
 #include "src/adaptive/policy.hpp"
 #include "src/locks/harness.hpp"
 #include "src/locks/lock_registry.hpp"
+#include "src/obs/trace.hpp"
 #include "src/sim/workload.hpp"
 #include "src/systems/common.hpp"
 
@@ -23,21 +24,17 @@ namespace {
 
 LockSiteSnapshot SnapshotWithWait(double wait_cycles, double sleep_ratio = 0.0) {
   LockSiteSnapshot snap;
-  snap.epoch = 1;
   snap.acquires = 256;
   snap.avg_wait_cycles = wait_cycles;
   snap.avg_hold_cycles = 500;
   snap.sleep_ratio = sleep_ratio;
-  snap.energy_per_acquire_joules =
-      EstimateEnergyPerAcquire(wait_cycles, 500, sleep_ratio, AdaptiveEnergyParams{});
   return snap;
 }
 
 // --- Policy engine ----------------------------------------------------------
 
 TEST(EwmaThresholdPolicyTest, ClassifiesTheThreeRegimes) {
-  PolicyConfig config;
-  EwmaThresholdPolicy policy(config);
+  EwmaThresholdPolicy policy;
   // Short waits: spinning wins (sleeping costs more than the wait itself).
   EXPECT_EQ(policy.Decide(SnapshotWithWait(500), AdaptiveBackend::kMutexee),
             AdaptiveBackend::kSpin);
@@ -50,8 +47,7 @@ TEST(EwmaThresholdPolicyTest, ClassifiesTheThreeRegimes) {
 }
 
 TEST(EwmaThresholdPolicyTest, HeavyKernelInvolvementForcesSleep) {
-  PolicyConfig config;
-  EwmaThresholdPolicy policy(config);
+  EwmaThresholdPolicy policy;
   // Middle-ground waits but most acquisitions already reach the futex:
   // spinning first only adds power.
   EXPECT_EQ(policy.Decide(SnapshotWithWait(15000, /*sleep_ratio=*/0.8),
@@ -60,8 +56,7 @@ TEST(EwmaThresholdPolicyTest, HeavyKernelInvolvementForcesSleep) {
 }
 
 TEST(EwmaThresholdPolicyTest, SleepBackendCanStillReturnToMutexee) {
-  PolicyConfig config;
-  EwmaThresholdPolicy policy(config);
+  EwmaThresholdPolicy policy;
   // On kSleep the sleep ratio is inherently ~1 (FutexLock sleeps on nearly
   // every contended acquire); that must not pin the policy to kSleep once
   // waits fall back into the middle regime.
@@ -71,10 +66,8 @@ TEST(EwmaThresholdPolicyTest, SleepBackendCanStillReturnToMutexee) {
 }
 
 TEST(EwmaThresholdPolicyTest, HysteresisPreventsFlappingAtTheBoundary) {
-  PolicyConfig config;
-  config.spin_wait_max_cycles = 4000;
-  config.hysteresis = 1.5;
-  EwmaThresholdPolicy policy(config);
+  // Spin boundary 4000 cycles, hysteresis 1.5.
+  EwmaThresholdPolicy policy;
   // Just past the boundary: a spinning site stays spinning...
   EXPECT_EQ(policy.Decide(SnapshotWithWait(5000), AdaptiveBackend::kSpin),
             AdaptiveBackend::kSpin);
@@ -86,71 +79,22 @@ TEST(EwmaThresholdPolicyTest, HysteresisPreventsFlappingAtTheBoundary) {
             AdaptiveBackend::kMutexee);
 }
 
-TEST(EpsilonGreedyPolicyTest, TriesEveryBackendThenConvergesToTheBest) {
-  PolicyConfig config;
-  config.kind = PolicyConfig::Kind::kEpsilonGreedy;
-  config.epsilon = 0.1;
-  config.epsilon_decay = 0.9;
-  config.epsilon_min = 0.0;
-  config.seed = 7;
-  EpsilonGreedyPolicy policy(config);
-
-  // Synthetic bandit: the spin backend yields 3x the TPP of the others.
-  auto reward_for = [](AdaptiveBackend b) {
-    LockSiteSnapshot snap;
-    snap.acquires = 256;
-    snap.energy_per_acquire_joules = b == AdaptiveBackend::kSpin ? 1e-6 : 3e-6;
-    return snap;
-  };
-
-  AdaptiveBackend current = AdaptiveBackend::kMutexee;
-  int spin_picks = 0;
-  for (int round = 0; round < 200; ++round) {
-    current = policy.Decide(reward_for(current), current);
-    if (round >= 100 && current == AdaptiveBackend::kSpin) {
-      ++spin_picks;
-    }
-  }
-  // After the exploration phase the best arm dominates.
-  EXPECT_GT(spin_picks, 80);
-  EXPECT_GT(policy.value(AdaptiveBackend::kSpin),
-            policy.value(AdaptiveBackend::kSleep));
-}
-
-TEST(MutexeeRetuneTest, BudgetsClampToTunerDerivedBounds) {
-  MutexeeBudgetBounds bounds;
-  bounds.spin_min_cycles = 4000;
-  bounds.spin_max_cycles = 32000;
-  bounds.grace_min_cycles = 128;
-  bounds.grace_max_cycles = 1536;
-
+TEST(MutexeeRetuneTest, BudgetsClampToTheFixedBounds) {
   // Tiny waits: spin budget clamps to the lower bound.
-  MutexeeBudgets low = RetuneMutexeeBudgets(SnapshotWithWait(100), bounds);
-  EXPECT_EQ(low.spin_cycles, bounds.spin_min_cycles);
+  MutexeeBudgets low = RetuneMutexeeBudgets(SnapshotWithWait(100));
+  EXPECT_EQ(low.spin_cycles, 4000u);
   // Huge waits: clamps to the upper bound.
-  MutexeeBudgets high = RetuneMutexeeBudgets(SnapshotWithWait(1000000), bounds);
-  EXPECT_EQ(high.spin_cycles, bounds.spin_max_cycles);
+  MutexeeBudgets high = RetuneMutexeeBudgets(SnapshotWithWait(1000000));
+  EXPECT_EQ(high.spin_cycles, 32000u);
   // Middling waits: ~2x the EWMA.
-  MutexeeBudgets mid = RetuneMutexeeBudgets(SnapshotWithWait(10000), bounds);
+  MutexeeBudgets mid = RetuneMutexeeBudgets(SnapshotWithWait(10000));
   EXPECT_EQ(mid.spin_cycles, 20000u);
   // Grace stretches with kernel involvement but stays bounded.
-  MutexeeBudgets quiet = RetuneMutexeeBudgets(SnapshotWithWait(10000, 0.0), bounds);
-  MutexeeBudgets busy = RetuneMutexeeBudgets(SnapshotWithWait(10000, 1.0), bounds);
+  MutexeeBudgets quiet = RetuneMutexeeBudgets(SnapshotWithWait(10000, 0.0));
+  MutexeeBudgets busy = RetuneMutexeeBudgets(SnapshotWithWait(10000, 1.0));
+  EXPECT_EQ(quiet.grace_cycles, 128u);
   EXPECT_LT(quiet.grace_cycles, busy.grace_cycles);
-  EXPECT_LE(busy.grace_cycles, bounds.grace_max_cycles);
-}
-
-TEST(MutexeeRetuneTest, BoundsDeriveFromTunerReport) {
-  TunerReport report;
-  report.futex_turnaround_cycles = 8000;
-  report.line_transfer_cycles = 300;
-  const MutexeeBudgetBounds bounds = MutexeeBudgetBounds::FromTunerReport(report);
-  EXPECT_EQ(bounds.spin_min_cycles, 8000u);
-  EXPECT_EQ(bounds.spin_max_cycles, 32000u);
-  EXPECT_EQ(bounds.grace_min_cycles, 300u);
-  EXPECT_EQ(bounds.grace_max_cycles, 1200u);
-  EXPECT_LT(bounds.spin_min_cycles, bounds.spin_max_cycles);
-  EXPECT_LT(bounds.grace_min_cycles, bounds.grace_max_cycles);
+  EXPECT_LE(busy.grace_cycles, 1536u);
 }
 
 TEST(MutexeeRetuneTest, LiveLockAcceptsRetunedBudgets) {
@@ -166,41 +110,32 @@ TEST(MutexeeRetuneTest, LiveLockAcceptsRetunedBudgets) {
 // --- Profiler ---------------------------------------------------------------
 
 TEST(LockSiteStatsTest, EpochDigestAggregatesAcquisitions) {
-  AdaptiveEnergyParams energy;
-  energy.cycles_per_second = 1e9;
-  LockSiteStats stats(energy, /*ewma_alpha=*/1.0, /*contended_threshold_cycles=*/1000);
+  // Production constants: EWMA alpha 0.2, contended above 800 cycles.
+  LockSiteStats stats;
+  stats.RecordAcquire(500, 2000);   // uncontended
+  stats.RecordAcquire(5000, 2000);  // contended
+  stats.RecordAcquire(5000, 2000);  // contended
+  stats.RecordUnsampled();          // the native lock's 7-in-8 path
+  EXPECT_EQ(stats.epoch_acquires(), 4u);
 
-  stats.EndEpoch(0, 0);  // open the rate window
-  stats.RecordAcquire(500, 2000);    // uncontended
-  stats.RecordAcquire(5000, 2000);   // contended
-  stats.RecordAcquire(5000, 2000);   // contended
-  EXPECT_EQ(stats.epoch_acquires(), 3u);
+  const LockSiteSnapshot snap = stats.EndEpoch(/*epoch_sleep_calls=*/1);
+  EXPECT_EQ(snap.acquires, 4u);
+  EXPECT_DOUBLE_EQ(snap.avg_wait_cycles, 2120.0);  // 500 -> 1400 -> 2120
+  EXPECT_DOUBLE_EQ(snap.avg_hold_cycles, 2000.0);
+  // Contention is over the sampled acquires, sleeps over all of them.
+  EXPECT_DOUBLE_EQ(snap.contended_ratio, 2.0 / 3.0);
+  EXPECT_DOUBLE_EQ(snap.sleep_ratio, 1.0 / 4.0);
+  EXPECT_EQ(stats.last_snapshot().acquires, 4u);
 
-  const LockSiteSnapshot snap = stats.EndEpoch(3000000, /*epoch_sleep_calls=*/1);
-  EXPECT_EQ(snap.acquires, 3u);
-  EXPECT_DOUBLE_EQ(snap.avg_wait_cycles, 5000.0);  // alpha=1: last sample
-  EXPECT_NEAR(snap.contended_ratio, 2.0 / 3.0, 1e-9);
-  EXPECT_NEAR(snap.sleep_ratio, 1.0 / 3.0, 1e-9);
-  EXPECT_NEAR(snap.acquires_per_second, 3.0 / 0.003, 1.0);
-  EXPECT_GT(snap.energy_per_acquire_joules, 0.0);
-  EXPECT_GT(snap.EstimatedTpp(), 0.0);
-  // The epoch counters reset; the EWMAs persist.
+  // The epoch counters reset; the EWMAs carry into the next epoch.
   EXPECT_EQ(stats.epoch_acquires(), 0u);
-  EXPECT_EQ(stats.total_acquires(), 3u);
-}
-
-TEST(LockSiteStatsTest, EnergyEstimateOrdersTheRegimesLikeThePaper) {
-  const AdaptiveEnergyParams params;
-  // Spinning through a long wait costs more than sleeping through it
-  // (Figure 3: busy-waiting power dwarfs the futex transition cost)...
-  const double long_wait = 500000;
-  EXPECT_GT(EstimateEnergyPerAcquire(long_wait, 1000, 0.0, params),
-            EstimateEnergyPerAcquire(long_wait, 1000, 1.0, params));
-  // ...while for a short wait the futex round trip dominates (Figure 6:
-  // sleeping for waits cheaper than the sleep itself wastes energy).
-  const double short_wait = 1000;
-  EXPECT_LT(EstimateEnergyPerAcquire(short_wait, 1000, 0.0, params),
-            EstimateEnergyPerAcquire(short_wait, 1000, 1.0, params));
+  stats.RecordUnsampled();
+  const LockSiteSnapshot next = stats.EndEpoch(/*epoch_sleep_calls=*/0);
+  EXPECT_EQ(next.acquires, 1u);
+  EXPECT_DOUBLE_EQ(next.avg_wait_cycles, 2120.0);
+  EXPECT_DOUBLE_EQ(next.avg_hold_cycles, 2000.0);
+  EXPECT_DOUBLE_EQ(next.contended_ratio, 0.0);
+  EXPECT_DOUBLE_EQ(next.sleep_ratio, 0.0);
 }
 
 // --- Adaptive lock ----------------------------------------------------------
@@ -222,7 +157,6 @@ TEST(AdaptiveLockTest, LockUnlockAndTryLockSemantics) {
 TEST(AdaptiveLockTest, UncontendedSiteSettlesOnSpinning) {
   AdaptiveLockConfig config;
   config.epoch_acquires = 16;
-  config.initial = AdaptiveBackend::kMutexee;
   config.spin.yield_after = 64;
   AdaptiveLock lock(config);
   for (int i = 0; i < 200; ++i) {
@@ -237,14 +171,13 @@ TEST(AdaptiveLockTest, UncontendedSiteSettlesOnSpinning) {
 }
 
 // Deterministic policy that rotates backends every epoch: maximizes switch
-// pressure for the safety test below.
+// pressure for the safety and trace tests below.
 class RotatingPolicy final : public AdaptivePolicy {
  public:
   AdaptiveBackend Decide(const LockSiteSnapshot&, AdaptiveBackend current) override {
     return static_cast<AdaptiveBackend>((static_cast<int>(current) + 1) %
                                         kAdaptiveBackendCount);
   }
-  std::string name() const override { return "rotating"; }
 };
 
 TEST(AdaptiveLockTest, EpochSwitchingPreservesMutualExclusion) {
@@ -282,31 +215,30 @@ TEST(AdaptiveLockTest, EpochSwitchingPreservesMutualExclusion) {
   EXPECT_GT(lock.backend_switches(), 50u);
 }
 
-TEST(AdaptiveLockTest, BanditPolicyAlsoPreservesExclusionUnderThreads) {
+TEST(AdaptiveLockTest, EverySwitchReachesTheTimelineWithItsBackend) {
   AdaptiveLockConfig config;
-  config.epoch_acquires = 64;
-  config.policy.kind = PolicyConfig::Kind::kEpsilonGreedy;
-  config.spin.yield_after = 64;
-  AdaptiveLock lock(config);
-
-  constexpr int kThreads = 4;
-  constexpr int kIters = 2000;
-  long long counter = 0;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kIters; ++i) {
-        lock.lock();
-        counter = counter + 1;
-        lock.unlock();
-      }
-    });
+  config.epoch_acquires = 16;
+  AdaptiveLock lock(config, std::make_unique<RotatingPolicy>());
+  TraceBuffer ring;
+  {
+    ScopedTraceSink sink(&ring);
+    for (int i = 0; i < 160; ++i) {
+      lock.lock();
+      lock.unlock();
+    }
   }
-  for (auto& t : threads) {
-    t.join();
+  std::vector<TraceEvent> events;
+  ring.Drain(&events);
+  std::vector<std::uint32_t> switched_to;
+  for (const TraceEvent& event : events) {
+    if (event.kind == static_cast<std::uint16_t>(TraceEventKind::kEpochSwitch)) {
+      switched_to.push_back(event.arg);
+    }
   }
-  EXPECT_EQ(counter, static_cast<long long>(kThreads) * kIters);
+  // One switch per 16-acquire epoch, rotating away from the initial MUTEXEE.
+  EXPECT_EQ(lock.backend_switches(), 10u);
+  EXPECT_EQ(switched_to.size(), lock.backend_switches());
+  EXPECT_EQ(switched_to, (std::vector<std::uint32_t>{0, 1, 2, 0, 1, 2, 0, 1, 2, 0}));
 }
 
 // --- Registry round-trip ----------------------------------------------------

@@ -198,7 +198,7 @@ TEST(PolyProperty, ThroughputTppCorrelationIsStrong) {
 // ---------------------------------------------------------------------------
 TEST(CoreI7Property, ShapesHoldOnTheDesktopTopology) {
   WorkloadEnv env;
-  env.topology = Topology::PaperCoreI7();  // 1 socket x 4 cores x 2 HTs
+  env.topology = Topology(1, 4, 2);  // the paper's Core-i7: 1 socket x 4 cores x 2 HTs
   auto run = [&](const char* lock, int threads) {
     WorkloadConfig config;
     config.threads = threads;

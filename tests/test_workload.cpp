@@ -97,7 +97,7 @@ TEST(Workload, ZeroCsStillProgresses) {
 
 TEST(Workload, SmallTopologyEnvHonored) {
   WorkloadEnv env;
-  env.topology = Topology::PaperCoreI7();  // 8 contexts
+  env.topology = Topology(1, 4, 2);  // the paper's Core-i7: 8 contexts
   WorkloadConfig config;
   config.threads = 16;  // oversubscribed on the desktop
   config.cs_cycles = 1000;
