@@ -12,8 +12,6 @@
 //   --system NAME     kvstore | cache | nosql-cache | nosql-hash | nosql-btree
 //   --lock NAME       lock algorithm (default MUTEX)
 //   --shards N        shard count override (0 = the system's default shape)
-//   --combine         flat-combine shard mutations
-//   --rw              per-shard reader-writer locks
 //   --workers N       event-loop worker threads (default 1)
 //   --deadline-us N   per-op deadline: a command whose entry lock cannot be
 //                     acquired in time is shed with a -BUSY reply
@@ -65,7 +63,7 @@ void PrintUsage(const char* prog, std::FILE* out) {
   std::fprintf(out,
                "usage: %s [options]\n"
                "  --port N  --system kvstore|cache|nosql-cache|nosql-hash|nosql-btree\n"
-               "  --lock NAME  --shards N  --combine  --rw  --workers N\n"
+               "  --lock NAME  --shards N  --workers N\n"
                "  --deadline-us N  --failpoints SPEC  --watchdog-ms N  --stats-every S\n",
                prog);
 }
@@ -101,11 +99,8 @@ ServerCliOptions ParseArgs(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--lock") == 0) {
       options.server.backend.lock_name = value_of(i, "--lock");
     } else if (std::strcmp(argv[i], "--shards") == 0) {
-      options.server.backend.shards = static_cast<std::uint32_t>(int_of(i, "--shards", 1, 4096));
-    } else if (std::strcmp(argv[i], "--combine") == 0) {
-      options.server.backend.combine = true;
-    } else if (std::strcmp(argv[i], "--rw") == 0) {
-      options.server.backend.rw = true;
+      options.server.backend.shards =
+          static_cast<std::uint32_t>(int_of(i, "--shards", 0, 4096));
     } else if (std::strcmp(argv[i], "--workers") == 0) {
       options.server.workers = static_cast<std::size_t>(int_of(i, "--workers", 1, 256));
     } else if (std::strcmp(argv[i], "--deadline-us") == 0) {
@@ -136,9 +131,6 @@ int main(int argc, char** argv) {
   } catch (const std::exception& error) {
     std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
     return 2;
-  }
-  if (options.server.backend.combine && options.server.backend.rw) {
-    Fail(argv[0], "--combine and --rw are mutually exclusive");
   }
 
   std::signal(SIGINT, HandleStopSignal);

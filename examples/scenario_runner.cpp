@@ -20,13 +20,10 @@
 //   --json            machine-readable output (one JSON object per run)
 //   --quick           short run (CI smoke)
 //
-// ShardCombine flags (src/systems/sharded.hpp):
+// Sharding flags (src/systems/sharded.hpp):
 //   --shards N        override the scenario's default shard count (0 keeps
 //                     the registered paper shape: 1 for the single-lock
 //                     systems, 16 cache, 32 graph, 8 nosql/hash)
-//   --combine         flat-combine shard mutations (CombinerChannel)
-//   --rw              per-shard reader-writer locks (shared on read paths);
-//                     mutually exclusive with --combine
 //   --thread-sweep LIST  run each scenario x lock at every thread count in
 //                     the comma-separated LIST (e.g. 1,2,4,8) and, with
 //                     --json, emit the whole scaling curve set as ONE JSON
@@ -105,8 +102,6 @@ struct RunnerOptions {
   int read_percent = -1;
   std::uint64_t key_space = 0;
   long shards = 0;  // 0 = scenario default
-  bool combine = false;
-  bool rw = false;
   std::vector<int> thread_sweep;
   std::string trace_path;
   bool metrics = false;
@@ -126,7 +121,7 @@ void PrintUsage(const char* prog, std::FILE* out) {
                "usage: %s --list | --scenario NAME | --all [options]\n"
                "  --lock NAME|all  --threads N  --ops N  --seconds S  --seed N\n"
                "  --read-percent P  --key-space N  --json  --quick\n"
-               "  --shards N  --combine  --rw  --thread-sweep 1,2,4,8\n"
+               "  --shards N  --thread-sweep 1,2,4,8\n"
                "  --trace FILE  --metrics  --lockdep  --meter auto|model|off  --sample-ms N\n"
                "  --failpoints SPEC  --chaos  --deadline-us N  --op-retries N\n"
                "  --watchdog-ms N  --no-watchdog-abort\n",
@@ -194,11 +189,7 @@ RunnerOptions ParseArgs(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--key-space") == 0) {
       options.key_space = static_cast<std::uint64_t>(int_of(i, "--key-space", 1, 1000000000));
     } else if (std::strcmp(argv[i], "--shards") == 0) {
-      options.shards = int_of(i, "--shards", 1, 4096);
-    } else if (std::strcmp(argv[i], "--combine") == 0) {
-      options.combine = true;
-    } else if (std::strcmp(argv[i], "--rw") == 0) {
-      options.rw = true;
+      options.shards = int_of(i, "--shards", 0, 4096);
     } else if (std::strcmp(argv[i], "--thread-sweep") == 0) {
       // Comma-separated thread counts, e.g. "1,2,4,8".
       const char* value = value_of(i, "--thread-sweep");
@@ -268,16 +259,10 @@ void EmitJson(const ScenarioResult& r, bool record_latency, const RunnerOptions&
               "\"seconds\": %.6f, \"total_ops\": %llu, \"ops_per_s\": %.1f",
               r.scenario.c_str(), r.lock_name.c_str(), r.threads, r.seconds,
               static_cast<unsigned long long>(r.total_ops), r.ops_per_s);
-  // ShardCombine variant labels: printed only when requested on the command
-  // line, so default runs keep byte-identical output.
+  // Shard-count label: printed only when an override is requested on the
+  // command line, so default runs keep byte-identical output.
   if (options.shards > 0) {
     std::printf(", \"shards\": %ld", options.shards);
-  }
-  if (options.combine) {
-    std::printf(", \"combine\": true");
-  }
-  if (options.rw) {
-    std::printf(", \"rw\": true");
   }
   if (record_latency) {
     // Cycles stay the JSON unit (bit-stable across hosts whose TSC
@@ -407,13 +392,7 @@ int main(int argc, char** argv) {
   config.seed = options.seed;
   config.read_percent = options.read_percent;
   config.key_space = options.key_space;
-  if (options.combine && options.rw) {
-    Fail(argv[0], "--combine and --rw are mutually exclusive (a combiner pass "
-                  "needs exclusive shard ownership)");
-  }
   config.shards = static_cast<std::uint32_t>(options.shards);
-  config.combine = options.combine;
-  config.rw = options.rw;
   config.trace = !options.trace_path.empty();
   config.lockdep = options.lockdep;
   config.meter = options.meter == "off"     ? MeterChoice::kOff
@@ -541,10 +520,9 @@ int main(int argc, char** argv) {
       }
       sweep_list += std::to_string(threads);
     }
-    std::printf("{\"thread_sweep\": [%s], \"shards\": %ld, \"combine\": %s, \"rw\": %s,\n"
+    std::printf("{\"thread_sweep\": [%s], \"shards\": %ld,\n"
                 "  \"curves\": [\n    %s\n  ]}\n",
-                sweep_list.c_str(), options.shards, options.combine ? "true" : "false",
-                options.rw ? "true" : "false", sweep_curves.c_str());
+                sweep_list.c_str(), options.shards, sweep_curves.c_str());
   } else if (!options.json) {
     table.Print(std::cout);
   }

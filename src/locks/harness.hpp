@@ -49,7 +49,7 @@ struct AcquireShape {
 // record_latency (one sample per acquire), meter, energy sampling, the
 // workers' trace rings, the watchdog and external_stop. The microbenchmark
 // ignores the scenario-only fields: the mix (read_percent, key_space),
-// shards/combine/rw, failpoints, the op deadline and retries, lockdep and
+// shards, failpoints, the op deadline and retries, lockdep and
 // yield_after (set shape.lock_options.spin.yield_after instead). The
 // result's scenario name and metrics stay empty. Unknown lock names raise
 // std::invalid_argument (the registry's throwing contract via

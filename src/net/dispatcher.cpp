@@ -53,7 +53,7 @@ struct CommandDispatcher::Backend {
 namespace {
 
 struct KvBackend final : CommandDispatcher::Backend {
-  KvBackend(const LockFactory& make_lock, ShardOptions options) : store(make_lock, options) {}
+  KvBackend(const LockFactory& make_lock, std::size_t shards) : store(make_lock, shards) {}
   bool Get(const std::string& key, std::string* out) override {
     return store.Get(NetKeyToUint64(key), out);
   }
@@ -105,35 +105,26 @@ std::unique_ptr<CommandDispatcher::Backend> BuildBackend(const NetBackendConfig&
   scenario.op_deadline_ns = config.op_deadline_ns;
   const LockFactory factory = scenario.MakeLockFactory();
 
-  const auto shard_options = [&](std::size_t default_shards) {
-    ShardOptions options;
-    options.shards = config.shards > 0 ? config.shards : default_shards;
-    options.combine = config.combine;
-    options.rw = config.rw;
-    return options;
+  const auto shards = [&](std::size_t default_shards) -> std::size_t {
+    return config.shards > 0 ? config.shards : default_shards;
   };
   if (config.system == "kvstore") {
-    return std::make_unique<KvBackend>(factory, shard_options(1));
+    return std::make_unique<KvBackend>(factory, shards(1));
   }
   if (config.system == "cache") {
     MemCache::Config cache;
-    cache.shards = config.shards > 0 ? config.shards : 16;
+    cache.shards = shards(16);
     cache.capacity = config.cache_capacity;
-    cache.combine = config.combine;
-    cache.rw = config.rw;
     return std::make_unique<CacheBackend>(factory, cache);
   }
   if (config.system == "nosql-cache") {
-    return std::make_unique<NosqlBackend>(
-        std::make_unique<CacheDb>(factory, shard_options(1)));
+    return std::make_unique<NosqlBackend>(std::make_unique<CacheDb>(factory, shards(1)));
   }
   if (config.system == "nosql-hash") {
-    return std::make_unique<NosqlBackend>(
-        std::make_unique<HashDb>(factory, shard_options(8)));
+    return std::make_unique<NosqlBackend>(std::make_unique<HashDb>(factory, shards(8)));
   }
   if (config.system == "nosql-btree") {
-    return std::make_unique<NosqlBackend>(
-        std::make_unique<TreeDb>(factory, shard_options(1)));
+    return std::make_unique<NosqlBackend>(std::make_unique<TreeDb>(factory, shards(1)));
   }
   std::string known;
   for (const std::string& name : CommandDispatcher::KnownSystems()) {

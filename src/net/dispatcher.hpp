@@ -2,7 +2,7 @@
 //
 // One dispatcher per server, shared by every worker loop: the backing
 // store (KvStore, MemCache, or a NosqlDb backend) is built once with the
-// configured lock algorithm and ShardCombine options, and its own internal
+// configured lock algorithm and shard count, and its own internal
 // locking is what makes concurrent Execute calls from multiple workers
 // safe -- the lock under test now sits behind real request parsing, which
 // is the whole point of the subsystem.
@@ -30,14 +30,12 @@
 namespace lockin {
 
 // Which store serves the wire, and under what locking regime. Mirrors
-// ScenarioConfig{lock_name, shards, combine, rw, op_deadline_ns} -- the
-// knobs the scenario layer already exposes, now reachable per server.
+// ScenarioConfig{lock_name, shards, op_deadline_ns} -- the knobs the
+// scenario layer already exposes, now reachable per server.
 struct NetBackendConfig {
   std::string system = "kvstore";  // see CommandDispatcher::KnownSystems()
   std::string lock_name = "MUTEX";
   std::uint32_t shards = 0;  // 0 = the system's registered default shape
-  bool combine = false;      // flat-combine shard mutations
-  bool rw = false;           // per-shard reader-writer locks
   std::uint64_t op_deadline_ns = 0;  // 0 = never shed
   std::size_t cache_capacity = 100000;  // MemCache LRU capacity
 };

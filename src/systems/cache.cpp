@@ -31,7 +31,7 @@ std::size_t NextPowerOfTwo(std::size_t n) {
 
 MemCache::MemCache(const LockFactory& make_lock, Config config)
     : config_(config),
-      shards_(make_lock, ShardOptions{config.shards, config.combine, config.rw}),
+      shards_(make_lock, config.shards),
       lru_lock_(make_lock()) {
   per_shard_capacity_ = config_.capacity / shards_.shard_count();
   if (per_shard_capacity_ == 0) {
@@ -193,7 +193,7 @@ void MemCache::Set(const std::string& key, std::string value) {
 
 bool MemCache::Get(const std::string& key, std::string* out) {
   const std::size_t hash = HashKey(key);
-  return shards_.WithShardShared(hash, [&](const CacheTable& table) {
+  return shards_.WithShard(hash, [&](const CacheTable& table) {
     const Slot* slot = FindSlot(table, hash, key);
     if (slot == nullptr) {
       return false;

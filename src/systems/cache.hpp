@@ -14,11 +14,9 @@
 // never cross a global lock -- the scale scenario for many-core hosts
 // (memcached itself made the same move with its segmented LRU).
 //
-// ShardCombine: the shard routing/locking that used to be bespoke here is
-// now the reusable ShardedMap layer (src/systems/sharded.hpp) -- MemCache
-// is its first consumer, keeping the hash(key) % shards mapping the tests
-// pin. Config::combine routes shard mutations through the flat-combining
-// channel; Config::rw takes GETs under a shared per-shard RwLock.
+// Shard routing and locking are the shared ShardedMap layer
+// (src/systems/sharded.hpp), keeping the hash(key) % shards mapping the
+// tests pin.
 #ifndef SRC_SYSTEMS_CACHE_HPP_
 #define SRC_SYSTEMS_CACHE_HPP_
 
@@ -46,8 +44,6 @@ class MemCache {
     std::size_t shards = 16;        // bucket-lock stripes
     std::size_t capacity = 100000;  // max items before LRU eviction
     LruMode lru_mode = LruMode::kGlobalLock;
-    bool combine = false;  // flat-combine shard mutations (hot-shard path)
-    bool rw = false;       // per-shard RwLock; GETs take it shared
   };
 
   MemCache(const LockFactory& make_lock, Config config);
@@ -118,7 +114,8 @@ class MemCache {
   ShardedMap<CacheTable> shards_;
   // Global LRU clock, guarded by lru_lock_ (kGlobalLock mode).
   std::unique_ptr<LockHandle> lru_lock_;
-  std::uint64_t lru_clock_ LL_GUARDED_BY(*lru_lock_) = 0;
+  // Own line: every Get reads shards_, every Set writes lru_clock_ and size_.
+  alignas(kCacheLineSize) std::uint64_t lru_clock_ LL_GUARDED_BY(*lru_lock_) = 0;
   // Written under a lock (lru_lock_ or a shard lock depending on the LRU
   // mode) but read by the unsynchronized evictions() accessor: atomic with
   // relaxed ordering (it is a monotone statistic, not a synchronizer).

@@ -4,9 +4,8 @@
 
 namespace lockin {
 
-GraphStore::GraphStore(const LockFactory& make_lock, Config config)
-    : config_(config),
-      shards_(make_lock, ShardOptions{config.shards, config.combine, config.rw}),
+GraphStore::GraphStore(const LockFactory& make_lock, std::size_t shards)
+    : shards_(make_lock, shards),
       log_lock_(make_lock()),
       id_lock_(make_lock()) {}
 
@@ -15,12 +14,6 @@ void GraphStore::AppendLog(char op, std::uint64_t id) {
   // matters for the lock study.
   (void)op;
   (void)id;
-  if (config_.combine) {
-    // Group commit via flat combining: whoever holds the log lock applies
-    // every published append in one hold instead of each writer queueing.
-    log_channel_.Execute(*log_lock_, [this] { ++log_records_; });
-    return;
-  }
   HandleGuard guard(*log_lock_);
   ++log_records_;
 }
@@ -39,7 +32,7 @@ std::uint64_t GraphStore::AddNode(std::string payload) {
 }
 
 bool GraphStore::GetNode(std::uint64_t id, std::string* out) {
-  return shards_.WithShardShared(id, [&](const GraphShard& shard) {
+  return shards_.WithShard(id, [&](const GraphShard& shard) {
     const auto it = shard.nodes.find(id);
     if (it == shard.nodes.end()) {
       return false;
@@ -98,7 +91,7 @@ bool GraphStore::DeleteLink(std::uint64_t source, int type, std::uint64_t dest) 
 
 std::vector<std::uint64_t> GraphStore::GetLinkList(std::uint64_t source, int type,
                                                    std::size_t limit) {
-  return shards_.WithShardShared(source, [&](const GraphShard& shard) {
+  return shards_.WithShard(source, [&](const GraphShard& shard) {
     const auto it = shard.links.find({source, type});
     if (it == shard.links.end()) {
       return std::vector<std::uint64_t>{};
@@ -110,7 +103,7 @@ std::vector<std::uint64_t> GraphStore::GetLinkList(std::uint64_t source, int typ
 }
 
 std::size_t GraphStore::CountLinks(std::uint64_t source, int type) {
-  return shards_.WithShardShared(source, [&](const GraphShard& shard) {
+  return shards_.WithShard(source, [&](const GraphShard& shard) {
     const auto it = shard.links.find({source, type});
     return it == shard.links.end() ? std::size_t{0} : it->second.size();
   });

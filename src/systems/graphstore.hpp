@@ -8,13 +8,9 @@
 // designed locks", so the pthread-lock swap moves less than elsewhere --
 // unless the lock spins while oversubscribed (the TICKET collapse).
 //
-// ShardCombine: the row shards are a ShardedMap now (routing stays id %
-// shards, matching InnoDB's hash-on-row-id). The log lock -- the one lock
-// every write funnels through -- is the natural flat-combining target:
-// with Config::combine the ++log_records_ publication rides the
-// CombinerChannel so one combiner applies a batch of log appends per lock
-// hold, mirroring real group commit. Config::rw takes shard read locks on
-// the traversal paths (GetNode/GetLinkList/CountLinks).
+// The row shards are a ShardedMap (routing is id % shards, matching
+// InnoDB's hash-on-row-id); the log lock stays single, the one lock every
+// write funnels through.
 #ifndef SRC_SYSTEMS_GRAPHSTORE_HPP_
 #define SRC_SYSTEMS_GRAPHSTORE_HPP_
 
@@ -24,6 +20,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/platform/cacheline.hpp"
 #include "src/platform/thread_annotations.hpp"
 #include "src/systems/common.hpp"
 #include "src/systems/sharded.hpp"
@@ -32,13 +29,7 @@ namespace lockin {
 
 class GraphStore {
  public:
-  struct Config {
-    std::size_t shards = 32;
-    bool combine = false;  // flat-combine the log lock (and shard locks)
-    bool rw = false;       // reader-writer shard locks for traversals
-  };
-
-  GraphStore(const LockFactory& make_lock, Config config);
+  explicit GraphStore(const LockFactory& make_lock, std::size_t shards = 32);
 
   GraphStore(const GraphStore&) = delete;
   GraphStore& operator=(const GraphStore&) = delete;
@@ -55,10 +46,9 @@ class GraphStore {
   std::vector<std::uint64_t> GetLinkList(std::uint64_t source, int type, std::size_t limit);
   std::size_t CountLinks(std::uint64_t source, int type);
 
-  // Quiescent diagnostics: callers read these after their worker threads
-  // joined (log_records_ is written under log_lock_ / via the combiner).
-  std::uint64_t log_records() const { return log_records_; }
-  std::uint64_t combined_log_ops() const { return log_channel_.combined_ops(); }
+  // Quiescent diagnostic: reads the log-lock-guarded counter without the
+  // lock; callers read it after their worker threads joined.
+  std::uint64_t log_records() const LL_NO_THREAD_SAFETY_ANALYSIS { return log_records_; }
 
  private:
   // One row shard: node payloads plus the adjacency lists rooted there.
@@ -69,15 +59,11 @@ class GraphStore {
 
   void AppendLog(char op, std::uint64_t id);
 
-  Config config_;
   ShardedMap<GraphShard> shards_;
-  // The log lock every write crosses (binlog group-commit point). The
-  // counter is guarded by log_lock_ at runtime, but combined execution
-  // (closure runs on whichever thread holds the lock) is outside what
-  // clang's static analysis can follow, so the annotation is dropped.
+  // The log lock every write crosses (binlog group-commit point).
   std::unique_ptr<LockHandle> log_lock_;
-  CombinerChannel log_channel_;
-  std::uint64_t log_records_ = 0;
+  // Own line: ops read shards_ and log_lock_ while the log holder writes this.
+  alignas(kCacheLineSize) std::uint64_t log_records_ LL_GUARDED_BY(*log_lock_) = 0;
   std::unique_ptr<LockHandle> id_lock_;
   std::uint64_t next_node_id_ LL_GUARDED_BY(*id_lock_) = 1;
 };

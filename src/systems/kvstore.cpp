@@ -9,8 +9,8 @@ bool KvStore::Put(std::uint64_t key, std::string value) {
 }
 
 bool KvStore::Get(std::uint64_t key, std::string* out) {
-  return shards_.WithShardShared(ShardedMap<BPlusTree>::MixHash(key),
-                                 [&](const BPlusTree& tree) { return tree.Get(key, out); });
+  return shards_.WithShard(ShardedMap<BPlusTree>::MixHash(key),
+                           [&](const BPlusTree& tree) { return tree.Get(key, out); });
 }
 
 bool KvStore::Erase(std::uint64_t key) {
@@ -21,7 +21,7 @@ bool KvStore::Erase(std::uint64_t key) {
 std::size_t KvStore::CountRange(std::uint64_t first, std::uint64_t last) {
   std::size_t count = 0;
   for (std::size_t i = 0; i < shards_.shard_count(); ++i) {
-    shards_.WithShardSharedAt(i, [&](const BPlusTree& tree) {
+    shards_.WithShardAt(i, [&](const BPlusTree& tree) {
       tree.Scan(first, last, [&count](std::uint64_t, const std::string&) {
         ++count;
         return true;
@@ -34,7 +34,7 @@ std::size_t KvStore::CountRange(std::uint64_t first, std::uint64_t last) {
 std::size_t KvStore::Size() {
   std::size_t total = 0;
   for (std::size_t i = 0; i < shards_.shard_count(); ++i) {
-    total += shards_.WithShardSharedAt(i, [](const BPlusTree& tree) { return tree.size(); });
+    total += shards_.WithShardAt(i, [](const BPlusTree& tree) { return tree.size(); });
   }
   return total;
 }
@@ -42,8 +42,7 @@ std::size_t KvStore::Size() {
 bool KvStore::CheckInvariants() {
   bool ok = true;
   for (std::size_t i = 0; i < shards_.shard_count(); ++i) {
-    ok = shards_.WithShardSharedAt(
-             i, [](const BPlusTree& tree) { return tree.CheckInvariants(); }) &&
+    ok = shards_.WithShardAt(i, [](const BPlusTree& tree) { return tree.CheckInvariants(); }) &&
          ok;
   }
   return ok;

@@ -5,11 +5,10 @@
 // threads hammering one DB lock; Table 3). Operation mix knobs reproduce
 // the WT / WT/RD / RD configurations.
 //
-// ShardCombine: the environment is now a ShardedMap of B+-tree partitions.
-// The default (shards = 1) keeps the paper's one-DB-lock shape exactly;
-// Options{shards, combine, rw} opens the scale path -- hash-partitioned
-// trees, flat-combined hot shards, shared-lock reads -- whose scaling
-// `scenario_runner --thread-sweep 1,2,4,8` measures.
+// The environment is a ShardedMap of B+-tree partitions. The default
+// (shards = 1) keeps the paper's one-DB-lock shape exactly; more shards
+// hash-partition the trees, whose scaling `scenario_runner --shards N
+// --thread-sweep 1,2,4,8` measures.
 #ifndef SRC_SYSTEMS_KVSTORE_HPP_
 #define SRC_SYSTEMS_KVSTORE_HPP_
 
@@ -25,10 +24,9 @@ namespace lockin {
 
 class KvStore {
  public:
-  using Options = ShardOptions;  // shards = 1 preserves the paper shape
-
-  explicit KvStore(const LockFactory& make_lock, Options options = {})
-      : shards_(make_lock, options) {}
+  // shards = 1 preserves the paper shape.
+  explicit KvStore(const LockFactory& make_lock, std::size_t shards = 1)
+      : shards_(make_lock, shards) {}
 
   KvStore(const KvStore&) = delete;
   KvStore& operator=(const KvStore&) = delete;
@@ -49,8 +47,6 @@ class KvStore {
 
   // Structural check (tests): takes each shard lock, verifies its tree.
   bool CheckInvariants();
-
-  std::size_t shard_count() const { return shards_.shard_count(); }
 
  private:
   ShardedMap<BPlusTree> shards_;

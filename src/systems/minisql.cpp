@@ -5,7 +5,7 @@ namespace lockin {
 MiniSql::MiniSql(const LockFactory& make_lock, Config config)
     : config_(config),
       write_lock_(make_lock()),
-      pager_(make_lock, ShardOptions{config.pager_shards, false, config.rw}) {
+      pager_(make_lock, config.pager_shards) {
   warehouses_.resize(static_cast<std::size_t>(config_.warehouses));
   for (Warehouse& warehouse : warehouses_) {
     warehouse.districts.resize(static_cast<std::size_t>(config_.districts_per_warehouse));
@@ -21,7 +21,7 @@ MiniSql::MiniSql(const LockFactory& make_lock, Config config)
 std::uint64_t MiniSql::NewOrder(int warehouse, int district, const std::vector<int>& item_ids,
                                 Xoshiro256* rng) {
   // Read phase under the warehouse's pager-shard lock (page-cache accesses).
-  const int available = pager_.WithShardShared(
+  const int available = pager_.WithShard(
       static_cast<std::uint64_t>(warehouse), [&](const StockShard& shard) {
         const std::vector<int>& stock = shard.at(warehouse);
         int in_stock = 0;
@@ -85,7 +85,7 @@ void MiniSql::Payment(int warehouse, int district, std::uint64_t customer, doubl
 
 int MiniSql::StockLevel(int warehouse, int district, int threshold) {
   (void)district;
-  return pager_.WithShardShared(
+  return pager_.WithShard(
       static_cast<std::uint64_t>(warehouse), [&](const StockShard& shard) {
         const std::vector<int>& stock = shard.at(warehouse);
         int low = 0;

@@ -7,10 +7,9 @@
 // mutexes; connection counts beyond the hardware oversubscribe the machine,
 // which is what breaks fair spinlocks in Figures 13-14.
 //
-// ShardCombine: the page-cache (stock) lock is the non-transactional path
-// that shards -- Config::pager_shards partitions stock by warehouse so
-// NEW-ORDER read phases and STOCK-LEVEL scans on different warehouses
-// stop colliding, and Config::rw lets those read paths take shared locks.
+// The page-cache (stock) lock is the non-transactional path that shards --
+// Config::pager_shards partitions stock by warehouse so NEW-ORDER read
+// phases and STOCK-LEVEL scans on different warehouses stop colliding.
 // The single writer lock stays: that is SQLite's transactional shape and
 // the paper's contention point, deliberately untouched.
 #ifndef SRC_SYSTEMS_MINISQL_HPP_
@@ -36,9 +35,8 @@ class MiniSql {
     int districts_per_warehouse = 10;
     int items = 1000;
     // Page-cache sharding (stock rows, keyed by warehouse). 1 = the
-    // original single pager lock; rw = shared locks on the read paths.
+    // original single pager lock.
     std::size_t pager_shards = 1;
-    bool rw = false;
   };
 
   MiniSql(const LockFactory& make_lock, Config config);

@@ -17,7 +17,7 @@ void CacheDb::Set(std::uint64_t key, std::string value) {
 }
 
 bool CacheDb::Get(std::uint64_t key, std::string* out) {
-  return shards_.WithShardShared(RouteHash(key), [&](const Map& map) {
+  return shards_.WithShard(RouteHash(key), [&](const Map& map) {
     const auto it = map.find(key);
     if (it == map.end()) {
       return false;
@@ -50,7 +50,7 @@ void HashDb::Set(std::uint64_t key, std::string value) {
 }
 
 bool HashDb::Get(std::uint64_t key, std::string* out) {
-  return shards_.WithShardShared(RouteHash(key), [&](const Map& map) {
+  return shards_.WithShard(RouteHash(key), [&](const Map& map) {
     const auto it = map.find(key);
     if (it == map.end()) {
       return false;
@@ -84,8 +84,8 @@ void TreeDb::Set(std::uint64_t key, std::string value) {
 }
 
 bool TreeDb::Get(std::uint64_t key, std::string* out) {
-  return shards_.WithShardShared(RouteHash(key),
-                                 [&](const BPlusTree& tree) { return tree.Get(key, out); });
+  return shards_.WithShard(RouteHash(key),
+                           [&](const BPlusTree& tree) { return tree.Get(key, out); });
 }
 
 bool TreeDb::Remove(std::uint64_t key) {

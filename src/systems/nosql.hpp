@@ -6,11 +6,9 @@
 // locks with *short* critical sections, which is why swapping MUTEX out
 // produces the paper's largest wins (1.5-1.85x, Figures 13-14).
 //
-// ShardCombine: all three backends sit on the same ShardedMap router now.
-// CACHE and B-TREE default to one shard (whole-DB locking, the paper
-// shape); HT keeps its 8 bucket regions as 8 shards. ShardOptions opens
-// the scale path uniformly: more shards, flat-combined hot shards
-// (combine), shared-lock Gets (rw).
+// All three backends sit on the same ShardedMap router. CACHE and B-TREE
+// default to one shard (whole-DB locking, the paper shape); HT keeps its 8
+// bucket regions as 8 shards. The shard count is the one scale input.
 #ifndef SRC_SYSTEMS_NOSQL_HPP_
 #define SRC_SYSTEMS_NOSQL_HPP_
 
@@ -42,8 +40,8 @@ class NosqlDb {
 // CACHE: hash map(s) behind whole-DB locking (one shard by default).
 class CacheDb final : public NosqlDb {
  public:
-  explicit CacheDb(const LockFactory& make_lock, ShardOptions options = {})
-      : shards_(make_lock, options) {}
+  explicit CacheDb(const LockFactory& make_lock, std::size_t shards = 1)
+      : shards_(make_lock, shards) {}
 
   void Set(std::uint64_t key, std::string value) override;
   bool Get(std::uint64_t key, std::string* out) override;
@@ -61,11 +59,8 @@ class CacheDb final : public NosqlDb {
 // uses 8-ish mutexes over bucket regions) -- i.e. 8 shards by default.
 class HashDb final : public NosqlDb {
  public:
-  explicit HashDb(const LockFactory& make_lock, ShardOptions options = ShardOptions{8, false, false})
-      : shards_(make_lock, options) {}
-  // Legacy region-count constructor (pre-ShardCombine callers).
-  HashDb(const LockFactory& make_lock, std::size_t regions)
-      : HashDb(make_lock, ShardOptions{regions, false, false}) {}
+  explicit HashDb(const LockFactory& make_lock, std::size_t shards = 8)
+      : shards_(make_lock, shards) {}
 
   void Set(std::uint64_t key, std::string value) override;
   bool Get(std::uint64_t key, std::string* out) override;
@@ -83,8 +78,8 @@ class HashDb final : public NosqlDb {
 // TreeDB serializes through one mutex protecting its page cache).
 class TreeDb final : public NosqlDb {
  public:
-  explicit TreeDb(const LockFactory& make_lock, ShardOptions options = {})
-      : shards_(make_lock, options) {}
+  explicit TreeDb(const LockFactory& make_lock, std::size_t shards = 1)
+      : shards_(make_lock, shards) {}
 
   void Set(std::uint64_t key, std::string value) override;
   bool Get(std::uint64_t key, std::string* out) override;

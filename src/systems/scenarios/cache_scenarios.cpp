@@ -27,11 +27,9 @@ class CacheScenario final : public ScenarioWorkload {
   void Setup(const ScenarioConfig& config) override {
     get_percent_ = config.read_percent >= 0 ? config.read_percent : params_.get_percent;
     key_space_ = config.key_space != 0 ? config.key_space : params_.key_space;
-    const ShardOptions shard_options = ShardOptionsFrom(config, params_.shards);
     cache_ = std::make_unique<MemCache>(
         config.MakeLockFactory(),
-        MemCache::Config{shard_options.shards, params_.capacity, params_.lru_mode,
-                         shard_options.combine, shard_options.rw});
+        MemCache::Config{ShardCount(config, params_.shards), params_.capacity, params_.lru_mode});
   }
 
   std::vector<std::string> CounterNames() const override { return {"gets", "get_hits", "sets"}; }

@@ -33,10 +33,8 @@ class GraphScenario final : public ScenarioWorkload {
     const int writes = 100 - read_percent;
     add_link_below_ = read_percent + writes * 6 / 10;
     update_below_ = read_percent + writes * 8 / 10;
-    const ShardOptions shard_options = ShardOptionsFrom(config, params_.shards);
-    graph_ = std::make_unique<GraphStore>(
-        config.MakeLockFactory(),
-        GraphStore::Config{shard_options.shards, shard_options.combine, shard_options.rw});
+    graph_ = std::make_unique<GraphStore>(config.MakeLockFactory(),
+                                          ShardCount(config, params_.shards));
     // Deterministic preload: every node, plus a few links per node so the
     // link-list reads have something to traverse.
     Xoshiro256 rng(config.seed * 977 + 13);

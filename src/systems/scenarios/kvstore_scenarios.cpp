@@ -28,7 +28,7 @@ class KvStoreScenario final : public ScenarioWorkload {
     scan_below_ = read_percent;
     put_below_ = read_percent + (100 - read_percent) * 3 / 4;
     store_ = std::make_unique<KvStore>(config.MakeLockFactory(),
-                                       ShardOptionsFrom(config, /*default_shards=*/1));
+                                       ShardCount(config, /*default_shards=*/1));
     // Preload every other key.
     preloaded_ = 0;
     for (std::uint64_t key = 0; key < key_space_; key += 2) {

@@ -33,14 +33,12 @@ class MiniSqlScenario final : public ScenarioWorkload {
     stock_below_ = read_percent;
     neworder_below_ =
         read_percent + (100 - read_percent) * params_.neworder_per_mille / 1000;
-    // ShardCombine knobs shard the pager (stock) path only; the writer lock
-    // is SQLite's transactional shape and stays single. combine has no
-    // non-transactional combinable path here and is ignored.
-    const ShardOptions shard_options = ShardOptionsFrom(config, /*default_shards=*/1);
+    // The shard count shards the pager (stock) path only; the writer lock
+    // is SQLite's transactional shape and stays single.
     db_ = std::make_unique<MiniSql>(
         config.MakeLockFactory(),
         MiniSql::Config{params_.warehouses, params_.districts, params_.items,
-                        shard_options.shards, shard_options.rw});
+                        ShardCount(config, /*default_shards=*/1)});
     // Per-thread NEW-ORDER item scratch, sized once here so Op never touches
     // a vector header (each slot's heap buffer is private to its thread).
     item_scratch_.assign(static_cast<std::size_t>(config.threads), ItemScratch{});

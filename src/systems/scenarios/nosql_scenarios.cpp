@@ -35,16 +35,16 @@ class NosqlScenario final : public ScenarioWorkload {
     switch (params_.backend) {
       case Backend::kCache:
         db_ = std::make_unique<CacheDb>(config.MakeLockFactory(),
-                                        ShardOptionsFrom(config, /*default_shards=*/1));
+                                        ShardCount(config, /*default_shards=*/1));
         break;
       case Backend::kHash:
         // HT keeps Kyoto's 8 bucket regions as its default shard count.
         db_ = std::make_unique<HashDb>(config.MakeLockFactory(),
-                                       ShardOptionsFrom(config, /*default_shards=*/8));
+                                       ShardCount(config, /*default_shards=*/8));
         break;
       case Backend::kTree:
         db_ = std::make_unique<TreeDb>(config.MakeLockFactory(),
-                                       ShardOptionsFrom(config, /*default_shards=*/1));
+                                       ShardCount(config, /*default_shards=*/1));
         break;
     }
     preloaded_ = 0;

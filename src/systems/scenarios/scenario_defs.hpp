@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <string>
 
-#include "src/systems/sharded.hpp"
 #include "src/systems/workload_api.hpp"
 
 namespace lockin {
@@ -26,17 +25,10 @@ void RegisterWalStoreScenarios(ScenarioRegistry& registry);
 void RegisterCowListScenarios(ScenarioRegistry& registry);
 void RegisterRwLockScenarios(ScenarioRegistry& registry);
 
-// ShardCombine: maps the generic ScenarioConfig knobs onto a system's
-// ShardOptions. config.shards == 0 keeps the scenario's registered default
-// shard count (the paper shape); combine/rw pass through (ShardedMap
-// rejects the combination at construction).
-inline ShardOptions ShardOptionsFrom(const ScenarioConfig& config,
-                                     std::size_t default_shards) {
-  ShardOptions options;
-  options.shards = config.shards != 0 ? config.shards : default_shards;
-  options.combine = config.combine;
-  options.rw = config.rw;
-  return options;
+// The shard count a scenario builds its system with: config.shards, or
+// the scenario's registered default (the paper shape) when it is 0.
+inline std::size_t ShardCount(const ScenarioConfig& config, std::size_t default_shards) {
+  return config.shards != 0 ? config.shards : default_shards;
 }
 
 // Formats "<prefix><n>" into *out without a std::to_string temporary; with

@@ -28,10 +28,8 @@ class WalStoreScenario final : public ScenarioWorkload {
     key_space_ = config.key_space != 0 ? config.key_space : params_.key_space;
     get_below_ = read_percent;
     put_below_ = read_percent + (100 - read_percent) * 9 / 10;
-    // combine is accepted but a no-op in WalStore: the write queue already
-    // group-commits (see walstore.hpp).
     store_ = std::make_unique<WalStore>(config.MakeLockFactory(),
-                                        ShardOptionsFrom(config, /*default_shards=*/1));
+                                        ShardCount(config, /*default_shards=*/1));
     preloaded_ = 0;
     for (std::uint64_t key = 0; key < key_space_; key += 2) {
       store_->Put(key, "initial");

@@ -1,205 +1,39 @@
-// ShardCombine: reusable sharding + flat-combining layer for the
-// mini-systems.
+// Sharding layer for the mini-systems.
 //
-// Generalizes PR4's bespoke MemCache shard machinery into two composable
-// pieces every system shares:
+// ShardedMap<Table>: hash-once routing over cache-line-aligned shard
+// headers, each holding one registry LockHandle and one Table partition.
+// Callers hash a key exactly once, route with IndexFor (hash % shards --
+// the mapping MemCache's tests pin), and run a closure under the shard's
+// lock. A shard count is the only input; shards = 1 puts the whole table
+// behind one lock.
 //
-//   * ShardedMap<Table>: hash-once routing over cache-line-aligned shard
-//     headers, each holding one lock (a registry LockHandle by default, a
-//     futex RwLock in `rw` mode) and one Table partition. Callers hash a
-//     key exactly once, route with IndexFor (hash % shards -- the mapping
-//     MemCache's tests pin), and run a closure under the shard's lock.
-//
-//   * CombinerChannel: a flat-combining adapter for hot shards where lock
-//     handoff cost dominates the critical section (Synch-Framework's
-//     SimQueue idiom, SNIPPETS.md Snippet 3). Threads publish their
-//     operation into a claimed slot; whoever wins try_lock becomes the
-//     combiner and executes every pending operation in one lock hold, so a
-//     contended lock changes hands once per *batch* instead of once per op.
-//
-// Three modes per ShardedMap, chosen at construction (and threaded through
-// ScenarioConfig{shards, combine, rw} by the scenario layer):
-//   exclusive (default) - HandleGuard over the named LockHandle
-//   combine             - exclusive ops route through the CombinerChannel
-//   rw                  - RwLock per shard; WithShardShared takes it shared
-// combine and rw are mutually exclusive (a combiner pass needs exclusive
-// ownership; std::invalid_argument at construction).
-//
-// The Table member is deliberately *not* LL_GUARDED_BY-annotated: which
-// capability guards it varies at run time across the three modes, and
-// combined closures execute on whichever thread won the lock -- both beyond
-// the static analysis. The API shape is the discipline instead: the only
-// access paths are WithShard*/ForEachShard (locked) and UnsafeShardAt
-// (documented quiescent-only).
+// The Table member is deliberately *not* LL_GUARDED_BY-annotated: each
+// shard's table is guarded by its own lock, a per-element capability the
+// static analysis cannot name. The API shape is the discipline instead:
+// the only access paths are WithShard*/ForEachShard (locked) and
+// UnsafeShardAt (documented quiescent-only).
 #ifndef SRC_SYSTEMS_SHARDED_HPP_
 #define SRC_SYSTEMS_SHARDED_HPP_
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
-#include <stdexcept>
-#include <thread>
 #include <type_traits>
 #include <utility>
 
 #include "src/locks/lock_api.hpp"
-#include "src/locks/rwlock.hpp"
 #include "src/platform/cacheline.hpp"
-#include "src/platform/spin_hint.hpp"
 #include "src/systems/common.hpp"
 
 namespace lockin {
 
-// Options shared by every ShardedMap consumer; systems embed it in their
-// own Config/Options structs and forward it here.
-struct ShardOptions {
-  std::size_t shards = 1;
-  bool combine = false;
-  bool rw = false;
-};
-
-// --- Flat combining ----------------------------------------------------------
-
-// Publication slots + combiner pass over one lock. Requests live on the
-// publisher's stack; a slot holds a pointer only between publication and
-// the combiner pass that consumes it. Protocol (all TSan-clean release/
-// acquire pairs):
-//
-//   publisher: CAS-claim a free slot (release: publishes run/ctx), then
-//              spin on done (acquire) while retrying try_lock; whoever
-//              acquires the lock drains every published request.
-//   combiner:  for each occupied slot: clear the slot *first* (the request
-//              dies with the publisher's frame the moment done is set),
-//              run the closure, release-store done.
-//
-// Publishers never sleep, so a request can never be stranded: if no
-// combiner picks it up, the publisher's own try_lock eventually wins and it
-// drains itself. When every slot is taken the op falls back to a plain
-// lock() hold (which also drains, keeping the channel from starving).
-//
-// Combined closures execute on whichever thread holds the lock: they must
-// not acquire other locks (lockdep would see phantom orderings and a shed
-// exception would surface on the wrong thread) and must not throw.
-class CombinerChannel {
- public:
-  static constexpr std::size_t kSlots = 8;
-
-  CombinerChannel() = default;
-  CombinerChannel(const CombinerChannel&) = delete;
-  CombinerChannel& operator=(const CombinerChannel&) = delete;
-
-  template <typename Fn>
-  void Execute(LockHandle& lock, Fn&& fn) {
-    Request request;
-    request.run = [](void* ctx) { (*static_cast<std::remove_reference_t<Fn>*>(ctx))(); };
-    request.ctx = &fn;
-
-    Slot* claimed = nullptr;
-    // Spread claim attempts so concurrent publishers do not all hammer
-    // slot 0's line; the probe start only needs to differ per thread.
-    static thread_local const std::size_t start =
-        std::hash<std::thread::id>{}(std::this_thread::get_id());
-    for (std::size_t probe = 0; probe < kSlots; ++probe) {
-      Slot& slot = slots_[(start + probe) % kSlots];
-      Request* expected = nullptr;
-      if (slot.request.compare_exchange_strong(expected, &request,
-                                               std::memory_order_release,
-                                               std::memory_order_relaxed)) {
-        claimed = &slot;
-        break;
-      }
-    }
-    if (claimed == nullptr) {
-      // Channel saturated: plain lock hold, draining on the way so the
-      // publishers parked behind the full slots make progress too.
-      fallback_ops_.fetch_add(1, std::memory_order_relaxed);
-      HandleGuard guard(lock);
-      fn();
-      Drain(&request);
-      return;
-    }
-
-    std::uint32_t spins = 0;
-    for (;;) {
-      if (request.done.load(std::memory_order_acquire) != 0) {
-        return;  // a combiner ran it for us
-      }
-      if (lock.try_lock()) {
-        Drain(&request);
-        lock.unlock();
-        // Our request was published before try_lock succeeded, so the
-        // drain above executed it.
-        return;
-      }
-      // Bounded spin with a yield escape: on oversubscribed hosts the
-      // current combiner may need our timeslice to finish the pass.
-      if (++spins % 64 == 0) {
-        SpinPause(PauseKind::kYield);
-      } else {
-        SpinPause(PauseKind::kPause);
-      }
-    }
-  }
-
-  // Diagnostics (tests / metrics). combined_ops counts requests executed by
-  // a thread other than their publisher -- the combining the channel exists
-  // for; fallback_ops counts saturated-channel plain holds.
-  std::uint64_t combined_ops() const { return combined_ops_.load(std::memory_order_relaxed); }
-  std::uint64_t fallback_ops() const { return fallback_ops_.load(std::memory_order_relaxed); }
-
- private:
-  struct Request {
-    void (*run)(void*) = nullptr;
-    void* ctx = nullptr;
-    std::atomic<std::uint32_t> done{0};
-  };
-  struct alignas(kCacheLineSize) Slot {
-    std::atomic<Request*> request{nullptr};
-  };
-
-  // Called with `lock` held. `self` is the caller's own request (nullptr on
-  // the fallback path), excluded from the combined_ops count.
-  void Drain(const Request* self) {
-    for (Slot& slot : slots_) {
-      Request* request = slot.request.load(std::memory_order_acquire);
-      if (request == nullptr) {
-        continue;
-      }
-      // Free the slot before signaling: once done is set the publisher's
-      // frame (and the request in it) can die at any moment.
-      slot.request.store(nullptr, std::memory_order_relaxed);
-      request->run(request->ctx);
-      if (request != self) {
-        combined_ops_.fetch_add(1, std::memory_order_relaxed);
-      }
-      request->done.store(1, std::memory_order_release);
-    }
-  }
-
-  Slot slots_[kSlots];
-  std::atomic<std::uint64_t> combined_ops_{0};
-  std::atomic<std::uint64_t> fallback_ops_{0};
-};
-
-// --- Sharded router ----------------------------------------------------------
-
 template <typename Table>
 class ShardedMap {
  public:
-  ShardedMap(const LockFactory& make_lock, ShardOptions options) : options_(options) {
-    if (options_.shards == 0) {
-      options_.shards = 1;
-    }
-    if (options_.combine && options_.rw) {
-      throw std::invalid_argument(
-          "ShardedMap: combine and rw are mutually exclusive (a combiner pass "
-          "needs exclusive shard ownership)");
-    }
-    shards_ = std::make_unique<Shard[]>(options_.shards);
-    for (std::size_t i = 0; i < options_.shards; ++i) {
+  // `shards` = 0 clamps to 1.
+  ShardedMap(const LockFactory& make_lock, std::size_t shards)
+      : shard_count_(shards == 0 ? 1 : shards),
+        shards_(std::make_unique<Shard[]>(shard_count_)) {
+    for (std::size_t i = 0; i < shard_count_; ++i) {
       shards_[i].lock = make_lock();
     }
   }
@@ -207,13 +41,11 @@ class ShardedMap {
   ShardedMap(const ShardedMap&) = delete;
   ShardedMap& operator=(const ShardedMap&) = delete;
 
-  std::size_t shard_count() const { return options_.shards; }
-  bool combine() const { return options_.combine; }
-  bool rw() const { return options_.rw; }
+  std::size_t shard_count() const { return shard_count_; }
 
   // hash % shards: the stable routing MemCache's tests pin. Callers hash
   // once and reuse the value for routing and in-shard probing.
-  std::size_t IndexFor(std::uint64_t hash) const { return hash % options_.shards; }
+  std::size_t IndexFor(std::uint64_t hash) const { return hash % shard_count_; }
 
   // splitmix64 finalizer for systems whose keys are small dense integers
   // (KvStore, NosqlDb): without mixing, sequential keys would stripe
@@ -226,7 +58,8 @@ class ShardedMap {
     return key ^ (key >> 31);
   }
 
-  // Exclusive access to the shard owning `hash`. Returns fn's result.
+  // Exclusive access to the shard owning `hash`. Returns fn's result. A
+  // closure taking `const Table&` keeps a read path read-only.
   template <typename Fn>
   std::invoke_result_t<Fn&, Table&> WithShard(std::uint64_t hash, Fn&& fn) {
     return WithShardAt(IndexFor(hash), std::forward<Fn>(fn));
@@ -235,44 +68,8 @@ class ShardedMap {
   template <typename Fn>
   std::invoke_result_t<Fn&, Table&> WithShardAt(std::size_t index, Fn&& fn) {
     Shard& shard = shards_[index];
-    using R = std::invoke_result_t<Fn&, Table&>;
-    if (options_.rw) {
-      std::lock_guard<RwLock> guard(shard.rw);
-      return fn(shard.table);
-    }
-    if (!options_.combine) {
-      HandleGuard guard(*shard.lock);
-      return fn(shard.table);
-    }
-    if constexpr (std::is_void_v<R>) {
-      shard.channel.Execute(*shard.lock, [&fn, &shard] { fn(shard.table); });
-    } else {
-      // Non-void combined ops park the result on the publisher's stack; the
-      // done handshake orders the combiner's write before our read.
-      std::optional<R> result;
-      shard.channel.Execute(*shard.lock,
-                            [&fn, &shard, &result] { result.emplace(fn(shard.table)); });
-      return std::move(*result);
-    }
-  }
-
-  // Read access to the shard owning `hash`: shared (SharedGuard) in rw
-  // mode, an exclusive hold otherwise. The const Table& keeps logically
-  // read-only closures honest under the shared guard.
-  template <typename Fn>
-  std::invoke_result_t<Fn&, const Table&> WithShardShared(std::uint64_t hash, Fn&& fn) {
-    return WithShardSharedAt(IndexFor(hash), std::forward<Fn>(fn));
-  }
-
-  template <typename Fn>
-  std::invoke_result_t<Fn&, const Table&> WithShardSharedAt(std::size_t index, Fn&& fn) {
-    Shard& shard = shards_[index];
-    if (options_.rw) {
-      SharedGuard guard(shard.rw);
-      return fn(static_cast<const Table&>(shard.table));
-    }
-    return WithShardAt(index,
-                       [&fn](Table& table) { return fn(static_cast<const Table&>(table)); });
+    HandleGuard guard(*shard.lock);
+    return fn(shard.table);
   }
 
   // Exclusive visit of every shard in index order, one lock at a time
@@ -280,7 +77,7 @@ class ShardedMap {
   // snapshot -- same contract the per-region Count() paths had before.
   template <typename Fn>
   void ForEachShard(Fn&& fn) {
-    for (std::size_t i = 0; i < options_.shards; ++i) {
+    for (std::size_t i = 0; i < shard_count_; ++i) {
       WithShardAt(i, fn);
     }
   }
@@ -288,34 +85,17 @@ class ShardedMap {
   // Quiescent access (single-threaded setup/recovery/tests only).
   Table& UnsafeShardAt(std::size_t index) { return shards_[index].table; }
 
-  // Combining diagnostics summed over shards (zeros unless combine mode).
-  std::uint64_t combined_ops() const {
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < options_.shards; ++i) {
-      total += shards_[i].channel.combined_ops();
-    }
-    return total;
-  }
-  std::uint64_t combine_fallback_ops() const {
-    std::uint64_t total = 0;
-    for (std::size_t i = 0; i < options_.shards; ++i) {
-      total += shards_[i].channel.fallback_ops();
-    }
-    return total;
-  }
-
  private:
-  // Cache-line aligned: adjacent shards' locks and hot table headers are
+  // Line-pair aligned: adjacent shards' locks and hot table headers are
   // written by different threads on every op; sharing a line would
   // reintroduce exactly the false sharing sharding exists to remove.
-  struct alignas(kCacheLineSize) Shard {
+  struct alignas(kContendedPad) Shard {
     std::unique_ptr<LockHandle> lock;
-    RwLock rw;               // used in rw mode only
-    CombinerChannel channel; // used in combine mode only
-    Table table;
+    // Own line pair: arriving threads read `lock` while the holder writes the table header.
+    alignas(kContendedPad) Table table;
   };
 
-  ShardOptions options_;
+  std::size_t shard_count_;
   std::unique_ptr<Shard[]> shards_;
 };
 

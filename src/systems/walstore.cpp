@@ -7,8 +7,8 @@
 
 namespace lockin {
 
-WalStore::WalStore(const LockFactory& make_lock, const std::string& wal_path, Options options)
-    : db_lock_(make_lock()), memtable_(make_lock, MemtableOptions(options)) {
+WalStore::WalStore(const LockFactory& make_lock, const std::string& wal_path, std::size_t shards)
+    : db_lock_(make_lock()), memtable_(make_lock, shards) {
   auto log = std::make_unique<WalLog>(wal_path);
   std::vector<std::string> records;
   const WalLog::RecoverResult recovered = log->Recover(&records);
@@ -146,8 +146,7 @@ void WalStore::Delete(std::uint64_t key) {
 }
 
 bool WalStore::Get(std::uint64_t key, std::string* out) {
-  return memtable_.WithShardShared(ShardedMap<Memtable>::MixHash(key),
-                                   [&](const Memtable& memtable) {
+  return memtable_.WithShard(ShardedMap<Memtable>::MixHash(key), [&](const Memtable& memtable) {
     const auto it = memtable.find(key);
     if (it == memtable.end()) {
       return false;

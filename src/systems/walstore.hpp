@@ -9,14 +9,9 @@
 // pending writes into the WAL and memtable while followers wait on the
 // condvar. Reads go to the memtable under a short lock.
 //
-// ShardCombine: the memtable is a ShardedMap now, so reads spread over
-// per-shard locks (or shared rwlocks with Options::rw) instead of one
-// read lock, and the batch leader applies each write to its key's shard.
-// Options::combine is accepted but deliberately a no-op here: the write
-// queue IS a combining construct already -- the leader drains every
-// queued write in one db-lock hold, which is flat combining with a
-// condvar instead of spinning publishers. Stacking a CombinerChannel
-// under it would combine twice for no new batching.
+// The memtable is a ShardedMap, so with more than one shard reads spread
+// over per-shard locks instead of one read lock, and the batch leader
+// applies each write to its key's shard.
 #ifndef SRC_SYSTEMS_WALSTORE_HPP_
 #define SRC_SYSTEMS_WALSTORE_HPP_
 
@@ -36,10 +31,9 @@ namespace lockin {
 
 class WalStore {
  public:
-  using Options = ShardOptions;  // shards = 1 preserves the paper shape
-
-  explicit WalStore(const LockFactory& make_lock, Options options = {})
-      : db_lock_(make_lock()), memtable_(make_lock, MemtableOptions(options)) {}
+  // shards = 1 preserves the paper shape.
+  explicit WalStore(const LockFactory& make_lock, std::size_t shards = 1)
+      : db_lock_(make_lock()), memtable_(make_lock, shards) {}
 
   // Durable mode (FailSafe): every batched write is additionally appended
   // to a crash-consistent WalLog at `wal_path`, one CRC-checked record per
@@ -48,7 +42,7 @@ class WalStore {
   // Appends can throw WalCrashInjected when the WAL failpoints are armed
   // -- the store is then considered dead, like a killed process; reopen a
   // fresh WalStore on the same path to recover.
-  WalStore(const LockFactory& make_lock, const std::string& wal_path, Options options = {});
+  WalStore(const LockFactory& make_lock, const std::string& wal_path, std::size_t shards = 1);
 
   struct RecoveryInfo {
     std::uint64_t records = 0;        // valid records replayed
@@ -77,11 +71,6 @@ class WalStore {
 
  private:
   using Memtable = std::map<std::uint64_t, std::string>;
-
-  static ShardOptions MemtableOptions(Options options) {
-    options.combine = false;  // see header comment: the queue already combines
-    return options;
-  }
 
   struct WriteRequest {
     std::uint64_t key;

@@ -69,17 +69,11 @@ struct ScenarioConfig {
   int read_percent = -1;
   std::uint64_t key_space = 0;
 
-  // --- ShardCombine ---------------------------------------------------------
-  // shards = 0 keeps the scenario's registered default shard count (1 for
-  // the single-lock paper shapes, 16 for cache, 32 for graph, 8 for
-  // nosql/hash). combine routes exclusive shard ops through the
-  // flat-combining CombinerChannel; rw takes per-shard reader-writer locks
-  // (shared on read paths). combine and rw are mutually exclusive --
-  // ShardedMap throws std::invalid_argument at Setup. Scenarios whose
-  // system under test is not shardable (rwkv, cowlist) ignore all three.
+  // Shard count of the system under test (src/systems/sharded.hpp). 0
+  // keeps the scenario's registered default (1 for the single-lock paper
+  // shapes, 16 for cache, 32 for graph, 8 for nosql/hash). Scenarios whose
+  // system under test is not shardable (rwkv, cowlist) ignore it.
   std::uint32_t shards = 0;
-  bool combine = false;
-  bool rw = false;
 
   std::uint64_t seed = 1;
   std::uint32_t yield_after = 256;  // spinlock oversubscription escape hatch

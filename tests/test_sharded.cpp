@@ -1,23 +1,19 @@
-// ShardCombine tests (src/systems/sharded.hpp): CombinerChannel's
-// publication/drain protocol, ShardedMap routing and mode selection, the
-// sharded-vs-single equivalence the rebased systems rely on, and the
-// per-system counter invariants under every shards x combine x rw x lock
-// combination -- sharding must never change what the systems compute, only
-// how the locks are carved up.
+// Sharding tests (src/systems/sharded.hpp): ShardedMap routing, the
+// sharded-vs-single equivalence the systems rely on, the shard count
+// reaching every sharded system, and the per-system counter invariants
+// under every shards x lock combination -- sharding must never change what
+// the systems compute, only how the locks are carved up.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <memory>
-#include <stdexcept>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "src/analysis/lockdep.hpp"
 #include "src/locks/lock_registry.hpp"
+#include "src/obs/trace.hpp"
 #include "src/platform/failpoint.hpp"
 #include "src/systems/kvstore.hpp"
 #include "src/systems/sharded.hpp"
@@ -28,78 +24,12 @@ namespace {
 
 LockFactory Mutex() { return NamedLockFactory("MUTEX", /*yield_after=*/64); }
 
-// --- CombinerChannel ---------------------------------------------------------
-
-TEST(CombinerChannel, UncontendedExecuteRunsInline) {
-  std::unique_ptr<LockHandle> lock = Mutex()();
-  CombinerChannel channel;
-  int counter = 0;
-  for (int i = 0; i < 100; ++i) {
-    channel.Execute(*lock, [&counter] { ++counter; });
-  }
-  EXPECT_EQ(counter, 100);
-  // Alone, every request is drained by its own publisher: nothing was
-  // combined and the channel never saturated.
-  EXPECT_EQ(channel.combined_ops(), 0u);
-  EXPECT_EQ(channel.fallback_ops(), 0u);
-}
-
-TEST(CombinerChannel, ConcurrentIncrementsAreExact) {
-  constexpr int kThreads = 8;
-  constexpr int kOpsPerThread = 2000;
-  std::unique_ptr<LockHandle> lock = Mutex()();
-  CombinerChannel channel;
-  std::uint64_t counter = 0;  // plain: the channel IS the synchronization
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kOpsPerThread; ++i) {
-        channel.Execute(*lock, [&counter] { ++counter; });
-      }
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  EXPECT_EQ(counter, static_cast<std::uint64_t>(kThreads) * kOpsPerThread);
-}
-
-// Saturation + combining, deterministically: main holds the lock so no
-// publisher can drain, 12 publishers fight over 8 slots, so at least 4
-// must take the saturated-channel fallback (which then blocks on the held
-// lock). Once fallback_ops shows 4, all 8 slots are provably occupied;
-// unlocking lets whoever wins the lock drain the other publishers'
-// requests in one hold -- the combining the channel exists for.
-TEST(CombinerChannel, SaturatedChannelFallsBackAndDrainCombines) {
-  constexpr int kPublishers = 12;
-  std::unique_ptr<LockHandle> lock = Mutex()();
-  CombinerChannel channel;
-  std::uint64_t counter = 0;
-  lock->lock();
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kPublishers; ++t) {
-    threads.emplace_back([&] { channel.Execute(*lock, [&counter] { ++counter; }); });
-  }
-  while (channel.fallback_ops() < kPublishers - CombinerChannel::kSlots) {
-    std::this_thread::yield();
-  }
-  lock->unlock();
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  EXPECT_EQ(counter, static_cast<std::uint64_t>(kPublishers));
-  EXPECT_GE(channel.fallback_ops(), kPublishers - CombinerChannel::kSlots);
-  // The first post-unlock drain ran >= kSlots - 1 requests published by
-  // other threads (kSlots if a fallback thread won the lock).
-  EXPECT_GE(channel.combined_ops(), CombinerChannel::kSlots - 1);
-}
-
 // --- ShardedMap --------------------------------------------------------------
 
 using IntMap = std::map<std::uint64_t, std::uint64_t>;
 
 TEST(ShardedMap, RoutesHashModuloShards) {
-  ShardedMap<IntMap> map(Mutex(), ShardOptions{4, false, false});
+  ShardedMap<IntMap> map(Mutex(), 4);
   ASSERT_EQ(map.shard_count(), 4u);
   for (std::uint64_t hash = 0; hash < 100; ++hash) {
     EXPECT_EQ(map.IndexFor(hash), hash % 4);
@@ -112,17 +42,13 @@ TEST(ShardedMap, RoutesHashModuloShards) {
 }
 
 TEST(ShardedMap, ZeroShardsClampsToOne) {
-  ShardedMap<IntMap> map(Mutex(), ShardOptions{0, false, false});
+  ShardedMap<IntMap> map(Mutex(), 0);
   EXPECT_EQ(map.shard_count(), 1u);
   EXPECT_EQ(map.IndexFor(12345), 0u);
 }
 
-TEST(ShardedMap, CombineAndRwAreMutuallyExclusive) {
-  EXPECT_THROW(ShardedMap<IntMap>(Mutex(), ShardOptions{4, true, true}), std::invalid_argument);
-}
-
 TEST(ShardedMap, ForEachShardAggregates) {
-  ShardedMap<IntMap> map(Mutex(), ShardOptions{8, false, false});
+  ShardedMap<IntMap> map(Mutex(), 8);
   for (std::uint64_t key = 0; key < 64; ++key) {
     map.WithShard(ShardedMap<IntMap>::MixHash(key), [key](IntMap& table) { table[key] = 1; });
   }
@@ -146,52 +72,25 @@ TEST(ShardedMap, MixHashSpreadsDenseKeys) {
   }
 }
 
-TEST(ShardedMap, CombineModeReturnsValues) {
-  // Non-void combined ops park the result on the publisher's stack.
-  ShardedMap<IntMap> map(Mutex(), ShardOptions{2, true, false});
+TEST(ShardedMap, ReturnsTheClosureResult) {
+  ShardedMap<IntMap> map(Mutex(), 2);
   map.WithShard(7, [](IntMap& table) { table[7] = 70; });
   const std::uint64_t value =
       map.WithShard(7, [](IntMap& table) -> std::uint64_t { return table.at(7); });
   EXPECT_EQ(value, 70u);
-  EXPECT_EQ(map.WithShardShared(8, [](const IntMap& table) { return table.size(); }), 0u);
-}
-
-TEST(ShardedMap, RwModeSharedReadersSeeExclusiveWrites) {
-  ShardedMap<IntMap> map(Mutex(), ShardOptions{2, false, true});
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> reads{0};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 2; ++t) {
-    readers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        // Shared mode hands the closure a const Table&; a torn map would
-        // crash or miscount here.
-        map.WithShardSharedAt(0, [&reads](const IntMap& table) {
-          reads.fetch_add(table.size(), std::memory_order_relaxed);
-        });
-      }
-    });
-  }
-  for (std::uint64_t i = 0; i < 2000; ++i) {
-    map.WithShardAt(0, [i](IntMap& table) { table[i] = i; });
-  }
-  stop.store(true);
-  for (std::thread& reader : readers) {
-    reader.join();
-  }
-  EXPECT_EQ(map.WithShardSharedAt(0, [](const IntMap& table) { return table.size(); }), 2000u);
+  // A const Table& closure is a read-only path.
+  EXPECT_EQ(map.WithShard(8, [](const IntMap& table) { return table.size(); }), 0u);
 }
 
 // --- Sharded vs single-lock equivalence --------------------------------------
 
-// The same deterministic op tape against one-lock, sharded and combined
-// KvStores must produce identical op results, sizes and range counts:
-// partitioning a B+-tree by key hash is invisible to callers.
+// The same deterministic op tape against a one-lock and a sharded KvStore
+// must produce identical op results, sizes and range counts: partitioning
+// a B+-tree by key hash is invisible to callers.
 TEST(ShardedEquivalence, KvStoreShardedMatchesSingleLock) {
-  KvStore single(Mutex(), KvStore::Options{1, false, false});
-  KvStore sharded(Mutex(), KvStore::Options{5, false, false});  // non-power-of-two
-  KvStore combined(Mutex(), KvStore::Options{4, true, false});
-  KvStore* stores[] = {&single, &sharded, &combined};
+  KvStore single(Mutex(), 1);
+  KvStore sharded(Mutex(), 5);  // non-power-of-two
+  KvStore* stores[] = {&single, &sharded};
 
   std::uint64_t state = 42;
   auto next = [&state] {  // xorshift64: cheap deterministic tape
@@ -204,7 +103,7 @@ TEST(ShardedEquivalence, KvStoreShardedMatchesSingleLock) {
     const std::uint64_t key = next() % 512;
     const int kind = static_cast<int>(next() % 4);
     bool expected = false;
-    for (int s = 0; s < 3; ++s) {
+    for (int s = 0; s < 2; ++s) {
       bool got = false;
       switch (kind) {
         case 0: {
@@ -235,22 +134,57 @@ TEST(ShardedEquivalence, KvStoreShardedMatchesSingleLock) {
     }
   }
   EXPECT_EQ(sharded.Size(), single.Size());
-  EXPECT_EQ(combined.Size(), single.Size());
   EXPECT_EQ(sharded.CountRange(0, 511), single.CountRange(0, 511));
-  EXPECT_EQ(combined.CountRange(0, 511), single.CountRange(0, 511));
   EXPECT_TRUE(sharded.CheckInvariants());
-  EXPECT_TRUE(combined.CheckInvariants());
 }
 
-// --- Scenario invariants across the shards x combine x rw x lock matrix ------
+// --- The shard count reaches every sharded system ----------------------------
+
+// Sharding is invisible in results, so count the locks Setup builds
+// instead: a traced config gives every lock a fresh trace site id.
+std::uint32_t LocksBuilt(const std::string& scenario, std::uint32_t shards) {
+  ScenarioConfig config;
+  config.lock_name = "MUTEX";
+  config.threads = 1;
+  config.key_space = 64;
+  config.trace = true;
+  config.shards = shards;
+  std::unique_ptr<ScenarioWorkload> workload = MakeScenarioOrThrow(scenario);
+  const std::uint32_t before = NextTraceSiteId();
+  workload->Setup(config);
+  return NextTraceSiteId() - before - 1;
+}
+
+TEST(ScenarioShards, OverrideReachesEveryShardedSystem) {
+  struct Case {
+    const char* scenario;
+    std::uint32_t default_shards;
+  };
+  const Case cases[] = {
+      {"kvstore/WT", 1},
+      {"cache/get-heavy", 16},
+      {"nosql/cache", 1},
+      {"nosql/hash", 8},
+      {"nosql/btree", 1},
+      {"graph/update", 32},
+      {"minisql/neworder", 1},
+      {"walstore/readwrite", 1},
+  };
+  for (const Case& c : cases) {
+    const std::uint32_t two = LocksBuilt(c.scenario, 2);
+    EXPECT_EQ(LocksBuilt(c.scenario, 7), two + 5) << c.scenario;
+    EXPECT_EQ(LocksBuilt(c.scenario, 0), two + c.default_shards - 2) << c.scenario;
+  }
+}
+
+// --- Scenario invariants across the shards x lock matrix ----------------------
 
 // Linearizability facts (kvstore size accounting, the graph's write-ahead
 // log count, WAL record count, TPC-C YTD consistency) must hold however
-// the locks are carved up: single lock, sharded, flat-combined shards, or
-// reader-writer shards, under a sleeping and a spinning lock alike.
+// the locks are carved up, under a sleeping and a spinning lock alike.
 class ShardMatrix : public ::testing::TestWithParam<std::string> {
  protected:
-  ScenarioResult Run(const std::string& scenario, std::uint32_t shards, bool combine, bool rw) {
+  ScenarioResult Run(const std::string& scenario, std::uint32_t shards) {
     ScenarioConfig config;
     config.lock_name = GetParam();
     config.threads = 4;
@@ -260,22 +194,16 @@ class ShardMatrix : public ::testing::TestWithParam<std::string> {
     config.record_latency = false;
     config.meter = MeterChoice::kOff;
     config.shards = shards;
-    config.combine = combine;
-    config.rw = rw;
     return RunScenarioByName(scenario, config);
   }
 
   struct Variant {
     const char* name;
     std::uint32_t shards;
-    bool combine;
-    bool rw;
   };
   static constexpr Variant kVariants[] = {
-      {"single", 1, false, false},
-      {"sharded", 4, false, false},
-      {"combined", 4, true, false},
-      {"rw", 4, false, true},
+      {"single", 1},
+      {"sharded", 4},
   };
 };
 
@@ -283,7 +211,7 @@ constexpr ShardMatrix::Variant ShardMatrix::kVariants[];
 
 TEST_P(ShardMatrix, KvStoreSizeAccounting) {
   for (const Variant& v : kVariants) {
-    const ScenarioResult r = Run("kvstore/WT-RD", v.shards, v.combine, v.rw);
+    const ScenarioResult r = Run("kvstore/WT-RD", v.shards);
     EXPECT_EQ(r.MetricOr("size"),
               r.MetricOr("preloaded") + r.MetricOr("puts_new") - r.MetricOr("erases_hit"))
         << v.name;
@@ -294,7 +222,7 @@ TEST_P(ShardMatrix, KvStoreSizeAccounting) {
 TEST_P(ShardMatrix, NosqlCountBounds) {
   for (const char* scenario : {"nosql/btree", "nosql/hash"}) {
     for (const Variant& v : kVariants) {
-      const ScenarioResult r = Run(scenario, v.shards, v.combine, v.rw);
+      const ScenarioResult r = Run(scenario, v.shards);
       EXPECT_LE(r.MetricOr("count"),
                 r.MetricOr("preloaded") + r.MetricOr("sets") + r.MetricOr("appends"))
           << scenario << "/" << v.name;
@@ -306,7 +234,7 @@ TEST_P(ShardMatrix, NosqlCountBounds) {
 
 TEST_P(ShardMatrix, GraphLogRecordsMatchWrites) {
   for (const Variant& v : kVariants) {
-    const ScenarioResult r = Run("graph/update", v.shards, v.combine, v.rw);
+    const ScenarioResult r = Run("graph/update", v.shards);
     EXPECT_EQ(r.MetricOr("log_records"),
               r.MetricOr("preload_log_records") + r.MetricOr("logged_writes"))
         << v.name;
@@ -316,7 +244,7 @@ TEST_P(ShardMatrix, GraphLogRecordsMatchWrites) {
 
 TEST_P(ShardMatrix, WalStoreEveryWriteLands) {
   for (const Variant& v : kVariants) {
-    const ScenarioResult r = Run("walstore/readwrite", v.shards, v.combine, v.rw);
+    const ScenarioResult r = Run("walstore/readwrite", v.shards);
     EXPECT_EQ(r.MetricOr("wal_records"),
               r.MetricOr("preloaded") + r.MetricOr("puts") + r.MetricOr("deletes"))
         << v.name;
@@ -325,7 +253,7 @@ TEST_P(ShardMatrix, WalStoreEveryWriteLands) {
 
 TEST_P(ShardMatrix, MiniSqlYtdConsistency) {
   for (const Variant& v : kVariants) {
-    const ScenarioResult r = Run("minisql/neworder", v.shards, v.combine, v.rw);
+    const ScenarioResult r = Run("minisql/neworder", v.shards);
     EXPECT_EQ(r.MetricOr("order_count"), r.MetricOr("neworders")) << v.name;
     EXPECT_DOUBLE_EQ(r.MetricOr("warehouse_ytd"), r.MetricOr("payments")) << v.name;
     EXPECT_DOUBLE_EQ(r.MetricOr("district_ytd"), r.MetricOr("warehouse_ytd")) << v.name;
@@ -334,7 +262,7 @@ TEST_P(ShardMatrix, MiniSqlYtdConsistency) {
 
 TEST_P(ShardMatrix, CacheHitsBounded) {
   for (const Variant& v : kVariants) {
-    const ScenarioResult r = Run("cache/set-heavy", v.shards, v.combine, v.rw);
+    const ScenarioResult r = Run("cache/set-heavy", v.shards);
     EXPECT_LE(r.MetricOr("get_hits"), r.MetricOr("gets")) << v.name;
     EXPECT_EQ(r.MetricOr("evictions"), 0.0) << v.name;
     EXPECT_GT(r.MetricOr("size"), 0.0) << v.name;
@@ -350,24 +278,14 @@ INSTANTIATE_TEST_SUITE_P(Locks, ShardMatrix, ::testing::Values("MUTEX", "TICKET"
 // --- Chaos + lockdep over the sharded paths ----------------------------------
 
 // DefaultChaosSpec (spurious wakes, wake-all herds, delay injection) with
-// the lockdep detector armed, over sharded / combined / rw configurations:
-// the invariants must survive the faults and the multi-lock carve-up must
+// the lockdep detector armed, over every sharded system at 4 shards: the
+// invariants must survive the faults and the multi-lock carve-up must
 // introduce zero lock-order cycles (db lock -> shard lock orderings stay
-// acyclic; combined closures never take a second lock).
+// acyclic).
 TEST(ShardChaos, ShardedPathsSurviveChaosWithLockdepClean) {
   LockdepReset();
-  struct Case {
-    const char* scenario;
-    std::uint32_t shards;
-    bool combine;
-    bool rw;
-  };
-  const Case cases[] = {
-      {"kvstore/WT-RD", 4, true, false},   {"nosql/btree", 4, true, false},
-      {"graph/update", 4, true, false},    {"walstore/readwrite", 4, true, false},
-      {"cache/get-heavy", 4, false, true}, {"minisql/neworder", 4, false, true},
-  };
-  for (const Case& c : cases) {
+  for (const char* scenario : {"kvstore/WT-RD", "nosql/btree", "graph/update",
+                               "walstore/readwrite", "cache/get-heavy", "minisql/neworder"}) {
     ScenarioConfig config;
     config.lock_name = "MUTEX";
     config.threads = 4;
@@ -378,11 +296,9 @@ TEST(ShardChaos, ShardedPathsSurviveChaosWithLockdepClean) {
     config.meter = MeterChoice::kOff;
     config.failpoints = DefaultChaosSpec();
     config.lockdep = true;
-    config.shards = c.shards;
-    config.combine = c.combine;
-    config.rw = c.rw;
-    const ScenarioResult r = RunScenarioByName(c.scenario, config);
-    EXPECT_EQ(r.total_ops, 3200u) << c.scenario;
+    config.shards = 4;
+    const ScenarioResult r = RunScenarioByName(scenario, config);
+    EXPECT_EQ(r.total_ops, 3200u) << scenario;
   }
   const LockdepStats stats = LockdepGetStats();
   EXPECT_GT(stats.events, 0u);

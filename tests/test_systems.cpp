@@ -385,7 +385,7 @@ TEST_P(SystemsLockParam, MiniSqlConcurrentNewOrdersCount) {
 // --- GraphStore --------------------------------------------------------------
 
 TEST_P(SystemsLockParam, GraphStoreNodesAndLinks) {
-  GraphStore graph(Factory(), GraphStore::Config{8});
+  GraphStore graph(Factory(), 8);
   const std::uint64_t a = graph.AddNode("alice");
   const std::uint64_t b = graph.AddNode("bob");
   EXPECT_NE(a, b);
@@ -405,7 +405,7 @@ TEST_P(SystemsLockParam, GraphStoreNodesAndLinks) {
 }
 
 TEST_P(SystemsLockParam, GraphStoreConcurrentLinkWrites) {
-  GraphStore graph(Factory(), GraphStore::Config{16});
+  GraphStore graph(Factory(), 16);
   const std::uint64_t hub = graph.AddNode("hub");
   constexpr int kThreads = 4;
   constexpr int kLinks = 800;
