@@ -103,7 +103,6 @@ int main(int argc, char** argv) {
     std::printf("requests:       %llu (%.0f/s over %.2fs)\n",
                 static_cast<unsigned long long>(result.requests), result.RequestsPerS(),
                 result.seconds);
-    std::printf("busy (shed):    %llu\n", static_cast<unsigned long long>(result.busy));
     std::printf("errors:         %llu\n", static_cast<unsigned long long>(result.errors));
     std::printf("nil GETs:       %llu\n", static_cast<unsigned long long>(result.not_found));
     std::printf("latency (us):   p50=%.1f p99=%.1f max=%.1f\n",

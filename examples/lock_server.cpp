@@ -4,7 +4,7 @@
 // in-process cache/* and kvstore/* scenarios.
 //
 //   $ ./lock_server --port 7911 --system cache --lock MUTEXEE --workers 2
-//   $ ./lock_server --system kvstore --lock TICKET --deadline-us 500
+//   $ ./lock_server --system kvstore --lock TICKET --shards 4
 //
 // Flags:
 //   --port N          TCP port on 127.0.0.1 (default 0 = ephemeral; the
@@ -13,11 +13,9 @@
 //   --lock NAME       lock algorithm (default MUTEX)
 //   --shards N        shard count override (0 = the system's default shape)
 //   --workers N       event-loop worker threads (default 1)
-//   --deadline-us N   per-op deadline: a command whose entry lock cannot be
-//                     acquired in time is shed with a -BUSY reply
 //   --failpoints SPEC arm named failpoints (grammar in
 //                     src/platform/failpoint.hpp; `scenario/op` fires once
-//                     per command inside the deadline window)
+//                     per command)
 //   --watchdog-ms N   stall watchdog over the event loops: a loop that
 //                     stops ticking dumps held locks + failpoints
 //   --stats-every S   print the metrics JSON to stderr every S seconds
@@ -64,7 +62,7 @@ void PrintUsage(const char* prog, std::FILE* out) {
                "usage: %s [options]\n"
                "  --port N  --system kvstore|cache|nosql-cache|nosql-hash|nosql-btree\n"
                "  --lock NAME  --shards N  --workers N\n"
-               "  --deadline-us N  --failpoints SPEC  --watchdog-ms N  --stats-every S\n",
+               "  --failpoints SPEC  --watchdog-ms N  --stats-every S\n",
                prog);
 }
 
@@ -103,9 +101,6 @@ ServerCliOptions ParseArgs(int argc, char** argv) {
           static_cast<std::uint32_t>(int_of(i, "--shards", 0, 4096));
     } else if (std::strcmp(argv[i], "--workers") == 0) {
       options.server.workers = static_cast<std::size_t>(int_of(i, "--workers", 1, 256));
-    } else if (std::strcmp(argv[i], "--deadline-us") == 0) {
-      options.server.backend.op_deadline_ns =
-          static_cast<std::uint64_t>(int_of(i, "--deadline-us", 1, 1000000000)) * 1000;
     } else if (std::strcmp(argv[i], "--failpoints") == 0) {
       options.failpoints = value_of(i, "--failpoints");
     } else if (std::strcmp(argv[i], "--watchdog-ms") == 0) {

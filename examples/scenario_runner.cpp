@@ -46,9 +46,6 @@
 //   --failpoints SPEC arm named failpoints for the runs (grammar in
 //                     src/platform/failpoint.hpp, e.g. futex/wait=p0.01)
 //   --chaos           arm the default chaos profile (DefaultChaosSpec)
-//   --deadline-us N   per-op deadline: shed ops whose entry lock cannot be
-//                     acquired within N microseconds (after retries)
-//   --op-retries N    deadline-miss retries before shedding (default 3)
 //   --watchdog-ms N   stall watchdog: a worker making no progress for N ms
 //                     dumps held locks + failpoints and aborts (exit 3)
 //   --no-watchdog-abort  count stalls instead of aborting
@@ -110,8 +107,6 @@ struct RunnerOptions {
   long sample_ms = 0;
   std::string failpoints;
   bool chaos = false;
-  long deadline_us = 0;
-  long op_retries = -1;  // -1 = keep the ScenarioConfig default
   long watchdog_ms = 0;
   bool watchdog_abort = true;
 };
@@ -123,8 +118,7 @@ void PrintUsage(const char* prog, std::FILE* out) {
                "  --read-percent P  --key-space N  --json  --quick\n"
                "  --shards N  --thread-sweep 1,2,4,8\n"
                "  --trace FILE  --metrics  --lockdep  --meter auto|model|off  --sample-ms N\n"
-               "  --failpoints SPEC  --chaos  --deadline-us N  --op-retries N\n"
-               "  --watchdog-ms N  --no-watchdog-abort\n",
+               "  --failpoints SPEC  --chaos  --watchdog-ms N  --no-watchdog-abort\n",
                prog);
 }
 
@@ -224,10 +218,6 @@ RunnerOptions ParseArgs(int argc, char** argv) {
       options.failpoints = value_of(i, "--failpoints");
     } else if (std::strcmp(argv[i], "--chaos") == 0) {
       options.chaos = true;
-    } else if (std::strcmp(argv[i], "--deadline-us") == 0) {
-      options.deadline_us = int_of(i, "--deadline-us", 1, 1000000000);
-    } else if (std::strcmp(argv[i], "--op-retries") == 0) {
-      options.op_retries = int_of(i, "--op-retries", 0, 1000000);
     } else if (std::strcmp(argv[i], "--watchdog-ms") == 0) {
       options.watchdog_ms = int_of(i, "--watchdog-ms", 1, 3600000);
     } else if (std::strcmp(argv[i], "--no-watchdog-abort") == 0) {
@@ -272,13 +262,8 @@ void EmitJson(const ScenarioResult& r, bool record_latency, const RunnerOptions&
                 static_cast<unsigned long long>(r.op_latency_cycles.P99()),
                 static_cast<unsigned long long>(r.op_latency_cycles.max()));
   }
-  // FailSafe accounting: only printed when nonzero so default runs keep
+  // Watchdog stalls: only printed when nonzero so default runs keep
   // byte-identical output.
-  if (r.ops_shed != 0 || r.shed_retries != 0) {
-    std::printf(", \"ops_shed\": %llu, \"shed_retries\": %llu",
-                static_cast<unsigned long long>(r.ops_shed),
-                static_cast<unsigned long long>(r.shed_retries));
-  }
   if (r.watchdog_stalls != 0) {
     std::printf(", \"watchdog_stalls\": %llu",
                 static_cast<unsigned long long>(r.watchdog_stalls));
@@ -305,10 +290,6 @@ std::string MetricsToString(const ScenarioResult& r) {
   };
   for (const ScenarioMetric& metric : r.metrics) {
     append(metric.name, metric.value);
-  }
-  if (r.ops_shed != 0 || r.shed_retries != 0) {
-    append("ops_shed", static_cast<double>(r.ops_shed));
-    append("shed_retries", static_cast<double>(r.shed_retries));
   }
   if (r.watchdog_stalls != 0) {
     append("watchdog_stalls", static_cast<double>(r.watchdog_stalls));
@@ -412,10 +393,6 @@ int main(int argc, char** argv) {
     } catch (const std::exception& error) {
       Fail(argv[0], error.what());
     }
-  }
-  config.op_deadline_ns = static_cast<std::uint64_t>(options.deadline_us) * 1000;
-  if (options.op_retries >= 0) {
-    config.op_retries = static_cast<std::uint32_t>(options.op_retries);
   }
   config.watchdog_ms = static_cast<std::uint32_t>(options.watchdog_ms);
   config.watchdog_abort = options.watchdog_abort;

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "src/platform/cacheline.hpp"
-#include "src/platform/cycles.hpp"
 #include "src/platform/rng.hpp"
 #include "src/platform/spin_hint.hpp"
 #include "src/platform/thread_annotations.hpp"
@@ -26,49 +25,6 @@ struct BackoffConfig {
   PauseKind pause = PauseKind::kMfence;
   std::uint32_t yield_after = 0;      // oversubscription escape hatch
 };
-
-// Reusable exponential-backoff waiter for bounded retry loops (timed
-// acquisition, shed-op retries). Deterministic -- no RNG -- because the
-// FailSafe tier wants replayable timing; BackoffTasLock keeps its own
-// randomized variant where storm-desynchronization matters more.
-class SpinBackoff {
- public:
-  explicit SpinBackoff(const BackoffConfig& config = {})
-      : config_(config), window_(config.min_cycles) {}
-
-  // Burns the current window, then doubles it up to the cap.
-  void Pause() {
-    SpinForCycles(window_);
-    window_ = window_ < config_.max_cycles ? window_ * 2 : config_.max_cycles;
-  }
-
- private:
-  BackoffConfig config_;
-  std::uint64_t window_;
-};
-
-// Retries `try_acquire` (any bool() callable) with exponential backoff
-// until it succeeds or `timeout_ns` elapses. The generic timed-acquire
-// path for spinlocks, which have no kernel wait queue to park on; sleeping
-// locks override with a timed futex wait instead.
-template <typename TryFn>
-bool BoundedSpinUntil(TryFn&& try_acquire, std::uint64_t timeout_ns,
-                      const BackoffConfig& config = {}) {
-  if (try_acquire()) {
-    return true;
-  }
-  const std::uint64_t deadline = ReadCycles() + NsToCycles(timeout_ns);
-  SpinBackoff backoff(config);
-  for (;;) {
-    backoff.Pause();
-    if (try_acquire()) {
-      return true;
-    }
-    if (ReadCycles() >= deadline) {
-      return false;
-    }
-  }
-}
 
 // TAS with randomized exponential backoff: each failed exchange doubles the
 // backoff window and waits a random fraction of it, draining the atomic

@@ -1,18 +1,6 @@
 #include "src/locks/futex_lock.hpp"
 
-#include <chrono>
-
 namespace lockin {
-namespace {
-
-std::uint64_t SteadyNowNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
 
 void FutexLock::LockSlow() {
   // Sleep phase (the spin phase ran inline and failed): advertise waiters
@@ -38,45 +26,6 @@ void FutexLock::LockSlow() {
     FutexWaitCounted(&state_, 2, &stats_);
     current = state_.load(std::memory_order_relaxed);
   }
-}
-
-bool FutexLock::LockSlowTimed(std::uint64_t timeout_ns) {
-  const std::uint64_t deadline = SteadyNowNs() + timeout_ns;
-  std::uint32_t current = state_.load(std::memory_order_relaxed);
-  for (;;) {
-    if (current == 0) {
-      if (state_.compare_exchange_weak(current, 2, std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-        return true;
-      }
-      continue;
-    }
-    if (current == 1) {
-      if (!state_.compare_exchange_weak(current, 2, std::memory_order_relaxed,
-                                        std::memory_order_relaxed)) {
-        continue;
-      }
-      current = 2;
-    }
-    const std::uint64_t now = SteadyNowNs();
-    // remaining == 0 would mean "wait forever" to FutexWaitTimeout; treat
-    // an exhausted budget as expired before sleeping.
-    if (now >= deadline) {
-      break;
-    }
-    const FutexWaitResult result =
-        FutexWaitTimeoutCounted(&state_, 2, deadline - now, &stats_);
-    if (result == FutexWaitResult::kTimedOut) {
-      break;
-    }
-    current = state_.load(std::memory_order_relaxed);
-  }
-  // Deadline expired. One last grab: the lock may have been released while
-  // we were timing out, and leaving without it would turn a near-miss into
-  // a shed op for no reason.
-  std::uint32_t expected = 0;
-  return state_.compare_exchange_strong(expected, 2, std::memory_order_acquire,
-                                        std::memory_order_relaxed);
 }
 
 }  // namespace lockin

@@ -11,6 +11,8 @@
 //
 // State protocol (same as glibc's lowlevellock):
 //   0 = free, 1 = locked/no waiters, 2 = locked/maybe waiters.
+// Lock state and the waiter mark share one word, and FUTEX_WAIT re-checks
+// it in the kernel, so no cross-word ordering is needed (cf. MutexeeLock).
 #ifndef SRC_LOCKS_FUTEX_LOCK_HPP_
 #define SRC_LOCKS_FUTEX_LOCK_HPP_
 
@@ -60,23 +62,6 @@ class LL_CAPABILITY("mutex") FutexLock {
                                           std::memory_order_relaxed);
   }
 
-  // Timed acquisition (FailSafe tier): same protocol as lock(), but the
-  // sleep phase uses timed futex waits against a deadline. Returns false
-  // when the deadline passes without the lock. A timed-out waiter may
-  // leave state at 2, costing the next unlock one futile wake -- the same
-  // benign over-wake the protocol already tolerates.
-  bool try_lock_for_ns(std::uint64_t timeout_ns) LL_TRY_ACQUIRE(true) {
-    for (std::uint32_t attempt = 0; attempt < config_.spin_tries; ++attempt) {
-      std::uint32_t expected = 0;
-      if (state_.compare_exchange_strong(expected, 1, std::memory_order_acquire,
-                                         std::memory_order_relaxed)) {
-        return true;
-      }
-      SpinPause(config_.pause);
-    }
-    return LockSlowTimed(timeout_ns);
-  }
-
   void unlock() LL_RELEASE() {
     // Release in user space; wake one sleeper only when waiters were
     // advertised (state 2).
@@ -91,7 +76,6 @@ class LL_CAPABILITY("mutex") FutexLock {
  private:
   // Sleep phase: advertise waiters by moving to state 2, then futex-wait.
   void LockSlow();
-  bool LockSlowTimed(std::uint64_t timeout_ns);
 
   FutexLockConfig config_{};
   FutexStats stats_;

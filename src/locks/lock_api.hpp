@@ -10,18 +10,16 @@
 //     the paper's experiment ("we do not modify anything else other than the
 //     pthread locks", section 6). `LockAdapter<L>` is its only
 //     implementation and the only lock decorator: it also applies the
-//     handle's trace and op-deadline hooks.
+//     handle's trace hook.
 #ifndef SRC_LOCKS_LOCK_API_HPP_
 #define SRC_LOCKS_LOCK_API_HPP_
 
 #include <concepts>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "src/analysis/lockdep.hpp"
-#include "src/locks/backoff.hpp"
 #include "src/obs/trace.hpp"
 #include "src/platform/thread_annotations.hpp"
 
@@ -33,35 +31,6 @@ concept Lockable = requires(L lock) {
   lock.unlock();
   { lock.try_lock() } -> std::convertible_to<bool>;
 };
-
-// Locks with a native bounded-wait acquisition (FutexLock, MutexeeLock,
-// PthreadMutex expose timed futex/kernel waits). Everything else gets
-// LockAdapter's bounded-spin-with-backoff fallback.
-template <typename L>
-concept NativeTimedLockable = Lockable<L> && requires(L lock, std::uint64_t ns) {
-  { lock.try_lock_for_ns(ns) } -> std::convertible_to<bool>;
-};
-
-// --- FailSafe: per-op deadlines ----------------------------------------------
-
-// Thrown by lock() on a deadline-hooked LockHandle (EnableOpDeadline) whose
-// armed acquisition missed its deadline; the scenario driver catches it and
-// sheds (or retries) the op.
-class OpShedError : public std::runtime_error {
- public:
-  explicit OpShedError(const std::string& what) : std::runtime_error(what) {}
-};
-
-// Arms a one-shot deadline for the calling thread: the next lock() on a
-// deadline-hooked handle waits with AcquireFor(remaining) and throws
-// OpShedError on expiry. Consumed by that first acquisition (or by Disarm).
-// The scenario driver arms this around each op when
-// ScenarioConfig::op_deadline_ns > 0.
-void ArmOpDeadline(std::uint64_t timeout_ns);
-void DisarmOpDeadline();
-// Consumes the calling thread's armed deadline: false when none is armed,
-// otherwise true with *remaining_ns set to the time left (0 once expired).
-bool TakeOpDeadline(std::uint64_t* remaining_ns);
 
 // Runtime-polymorphic lock. LockAdapter<L> below is the one implementation;
 // the virtual-call overhead is ~1-2 ns and identical across algorithms, so
@@ -78,40 +47,25 @@ class LL_CAPABILITY("mutex") LockHandle {
   virtual void unlock() LL_RELEASE() = 0;
   virtual bool try_lock() LL_TRY_ACQUIRE(true) = 0;
 
-  // Timed acquisition (FailSafe): true iff the lock was acquired within
-  // `timeout_ns` -- a timed futex wait where the algorithm has one, try_lock
-  // retries under exponential backoff otherwise.
-  virtual bool AcquireFor(std::uint64_t timeout_ns) LL_TRY_ACQUIRE(true) = 0;
-
   // Algorithm name as used in the paper's figures ("MUTEX", "TICKET", ...).
   virtual std::string name() const = 0;
 
-  // Hooks, chosen once after construction and before the lock is shared
-  // (ScenarioConfig::MakeLockFactory). A handle with neither pays one member
-  // test per lock() and per unlock().
-  //
-  // LockScope tracing: acquisitions emit kAcquireBegin, kContended (fast
-  // path failed), kAcquired, kReleased and kAcquireTimeout under a fresh
-  // trace site, which lockdep reports under name().
+  // LockScope tracing hook, chosen once after construction and before the
+  // lock is shared (ScenarioConfig::MakeLockFactory): acquisitions emit
+  // kAcquireBegin, kContended (fast path failed), kAcquired and kReleased
+  // under a fresh trace site, which lockdep reports under name(). An
+  // untraced handle pays one member test per lock() and per unlock().
   void EnableTrace() {
     trace_site_ = NextTraceSiteId();
     LockdepRegisterSiteName(trace_site_, name());
-    hooked_ = true;
-  }
-  // FailSafe: lock() honours the calling thread's armed op deadline.
-  void EnableOpDeadline() {
-    op_deadline_ = true;
-    hooked_ = true;
   }
   std::uint32_t trace_site() const { return trace_site_; }  // 0 when untraced
 
  protected:
-  bool hooked_ = false;  // either hook enabled: lock()'s one test
-  bool op_deadline_ = false;
   std::uint32_t trace_site_ = 0;
 };
 
-// Adapts any Lockable into a LockHandle and applies the handle's hooks.
+// Adapts any Lockable into a LockHandle and applies the handle's trace hook.
 //
 // The overrides advertise acquiring *this* (the capability callers see)
 // while their bodies acquire the wrapped impl_; the analysis cannot equate
@@ -125,8 +79,8 @@ class LockAdapter final : public LockHandle {
       : name_(std::move(name)), impl_(std::forward<Args>(args)...) {}
 
   void lock() LL_ACQUIRE() LL_NO_THREAD_SAFETY_ANALYSIS override {
-    if (hooked_) [[unlikely]] {
-      HookedLock();
+    if (trace_site_ != 0) [[unlikely]] {
+      TracedLock();
       return;
     }
     impl_.lock();
@@ -143,18 +97,6 @@ class LockAdapter final : public LockHandle {
     Emit(TraceEventKind::kAcquired);
     return true;
   }
-  bool AcquireFor(std::uint64_t timeout_ns) LL_TRY_ACQUIRE(true)
-      LL_NO_THREAD_SAFETY_ANALYSIS override {
-    Emit(TraceEventKind::kAcquireBegin);
-    bool acquired;
-    if constexpr (NativeTimedLockable<L>) {
-      acquired = impl_.try_lock_for_ns(timeout_ns);
-    } else {
-      acquired = BoundedSpinUntil([this] { return impl_.try_lock(); }, timeout_ns);
-    }
-    Emit(acquired ? TraceEventKind::kAcquired : TraceEventKind::kAcquireTimeout);
-    return acquired;
-  }
   std::string name() const override { return name_; }
 
   L& impl() { return impl_; }
@@ -167,23 +109,9 @@ class LockAdapter final : public LockHandle {
     }
   }
 
-  // lock() with a hook enabled. An armed op deadline bounds only the op's
-  // first acquisition: past its entry lock an op has typically started
-  // mutating and must run to completion (a nested CondVar re-acquire or a
-  // hand-over-hand chain aborted halfway would tear system state), so later
-  // acquisitions block normally.
-  void HookedLock() LL_NO_THREAD_SAFETY_ANALYSIS {
-    std::uint64_t remaining_ns = 0;
-    if (op_deadline_ && TakeOpDeadline(&remaining_ns)) {
-      if (remaining_ns == 0 || !AcquireFor(remaining_ns)) {
-        throw OpShedError("op deadline expired acquiring " + name_);
-      }
-      return;
-    }
-    if (trace_site_ == 0) {
-      impl_.lock();
-      return;
-    }
+  // lock() with the trace hook enabled. Out of line, so the untraced
+  // lock() stays one test in front of impl_.lock(), with no register spills.
+  [[gnu::noinline]] void TracedLock() LL_NO_THREAD_SAFETY_ANALYSIS {
     TraceEmit(TraceEventKind::kAcquireBegin, trace_site_);
     if (!impl_.try_lock()) {
       TraceEmit(TraceEventKind::kContended, trace_site_);

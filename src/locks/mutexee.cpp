@@ -1,7 +1,5 @@
 #include "src/locks/mutexee.hpp"
 
-#include <algorithm>
-
 #include "src/platform/cycles.hpp"
 
 namespace lockin {
@@ -51,8 +49,15 @@ void MutexeeLock::lock() {
 
   // Sleep phase. Advertise sleepers via state 2 and a sleeper count; the
   // count lets unlock skip the grace wait and the wake when nobody sleeps.
+  //
+  // Two words, so the order matters: the fetch_add and the 1->2 CAS here
+  // pair with unlock()'s state_ exchange and sleepers_ load, all four
+  // seq_cst. An unlocker that reads state 2 must see that sleeper's
+  // increment; relaxed, this is the store-buffering shape (each side writes
+  // one word, then reads the other) in which the unlocker may read 0
+  // sleepers and skip the wake. On x86 the code is the same either way.
   bool woke_by_timeout = false;
-  sleepers_.fetch_add(1, std::memory_order_relaxed);
+  sleepers_.fetch_add(1, std::memory_order_seq_cst);
   for (;;) {
     std::uint32_t current = state_.load(std::memory_order_relaxed);
     if (current == 0) {
@@ -63,7 +68,7 @@ void MutexeeLock::lock() {
       continue;
     }
     if (current == 1) {
-      if (!state_.compare_exchange_weak(current, 2, std::memory_order_relaxed,
+      if (!state_.compare_exchange_weak(current, 2, std::memory_order_seq_cst,
                                         std::memory_order_relaxed)) {
         continue;
       }
@@ -99,85 +104,6 @@ void MutexeeLock::lock() {
   MaybeAdapt();
 }
 
-bool MutexeeLock::try_lock_for_ns(std::uint64_t timeout_ns) {
-  // Uncontested fast path, identical to lock().
-  std::uint32_t free_state = 0;
-  if (state_.compare_exchange_weak(free_state, 1, std::memory_order_acquire,
-                                   std::memory_order_relaxed)) {
-    acquires_.fetch_add(1, std::memory_order_relaxed);
-    spin_handovers_.fetch_add(1, std::memory_order_relaxed);
-    window_acquires_.fetch_add(1, std::memory_order_relaxed);
-    MaybeAdapt();
-    return true;
-  }
-
-  const std::uint64_t deadline_cycles = ReadCycles() + NsToCycles(timeout_ns);
-  const Mode mode = mode_.load(std::memory_order_relaxed);
-  std::uint64_t spin_budget = mode == Mode::kSpin
-                                  ? spin_lock_budget_.load(std::memory_order_relaxed)
-                                  : config_.mutex_mode_lock_cycles;
-  spin_budget = std::min(spin_budget, NsToCycles(timeout_ns));
-
-  if (SpinAcquire(spin_budget)) {
-    acquires_.fetch_add(1, std::memory_order_relaxed);
-    spin_handovers_.fetch_add(1, std::memory_order_relaxed);
-    window_acquires_.fetch_add(1, std::memory_order_relaxed);
-    MaybeAdapt();
-    return true;
-  }
-
-  // Timed sleep phase: like lock()'s, but every futex wait carries the
-  // remaining deadline, and expiry abandons the acquisition instead of
-  // entering the spin-forever timeout protocol.
-  sleepers_.fetch_add(1, std::memory_order_relaxed);
-  for (;;) {
-    std::uint32_t current = state_.load(std::memory_order_relaxed);
-    if (current == 0) {
-      if (state_.compare_exchange_weak(current, 2, std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-        break;  // acquired
-      }
-      continue;
-    }
-    if (current == 1) {
-      if (!state_.compare_exchange_weak(current, 2, std::memory_order_relaxed,
-                                        std::memory_order_relaxed)) {
-        continue;
-      }
-      current = 2;
-    }
-    const std::uint64_t now = ReadCycles();
-    if (now >= deadline_cycles) {
-      sleepers_.fetch_sub(1, std::memory_order_relaxed);
-      // Last-chance grab (the holder may have released during our final
-      // spin-phase lap); acquire into state 2 as our sleeper mark is gone.
-      std::uint32_t expected = 0;
-      if (state_.compare_exchange_strong(expected, 2, std::memory_order_acquire,
-                                         std::memory_order_relaxed)) {
-        acquires_.fetch_add(1, std::memory_order_relaxed);
-        timeout_handovers_.fetch_add(1, std::memory_order_relaxed);
-        window_acquires_.fetch_add(1, std::memory_order_relaxed);
-        MaybeAdapt();
-        return true;
-      }
-      return false;
-    }
-    // A zero-ns remainder would mean "no timeout" to FutexWaitTimeout.
-    const std::uint64_t remaining_ns =
-        std::max<std::uint64_t>(CyclesToNs(deadline_cycles - now), 1);
-    const FutexWaitResult result =
-        FutexWaitTimeoutCounted(&state_, 2, remaining_ns, &futex_stats_);
-    (void)result;  // kTimedOut re-enters the loop and hits the deadline check
-  }
-  sleepers_.fetch_sub(1, std::memory_order_relaxed);
-  futex_handovers_.fetch_add(1, std::memory_order_relaxed);
-  window_futex_.fetch_add(1, std::memory_order_relaxed);
-  acquires_.fetch_add(1, std::memory_order_relaxed);
-  window_acquires_.fetch_add(1, std::memory_order_relaxed);
-  MaybeAdapt();
-  return true;
-}
-
 bool MutexeeLock::try_lock() {
   std::uint32_t expected = 0;
   if (state_.compare_exchange_strong(expected, 1, std::memory_order_acquire,
@@ -191,8 +117,9 @@ bool MutexeeLock::try_lock() {
 }
 
 void MutexeeLock::unlock() {
-  const std::uint32_t prior = state_.exchange(0, std::memory_order_release);
-  if (sleepers_.load(std::memory_order_relaxed) == 0) {
+  // seq_cst pair: see the sleep phase in lock().
+  const std::uint32_t prior = state_.exchange(0, std::memory_order_seq_cst);
+  if (sleepers_.load(std::memory_order_seq_cst) == 0) {
     return;  // nobody to wake; fully user-space handover
   }
   if (prior != 2 && sleepers_.load(std::memory_order_relaxed) == 0) {

@@ -96,12 +96,6 @@ class LL_CAPABILITY("mutex") MutexeeLock {
   bool try_lock() LL_TRY_ACQUIRE(true);
   void unlock() LL_RELEASE();
 
-  // Timed acquisition (FailSafe tier): MUTEXEE's spin-then-sleep protocol
-  // with both phases bounded by the deadline -- the spin phase takes the
-  // smaller of the mode budget and the remaining time, the sleep phase
-  // uses timed futex waits. Returns false once the deadline passes.
-  bool try_lock_for_ns(std::uint64_t timeout_ns) LL_TRY_ACQUIRE(true);
-
   // Retunes the spin-mode budgets online (the adaptive runtime derives new
   // budgets per contention regime; see src/adaptive/policy.hpp). Safe to
   // call concurrently with lock/unlock: budgets are atomics read once per

@@ -8,9 +8,6 @@
 
 #include <pthread.h>
 
-#include <cstdint>
-#include <ctime>
-
 #include "src/platform/thread_annotations.hpp"
 
 namespace lockin {
@@ -31,20 +28,6 @@ class LL_CAPABILITY("mutex") PthreadMutex {
   void lock() LL_ACQUIRE() { pthread_mutex_lock(&mutex_); }
   bool try_lock() LL_TRY_ACQUIRE(true) { return pthread_mutex_trylock(&mutex_) == 0; }
   void unlock() LL_RELEASE() { pthread_mutex_unlock(&mutex_); }
-
-  // Timed acquisition (FailSafe tier): pthread_mutex_timedlock takes an
-  // absolute CLOCK_REALTIME deadline, so convert the relative budget here.
-  bool try_lock_for_ns(std::uint64_t timeout_ns) LL_TRY_ACQUIRE(true) {
-    timespec deadline;
-    clock_gettime(CLOCK_REALTIME, &deadline);
-    deadline.tv_sec += static_cast<time_t>(timeout_ns / 1000000000ULL);
-    deadline.tv_nsec += static_cast<long>(timeout_ns % 1000000000ULL);
-    if (deadline.tv_nsec >= 1000000000L) {
-      deadline.tv_nsec -= 1000000000L;
-      ++deadline.tv_sec;
-    }
-    return pthread_mutex_timedlock(&mutex_, &deadline) == 0;
-  }
 
   pthread_mutex_t* native_handle() { return &mutex_; }
 

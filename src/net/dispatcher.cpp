@@ -97,12 +97,10 @@ struct NosqlBackend final : CommandDispatcher::Backend {
 };
 
 std::unique_ptr<CommandDispatcher::Backend> BuildBackend(const NetBackendConfig& config) {
-  // Reuse the scenario layer's factory plumbing: deadline runs enable the
-  // op-deadline hook on every backend lock, exactly like in-process
-  // scenario runs (src/systems/workload_api.hpp).
+  // Reuse the scenario layer's factory plumbing, so backend locks are built
+  // exactly like in-process scenario runs (src/systems/workload_api.hpp).
   ScenarioConfig scenario;
   scenario.lock_name = config.lock_name;
-  scenario.op_deadline_ns = config.op_deadline_ns;
   const LockFactory factory = scenario.MakeLockFactory();
 
   const auto shards = [&](std::size_t default_shards) -> std::size_t {
@@ -153,7 +151,6 @@ struct CommandDispatcher::Counters {
         unknown(registry->Counter("net.cmd.unknown")),
         hits(registry->Counter("net.hits")),
         misses(registry->Counter("net.misses")),
-        busy(registry->Counter("net.busy")),
         errors(registry->Counter("net.errors")) {}
 
   MetricCounter& get;
@@ -167,7 +164,6 @@ struct CommandDispatcher::Counters {
   MetricCounter& unknown;
   MetricCounter& hits;
   MetricCounter& misses;
-  MetricCounter& busy;
   MetricCounter& errors;
 };
 
@@ -175,8 +171,7 @@ CommandDispatcher::CommandDispatcher(const NetBackendConfig& config, MetricsRegi
                                      std::function<std::string()> stats_json)
     : backend_(BuildBackend(config)),
       counters_(std::make_unique<Counters>(metrics)),
-      stats_json_(std::move(stats_json)),
-      op_deadline_ns_(config.op_deadline_ns) {
+      stats_json_(std::move(stats_json)) {
   system_ = config.system;
 }
 
@@ -204,85 +199,63 @@ CommandDispatcher::After CommandDispatcher::Execute(const RespCommand& command,
     RespAppendError(out, std::string("ERR wrong number of arguments for '") + name + "'");
     return After::kContinue;
   };
-  // The deadline window opens before the chaos site so an armed
-  // `scenario/op` *delay* rule eats into this command's budget -- the
-  // deterministic way to force BUSY shedding in tests and chaos runs.
-  if (op_deadline_ns_ > 0) {
-    ArmOpDeadline(op_deadline_ns_);
-  }
   (void)FailpointFired(FailpointId::kScenarioOp);  // delay-only chaos site
-  try {
-    After after = After::kContinue;
-    if (verb == "GET") {
-      if (command.args.size() != 2) {
-        return arity_error("get");
-      }
-      counters_->get.Add();
-      std::string value;
-      if (backend_->Get(command.args[1], &value)) {
-        counters_->hits.Add();
-        RespAppendBulk(out, value);
-      } else {
-        counters_->misses.Add();
-        RespAppendNil(out);
-      }
-    } else if (verb == "SET") {
-      if (command.args.size() != 3) {
-        return arity_error("set");
-      }
-      counters_->set.Add();
-      backend_->Set(command.args[1], command.args[2]);
-      RespAppendSimple(out, "OK");
-    } else if (verb == "DEL") {
-      if (command.args.size() != 2) {
-        return arity_error("del");
-      }
-      counters_->del.Add();
-      RespAppendInteger(out, backend_->Del(command.args[1]) ? 1 : 0);
-    } else if (verb == "APPEND") {
-      if (command.args.size() != 3) {
-        return arity_error("append");
-      }
-      counters_->append.Add();
-      if (backend_->Append(command.args[1], command.args[2])) {
-        RespAppendSimple(out, "OK");
-      } else {
-        counters_->errors.Add();
-        RespAppendError(out, "ERR APPEND is not supported by system '" + system_ + "'");
-      }
-    } else if (verb == "PING") {
-      counters_->ping.Add();
-      RespAppendSimple(out, "PONG");
-    } else if (verb == "STATS") {
-      counters_->stats.Add();
-      RespAppendBulk(out, stats_json_ ? stats_json_() : "{}");
-    } else if (verb == "SIZE") {
-      counters_->size.Add();
-      RespAppendInteger(out, static_cast<long long>(backend_->Size()));
-    } else if (verb == "QUIT") {
-      counters_->quit.Add();
-      RespAppendSimple(out, "OK");
-      after = After::kClose;
+  if (verb == "GET") {
+    if (command.args.size() != 2) {
+      return arity_error("get");
+    }
+    counters_->get.Add();
+    std::string value;
+    if (backend_->Get(command.args[1], &value)) {
+      counters_->hits.Add();
+      RespAppendBulk(out, value);
     } else {
-      counters_->unknown.Add();
+      counters_->misses.Add();
+      RespAppendNil(out);
+    }
+  } else if (verb == "SET") {
+    if (command.args.size() != 3) {
+      return arity_error("set");
+    }
+    counters_->set.Add();
+    backend_->Set(command.args[1], command.args[2]);
+    RespAppendSimple(out, "OK");
+  } else if (verb == "DEL") {
+    if (command.args.size() != 2) {
+      return arity_error("del");
+    }
+    counters_->del.Add();
+    RespAppendInteger(out, backend_->Del(command.args[1]) ? 1 : 0);
+  } else if (verb == "APPEND") {
+    if (command.args.size() != 3) {
+      return arity_error("append");
+    }
+    counters_->append.Add();
+    if (backend_->Append(command.args[1], command.args[2])) {
+      RespAppendSimple(out, "OK");
+    } else {
       counters_->errors.Add();
-      RespAppendError(out, "ERR unknown command '" + command.args[0] + "'");
+      RespAppendError(out, "ERR APPEND is not supported by system '" + system_ + "'");
     }
-    if (op_deadline_ns_ > 0) {
-      DisarmOpDeadline();
-    }
-    return after;
-  } catch (const OpShedError& shed) {
-    // The entry lock could not be acquired within the per-op deadline: shed
-    // at the protocol level. The connection stays open and ordered; the
-    // client decides whether to retry.
-    if (op_deadline_ns_ > 0) {
-      DisarmOpDeadline();
-    }
-    counters_->busy.Add();
-    RespAppendError(out, std::string("BUSY ") + shed.what());
-    return After::kContinue;
+  } else if (verb == "PING") {
+    counters_->ping.Add();
+    RespAppendSimple(out, "PONG");
+  } else if (verb == "STATS") {
+    counters_->stats.Add();
+    RespAppendBulk(out, stats_json_ ? stats_json_() : "{}");
+  } else if (verb == "SIZE") {
+    counters_->size.Add();
+    RespAppendInteger(out, static_cast<long long>(backend_->Size()));
+  } else if (verb == "QUIT") {
+    counters_->quit.Add();
+    RespAppendSimple(out, "OK");
+    return After::kClose;
+  } else {
+    counters_->unknown.Add();
+    counters_->errors.Add();
+    RespAppendError(out, "ERR unknown command '" + command.args[0] + "'");
   }
+  return After::kContinue;
 }
 
 }  // namespace lockin

@@ -7,14 +7,9 @@
 // safe -- the lock under test now sits behind real request parsing, which
 // is the whole point of the subsystem.
 //
-// FailSafe integration: with op_deadline_ns > 0 the backend's locks get the
-// op-deadline hook (the same ScenarioConfig::MakeLockFactory plumbing the
-// in-process driver uses) and Execute arms a per-command deadline. A
-// command whose entry lock acquisition misses it throws OpShedError, which
-// becomes a protocol-level `-BUSY ...` reply -- the connection stays
-// healthy and bounded instead of hanging behind a congested lock. The
-// `scenario/op` delay failpoint fires once per command *inside* the armed
-// window, so chaos tests can force deterministic shedding.
+// The backend's locks come from the same ScenarioConfig::MakeLockFactory
+// plumbing the in-process driver uses, and the `scenario/op` delay
+// failpoint fires once per command, as it does once per driver op.
 #ifndef SRC_NET_DISPATCHER_HPP_
 #define SRC_NET_DISPATCHER_HPP_
 
@@ -30,13 +25,12 @@
 namespace lockin {
 
 // Which store serves the wire, and under what locking regime. Mirrors
-// ScenarioConfig{lock_name, shards, op_deadline_ns} -- the knobs the
-// scenario layer already exposes, now reachable per server.
+// ScenarioConfig{lock_name, shards} -- the knobs the scenario layer
+// already exposes, now reachable per server.
 struct NetBackendConfig {
   std::string system = "kvstore";  // see CommandDispatcher::KnownSystems()
   std::string lock_name = "MUTEX";
   std::uint32_t shards = 0;  // 0 = the system's registered default shape
-  std::uint64_t op_deadline_ns = 0;  // 0 = never shed
   std::size_t cache_capacity = 100000;  // MemCache LRU capacity
 };
 
@@ -76,7 +70,6 @@ class CommandDispatcher {
   std::unique_ptr<Counters> counters_;
   std::function<std::string()> stats_json_;
   std::string system_;
-  std::uint64_t op_deadline_ns_ = 0;
 };
 
 // Key mapping for the uint64-keyed systems (KvStore, NosqlDb): an

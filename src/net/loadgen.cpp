@@ -42,7 +42,6 @@ struct ClientConn {
 
 struct WorkerStats {
   std::uint64_t requests = 0;
-  std::uint64_t busy = 0;
   std::uint64_t errors = 0;
   std::uint64_t not_found = 0;
   LatencyHistogram latency_ns;
@@ -167,8 +166,6 @@ void RunWorker(const LoadgenOptions& options, std::size_t thread_index,
             stats->requests += 1;
             if (reply.type == RespReply::Type::kNil) {
               stats->not_found += 1;
-            } else if (reply.IsBusy()) {
-              stats->busy += 1;
             } else if (reply.type == RespReply::Type::kError) {
               stats->errors += 1;
             }
@@ -214,7 +211,6 @@ LoadgenResult RunLoadgen(const LoadgenOptions& options) {
   result.seconds = static_cast<double>(NowNs() - start_ns) / 1e9;
   for (const WorkerStats& s : stats) {
     result.requests += s.requests;
-    result.busy += s.busy;
     result.errors += s.errors;
     result.not_found += s.not_found;
     result.latency_ns.Merge(s.latency_ns);
@@ -232,8 +228,6 @@ std::string LoadgenResult::ToJson() const {
   out << ": " << RequestsPerS() << ", ";
   WriteJsonString(out, "seconds");
   out << ": " << seconds << ", ";
-  WriteJsonString(out, "busy");
-  out << ": " << busy << ", ";
   WriteJsonString(out, "errors");
   out << ": " << errors << ", ";
   WriteJsonString(out, "not_found");

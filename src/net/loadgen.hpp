@@ -35,7 +35,6 @@ struct LoadgenOptions {
 
 struct LoadgenResult {
   std::uint64_t requests = 0;   // replies received (completed requests)
-  std::uint64_t busy = 0;       // -BUSY replies (deadline sheds)
   std::uint64_t errors = 0;     // -ERR replies + connection failures
   std::uint64_t not_found = 0;  // nil GETs
   double seconds = 0;

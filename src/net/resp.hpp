@@ -78,10 +78,6 @@ struct RespReply {
   Type type = Type::kSimple;
   std::string text;        // simple/error/bulk payload
   long long integer = 0;   // kInteger value
-
-  bool IsBusy() const {
-    return type == Type::kError && text.rfind("BUSY", 0) == 0;
-  }
 };
 
 // Incremental reply parser (client side: loadgen, tests).

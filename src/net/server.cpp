@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -305,9 +304,6 @@ void LockServer::WatchdogMain() {
         std::fputs(failpoints.c_str(), stderr);
       }
       std::fflush(stderr);
-      if (options_.watchdog_abort) {
-        std::abort();
-      }
     }
   }
 }

@@ -24,14 +24,14 @@
 //   net.conn.accepted/closed, net.conn.active (gauge),
 //   net.requests / net.replies, net.bytes.in/out,
 //   net.protocol_errors, net.service_ns (histogram around Execute),
-//   plus the dispatcher's net.cmd.* / net.hits / net.misses / net.busy.
+//   plus the dispatcher's net.cmd.* / net.hits / net.misses / net.errors.
 // STATS over the wire returns the registry's JSON (StatsJson()).
 //
 // FailSafe: NetServerOptions::watchdog_ms arms a stall watchdog thread
 // that checks every worker loop's tick counter; a loop that stops ticking
 // (a handler wedged behind a lock) gets lock-holder + failpoint state
-// dumped to stderr, and optionally abort()s -- the networked analogue of
-// the scenario driver's watchdog.
+// dumped to stderr once per stall window, and the server keeps running --
+// the networked analogue of the scenario driver's watchdog.
 #ifndef SRC_NET_SERVER_HPP_
 #define SRC_NET_SERVER_HPP_
 
@@ -57,7 +57,6 @@ struct NetServerOptions {
   RespLimits limits;
   Connection::Options conn;
   std::uint64_t watchdog_ms = 0;  // 0 = no stall watchdog
-  bool watchdog_abort = false;    // abort() on a confirmed stall
 };
 
 class LockServer {

@@ -160,17 +160,6 @@ void WriteChromeTrace(std::ostream& out, std::vector<TraceEvent> events,
         emitted.push_back({"lockdep_violation", "lockdep", 'i', to_us(event.timestamp), 0,
                            event.tid, SiteArgs(event.arg)});
         break;
-      case TraceEventKind::kAcquireTimeout: {
-        // A timed acquire that gave up closes its open wait window.
-        wait_begin.erase(event.arg);
-        emitted.push_back({"acquire_timeout", "lock", 'i', to_us(event.timestamp), 0,
-                           event.tid, SiteArgs(event.arg)});
-        break;
-      }
-      case TraceEventKind::kOpShed:
-        emitted.push_back({"op_shed", "failsafe", 'i', to_us(event.timestamp), 0, event.tid,
-                           "\"attempt\": " + std::to_string(event.arg)});
-        break;
       case TraceEventKind::kWatchdogStall:
         emitted.push_back({"watchdog_stall", "failsafe", 'i', to_us(event.timestamp), 0,
                            event.tid, "\"worker\": " + std::to_string(event.arg)});

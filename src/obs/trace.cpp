@@ -34,10 +34,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
       return "watts";
     case TraceEventKind::kLockdepViolation:
       return "lockdep_violation";
-    case TraceEventKind::kAcquireTimeout:
-      return "acquire_timeout";
-    case TraceEventKind::kOpShed:
-      return "op_shed";
     case TraceEventKind::kWatchdogStall:
       return "watchdog_stall";
     case TraceEventKind::kFailpointFire:

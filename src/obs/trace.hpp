@@ -35,7 +35,8 @@
 
 namespace lockin {
 
-// Event vocabulary. Values are stable (they appear in exported traces).
+// Event vocabulary. Values are stable (they appear in exported traces);
+// 13 and 14 are unused.
 enum class TraceEventKind : std::uint16_t {
   kNone = 0,
   kAcquireBegin = 1,     // arg = lock site id; start of a lock() call
@@ -50,8 +51,6 @@ enum class TraceEventKind : std::uint16_t {
   kPhaseEnd = 10,        // arg = phase id
   kWattsSample = 11,     // arg = milliwatts (periodic sampler counter track)
   kLockdepViolation = 12,  // arg = site id in a reported violation chain
-  kAcquireTimeout = 13,    // arg = site id; AcquireFor missed its deadline
-  kOpShed = 14,            // arg = retry attempt; driver abandoned an op
   kWatchdogStall = 15,     // arg = worker index reported stalled
   kFailpointFire = 16,     // arg = FailpointId that triggered
 };

@@ -24,7 +24,7 @@ TraceBuffer* NewTraceBuffer(const ScenarioConfig& config, int tid) {
                       : nullptr;
 }
 
-// FailSafe stall watchdog. Polls every worker's attempt counter; a worker
+// FailSafe stall watchdog. Polls every worker's progress counter; a worker
 // that is neither finished nor advancing for a full window is declared
 // stalled. The report goes to stderr with the lockdep held-lock snapshot and
 // the failpoint counters, then the run either aborts with exit code 3
@@ -68,7 +68,7 @@ std::uint64_t WatchStalls(const ScenarioConfig& config, const std::string& scena
           std::chrono::duration_cast<std::chrono::milliseconds>(now - last_change[w]).count());
       std::fprintf(stderr,
                    "lockin watchdog: worker %zu of scenario '%s' (lock %s) made no "
-                   "progress for %llu ms (%llu op attempts completed)\n",
+                   "progress for %llu ms (%llu ops completed)\n",
                    w, scenario_name.c_str(), config.lock_name.c_str(), stalled_ms,
                    static_cast<unsigned long long>(p));
       std::fputs("held traced locks at stall time:\n", stderr);

@@ -5,8 +5,8 @@
 //
 // The measured loop is a template over the per-op body, so each caller's
 // body inlines into it:
-//   * RunScenario (workload_api.cpp) runs ScenarioWorkload::Op behind
-//     failpoints, per-op deadlines and optional latency recording;
+//   * RunScenario (workload_api.cpp) runs ScenarioWorkload::Op behind a
+//     failpoint site and optional latency recording;
 //   * RunNativeBench (src/locks/harness.cpp) runs one acquire/release per
 //     op, instantiated per concrete lock type so lock()/unlock() inline (the
 //     static tier), or over LockHandle (the handle tier).
@@ -69,12 +69,9 @@ struct alignas(kCacheLineSize) WorkerSlot {
   // FailSafe cross-thread fields. Plain members (the slot must stay movable
   // for the slots vector); the worker writes and the watchdog reads them
   // through std::atomic_ref once the vector has stopped growing. `progress`
-  // counts op *attempts* (shed ops included), so a worker that is shedding
-  // under a deadline still reads as live, not stalled.
+  // counts the ops the worker has finished.
   std::uint64_t progress = 0;
   bool finished = false;
-  std::uint64_t shed = 0;          // ops abandoned after deadline + retries
-  std::uint64_t shed_retries = 0;  // deadline expiries that were retried
 };
 static_assert(alignof(WorkerSlot) == kCacheLineSize,
               "worker slots must start on a cache-line boundary");
@@ -116,7 +113,7 @@ void DriverLoop(const ScenarioConfig& config, WorkerSlot& slot, Body body,
     SpinPause(PauseKind::kYield);
   }
   std::atomic_ref<std::uint64_t> progress(slot.progress);
-  std::uint64_t attempts = 0;
+  std::uint64_t ops_done = 0;
   if (config.duration_ms == 0) {
     std::uint32_t countdown = kStopCheckEvery;
     for (int i = 0; i < config.ops_per_thread; ++i) {
@@ -127,7 +124,7 @@ void DriverLoop(const ScenarioConfig& config, WorkerSlot& slot, Body body,
         countdown = kStopCheckEvery;
       }
       body(slot);
-      progress.store(++attempts, std::memory_order_relaxed);
+      progress.store(++ops_done, std::memory_order_relaxed);
     }
   } else {
     std::uint32_t countdown = 0;
@@ -140,7 +137,7 @@ void DriverLoop(const ScenarioConfig& config, WorkerSlot& slot, Body body,
       }
       --countdown;
       body(slot);
-      progress.store(++attempts, std::memory_order_relaxed);
+      progress.store(++ops_done, std::memory_order_relaxed);
     }
   }
   slot.FlushLatency();

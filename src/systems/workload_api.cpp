@@ -1,8 +1,6 @@
 #include "src/systems/workload_api.hpp"
 
-#include <chrono>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "src/analysis/lockdep.hpp"
@@ -15,7 +13,10 @@
 namespace lockin {
 namespace {
 
-inline void RunOpTimed(ScenarioWorkload& workload, WorkerSlot& slot, bool record) {
+// One operation with op counting and optional batched latency recording
+// wrapped around it.
+inline void DoOneOp(ScenarioWorkload& workload, WorkerSlot& slot, bool record) {
+  (void)FailpointFired(FailpointId::kScenarioOp);  // delay-only chaos site
   if (record) {
     const std::uint64_t before = ReadCycles();
     workload.Op(slot.ctx);
@@ -23,43 +24,7 @@ inline void RunOpTimed(ScenarioWorkload& workload, WorkerSlot& slot, bool record
   } else {
     workload.Op(slot.ctx);
   }
-}
-
-// One operation with op counting and optional batched latency recording
-// wrapped around it. With a per-op deadline configured, a deadline miss on
-// the op's entry acquisition (OpShedError from a deadline-hooked lock) is
-// retried with exponential backoff up to config.op_retries times, then the
-// op is shed: op_index and latency record successes only, so throughput and
-// tail latency describe completed work.
-inline void DoOneOp(ScenarioWorkload& workload, const ScenarioConfig& config, WorkerSlot& slot,
-                    bool record) {
-  (void)FailpointFired(FailpointId::kScenarioOp);  // delay-only chaos site
-  if (config.op_deadline_ns == 0) {
-    RunOpTimed(workload, slot, record);
-    ++slot.ctx.op_index;
-    return;
-  }
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    ArmOpDeadline(config.op_deadline_ns);
-    try {
-      RunOpTimed(workload, slot, record);
-      DisarmOpDeadline();
-      ++slot.ctx.op_index;
-      return;
-    } catch (const OpShedError&) {
-      DisarmOpDeadline();
-      TraceEmit(TraceEventKind::kOpShed, attempt);
-      if (attempt >= config.op_retries) {
-        ++slot.shed;
-        return;
-      }
-      ++slot.shed_retries;
-      // Sleep rather than spin between retries: the deadline expired because
-      // the entry lock is congested, so give the holder the core.
-      const std::uint32_t shift = attempt < 6 ? attempt : 6;
-      std::this_thread::sleep_for(std::chrono::microseconds(std::uint64_t{1} << shift));
-    }
-  }
+  ++slot.ctx.op_index;
 }
 
 }  // namespace
@@ -115,20 +80,15 @@ ScenarioResult RunScenario(ScenarioWorkload& workload, const ScenarioConfig& con
   }
 
   DriverRun run = RunDriver(config, scenario_name, slots, /*pin_threads=*/false,
-                            [&workload, &config, record = config.record_latency](
-                                WorkerSlot& slot) { DoOneOp(workload, config, slot, record); });
+                            [&workload, record = config.record_latency](WorkerSlot& slot) {
+                              DoOneOp(workload, slot, record);
+                            });
   ScenarioResult result = CollectResult(config, scenario_name, slots, std::move(run));
   std::vector<std::uint64_t> counter_sums(counter_names.size(), 0);
   for (const WorkerSlot& slot : slots) {
-    result.ops_shed += slot.shed;
-    result.shed_retries += slot.shed_retries;
     for (std::size_t c = 0; c < counter_sums.size(); ++c) {
       counter_sums[c] += slot.counters[c];
     }
-  }
-  if (config.op_deadline_ns > 0) {
-    MetricsRegistry::Instance().Counter("failsafe.ops_shed").Add(result.ops_shed);
-    MetricsRegistry::Instance().Counter("failsafe.shed_retries").Add(result.shed_retries);
   }
   if (config.watchdog_ms > 0) {
     MetricsRegistry::Instance().Counter("failsafe.watchdog_stalls").Add(result.watchdog_stalls);

@@ -106,16 +106,6 @@ struct ScenarioConfig {
   // whole run -- setup included -- and disarmed after, seeded with `seed`.
   // Empty leaves whatever global/env arming is in effect untouched.
   std::string failpoints;
-  // op_deadline_ns > 0 bounds each op's *first* lock acquisition: the
-  // scenario's locks get the op-deadline hook, whose lock() consumes a
-  // per-op deadline armed by the driver, waits with AcquireFor (timed
-  // futex / bounded spin), and throws OpShedError on expiry. Nested
-  // acquisitions within the op block normally -- once past the entry lock
-  // an op must finish, or it would tear system state. The driver retries a
-  // shed op up to op_retries times with exponential backoff, then abandons
-  // it (ScenarioResult::ops_shed).
-  std::uint64_t op_deadline_ns = 0;
-  std::uint32_t op_retries = 3;
   // watchdog_ms > 0 starts a stall watchdog over the run phase: a worker
   // whose progress counter does not move for watchdog_ms gets reported to
   // stderr (with the lockdep held-lock snapshot and failpoint status).
@@ -135,17 +125,12 @@ struct ScenarioConfig {
   // The lock factory every scenario builds its system with (the paper's
   // "swap the pthread locks" point). Throws std::invalid_argument for
   // unknown names, at Setup time. Traced and lockdep runs enable every
-  // lock's trace hook, deadline runs its op-deadline hook
-  // (LockHandle::EnableTrace / EnableOpDeadline).
+  // lock's trace hook (LockHandle::EnableTrace).
   LockFactory MakeLockFactory() const {
-    return [factory = NamedLockFactory(lock_name, yield_after), traced = trace || lockdep,
-            deadline = op_deadline_ns > 0] {
+    return [factory = NamedLockFactory(lock_name, yield_after), traced = trace || lockdep] {
       std::unique_ptr<LockHandle> handle = factory();
       if (traced) {
         handle->EnableTrace();
-      }
-      if (deadline) {
-        handle->EnableOpDeadline();
       }
       return handle;
     };
@@ -169,9 +154,9 @@ struct ScenarioResult {
   // scenario's system-level metrics (sizes, evictions, WAL records, ...).
   std::vector<ScenarioMetric> metrics;
 
-  // FailSafe accounting (zero unless the matching config knob was set).
-  std::uint64_t ops_shed = 0;      // ops abandoned after deadline + retries
-  std::uint64_t shed_retries = 0;  // deadline expiries that were retried
+  // Ops the driver abandoned. Always 0: every op runs to completion. Kept
+  // because the benchmark counts it as failed ops.
+  std::uint64_t ops_shed = 0;
   std::uint64_t watchdog_stalls = 0;  // stalls a non-aborting watchdog saw
 
   // Energy over the run phase (setup excluded). Zero when meter == kOff.

@@ -1,7 +1,7 @@
-// FailSafe tests: deterministic failpoints, timed/cancellable acquisition,
-// WAL crash recovery (kill-at-every-failpoint sweep), per-op deadlines with
-// shed accounting, the stall watchdog, and the chaos sweep proving every
-// scenario's counter invariants survive the default fault profile.
+// FailSafe tests: deterministic failpoints, WAL crash recovery
+// (kill-at-every-failpoint sweep), the stall watchdog, and the chaos sweep
+// proving every scenario's counter invariants survive the default fault
+// profile.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,11 +12,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/locks/futex_lock.hpp"
-#include "src/locks/lock_api.hpp"
 #include "src/locks/lock_registry.hpp"
-#include "src/locks/mutexee.hpp"
-#include "src/locks/spinlocks.hpp"
 #include "src/obs/trace.hpp"
 #include "src/platform/failpoint.hpp"
 #include "src/systems/wal_log.hpp"
@@ -138,89 +134,8 @@ TEST(Failpoints, DefaultChaosSpecParsesAndExcludesWalCrashSites) {
 }
 
 TEST(Failpoints, NewTraceEventKindsHaveNames) {
-  EXPECT_STREQ(TraceEventKindName(TraceEventKind::kAcquireTimeout), "acquire_timeout");
-  EXPECT_STREQ(TraceEventKindName(TraceEventKind::kOpShed), "op_shed");
   EXPECT_STREQ(TraceEventKindName(TraceEventKind::kWatchdogStall), "watchdog_stall");
   EXPECT_STREQ(TraceEventKindName(TraceEventKind::kFailpointFire), "failpoint_fire");
-}
-
-// --- Timed acquisition -------------------------------------------------------
-
-// Holds `lock` on a helper thread until `release` is set; `held` confirms
-// the acquisition happened before the test proceeds.
-template <typename L>
-class ScopedHolder {
- public:
-  explicit ScopedHolder(L& lock) {
-    thread_ = std::thread([this, &lock] {
-      lock.lock();
-      held_.store(true, std::memory_order_release);
-      while (!release_.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      lock.unlock();
-    });
-    while (!held_.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  ~ScopedHolder() { Release(); }
-  void Release() {
-    release_.store(true, std::memory_order_release);
-    if (thread_.joinable()) {
-      thread_.join();
-    }
-  }
-
- private:
-  std::thread thread_;
-  std::atomic<bool> held_{false};
-  std::atomic<bool> release_{false};
-};
-
-template <typename L>
-void ExpectTimedLockContract(L& lock) {
-  // Free: a timed acquire succeeds immediately.
-  ASSERT_TRUE(lock.try_lock_for_ns(1'000'000));
-  lock.unlock();
-  // Held elsewhere: a short timed acquire gives up and returns false.
-  {
-    ScopedHolder<L> holder(lock);
-    EXPECT_FALSE(lock.try_lock_for_ns(2'000'000));
-  }
-  // Released: acquirable again (the timeout left no stale waiter state).
-  ASSERT_TRUE(lock.try_lock_for_ns(1'000'000));
-  lock.unlock();
-}
-
-TEST(TimedLocks, FutexLockTimedContract) {
-  FutexLock lock;
-  ExpectTimedLockContract(lock);
-}
-
-TEST(TimedLocks, MutexeeTimedContract) {
-  MutexeeLock lock;
-  ExpectTimedLockContract(lock);
-}
-
-TEST(TimedLocks, EveryRegisteredLockHonorsAcquireFor) {
-  for (const std::string& name : RegisteredLockNames()) {
-    std::unique_ptr<LockHandle> handle = MakeLockOrThrow(name);
-    ASSERT_TRUE(handle->AcquireFor(5'000'000)) << name;
-    handle->unlock();
-    {
-      ScopedHolder<LockHandle> holder(*handle);
-      EXPECT_FALSE(handle->AcquireFor(2'000'000)) << name;
-    }
-    ASSERT_TRUE(handle->AcquireFor(5'000'000)) << name;
-    handle->unlock();
-  }
-}
-
-TEST(TimedLocks, ZeroTimeoutActsAsTryLock) {
-  FutexLock lock;
-  ScopedHolder<FutexLock> holder(lock);
-  EXPECT_FALSE(lock.try_lock_for_ns(0));
 }
 
 // --- WalLog crash consistency ------------------------------------------------
@@ -395,102 +310,6 @@ TEST(WalStoreRecovery, DurableStoreReplaysPutsAndDeletes) {
   EXPECT_EQ(value, "three three");
   EXPECT_EQ(reopened.MemtableSize(), 2u);
   std::remove(path.c_str());
-}
-
-// --- Per-op deadlines & shed accounting --------------------------------------
-
-// Every op acquires one shared lock and holds it for ~2ms: under a 100us
-// deadline, whoever is not holding the lock sheds.
-class SlowHolderWorkload : public ScenarioWorkload {
- public:
-  void Setup(const ScenarioConfig& config) override { lock_ = config.MakeLockFactory()(); }
-  void Op(ThreadContext&) override {
-    lock_->lock();
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    lock_->unlock();
-  }
-
- private:
-  std::unique_ptr<LockHandle> lock_;
-};
-
-TEST(OpDeadlines, ContendedOpsShedAndAccountingBalances) {
-  SlowHolderWorkload workload;
-  ScenarioConfig config;
-  config.lock_name = "MUTEX";
-  config.threads = 4;
-  config.ops_per_thread = 8;
-  config.op_deadline_ns = 100'000;  // 100us vs a 2ms hold
-  config.op_retries = 1;
-  config.meter = MeterChoice::kOff;
-  const ScenarioResult result = RunScenario(workload, config, "test/shed");
-  // Fixed-op mode: every scheduled op either completed or was shed.
-  EXPECT_EQ(result.total_ops + result.ops_shed,
-            static_cast<std::uint64_t>(config.threads) * config.ops_per_thread);
-  EXPECT_GT(result.ops_shed, 0u);
-  EXPECT_GT(result.total_ops, 0u);  // the holder itself always completes
-  // Latency histogram records completed ops only.
-  EXPECT_EQ(result.op_latency_cycles.count(), result.total_ops);
-}
-
-TEST(OpDeadlines, UncontendedRunsShedNothing) {
-  SlowHolderWorkload workload;
-  ScenarioConfig config;
-  config.lock_name = "MUTEX";
-  config.threads = 1;
-  config.ops_per_thread = 4;
-  config.op_deadline_ns = 50'000'000;
-  config.meter = MeterChoice::kOff;
-  const ScenarioResult result = RunScenario(workload, config, "test/no-shed");
-  EXPECT_EQ(result.ops_shed, 0u);
-  EXPECT_EQ(result.shed_retries, 0u);
-  EXPECT_EQ(result.total_ops, 4u);
-}
-
-TEST(OpDeadlines, ManualArmConsumesOnFirstAcquire) {
-  std::unique_ptr<LockHandle> handle = MakeLockOrThrow("MUTEX");
-  handle->EnableOpDeadline();
-  // Unarmed: behaves like a plain lock.
-  handle->lock();
-  handle->unlock();
-  // Armed but free: acquires within the deadline.
-  ArmOpDeadline(50'000'000);
-  handle->lock();
-  handle->unlock();
-  // Armed and held: throws OpShedError instead of blocking forever.
-  ScopedHolder<LockHandle> holder(*handle);
-  ArmOpDeadline(1'000'000);
-  EXPECT_THROW(handle->lock(), OpShedError);
-  holder.Release();
-  // The deadline was consumed by the failed acquire: next lock() blocks
-  // normally (and succeeds, since the holder released).
-  handle->lock();
-  handle->unlock();
-  DisarmOpDeadline();
-}
-
-TEST(OpDeadlines, TracedDeadlineMissEmitsBeginThenTimeout) {
-  // Both hooks on one handle: the bounded entry acquisition is traced like
-  // any other timed wait, and an already-expired deadline sheds without
-  // touching the lock.
-  TraceBuffer ring(/*capacity=*/64, /*tid=*/0);
-  ScopedTraceSink sink(&ring);
-  std::unique_ptr<LockHandle> handle = MakeLockOrThrow("MUTEX");
-  handle->EnableTrace();
-  handle->EnableOpDeadline();
-  {
-    ScopedHolder<LockHandle> holder(*handle);  // its events go to no sink
-    ArmOpDeadline(1'000'000);
-    EXPECT_THROW(handle->lock(), OpShedError);
-    ArmOpDeadline(0);
-    EXPECT_THROW(handle->lock(), OpShedError);
-  }
-  std::vector<TraceEvent> events;
-  ring.Drain(&events);
-  ASSERT_GE(events.size(), 2u);  // the timed futex wait's sleep events sit between
-  EXPECT_EQ(events.front().kind, static_cast<std::uint16_t>(TraceEventKind::kAcquireBegin));
-  EXPECT_EQ(events.back().kind, static_cast<std::uint16_t>(TraceEventKind::kAcquireTimeout));
-  EXPECT_EQ(events.back().arg, handle->trace_site());
 }
 
 // --- Stall watchdog ----------------------------------------------------------
