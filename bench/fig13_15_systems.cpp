@@ -21,26 +21,22 @@
 namespace lockin {
 namespace {
 
-// Native Memcached-shape scale scenario: the same striped cache the
-// simulated Memcached rows model, run on this host per LRU mode through the
-// unified scenario driver (the registered "cache/*" scenarios keep the
-// pre-API shard/capacity/key-space defaults, and latency recording stays
-// off, so these rows are comparable across the refactor). The global-LRU
-// rows are the paper-shape contention (every SET crosses one lock); the
-// per-shard rows are the segmented-LRU scale mode.
+// Native Memcached-shape rows: the same striped cache the simulated
+// Memcached rows model, run on this host through the unified scenario
+// driver (the registered "cache/*" scenarios keep the pre-API
+// shard/capacity/key-space defaults, and latency recording stays off, so
+// these rows are comparable across the refactor). Every SET crosses the
+// one global LRU lock, the paper-shape contention.
 void EmitNativeCacheSection(const BenchOptions& options) {
   struct Row {
     const char* scenario;
-    const char* mode;
     const char* mix;
   };
   const Row rows[] = {
-      {"cache/set-heavy", "global", "SET-heavy"},
-      {"cache/get-heavy", "global", "GET-heavy"},
-      {"cache/set-heavy-seglru", "per_shard", "SET-heavy"},
-      {"cache/get-heavy-seglru", "per_shard", "GET-heavy"},
+      {"cache/set-heavy", "SET-heavy"},
+      {"cache/get-heavy", "GET-heavy"},
   };
-  TextTable table({"lru_mode", "mix", "Mops/s", "evictions"});
+  TextTable table({"mix", "Mops/s", "evictions"});
   for (const Row& row : rows) {
     ScenarioConfig config;
     // Pinned explicitly (not via ScenarioConfig defaults): the title and the
@@ -50,12 +46,12 @@ void EmitNativeCacheSection(const BenchOptions& options) {
     config.ops_per_thread = options.quick ? 20000 : 60000;
     config.record_latency = false;
     const ScenarioResult r = RunScenarioByName(row.scenario, config);
-    table.AddRow({row.mode, row.mix, FormatDouble(r.MopsPerS(), 3),
+    table.AddRow({row.mix, FormatDouble(r.MopsPerS(), 3),
                   FormatDouble(r.MetricOr("evictions"), 0)});
   }
   EmitTable(table, options,
-            "Figure 13 (native, this host): MemCache by LRU mode (4 threads, MUTEX; global = "
-            "paper-shape SET contention, per_shard = segmented-LRU scale scenario)");
+            "Figure 13 (native, this host): MemCache with its global LRU lock (4 threads, "
+            "MUTEX)");
 }
 
 }  // namespace

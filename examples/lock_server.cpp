@@ -16,8 +16,6 @@
 //   --failpoints SPEC arm named failpoints (grammar in
 //                     src/platform/failpoint.hpp; `scenario/op` fires once
 //                     per command)
-//   --watchdog-ms N   stall watchdog over the event loops: a loop that
-//                     stops ticking dumps held locks + failpoints
 //   --stats-every S   print the metrics JSON to stderr every S seconds
 //
 // SIGINT/SIGTERM drain cleanly: the listener closes, every connection gets
@@ -62,7 +60,7 @@ void PrintUsage(const char* prog, std::FILE* out) {
                "usage: %s [options]\n"
                "  --port N  --system kvstore|cache|nosql-cache|nosql-hash|nosql-btree\n"
                "  --lock NAME  --shards N  --workers N\n"
-               "  --failpoints SPEC  --watchdog-ms N  --stats-every S\n",
+               "  --failpoints SPEC  --stats-every S\n",
                prog);
 }
 
@@ -103,8 +101,6 @@ ServerCliOptions ParseArgs(int argc, char** argv) {
       options.server.workers = static_cast<std::size_t>(int_of(i, "--workers", 1, 256));
     } else if (std::strcmp(argv[i], "--failpoints") == 0) {
       options.failpoints = value_of(i, "--failpoints");
-    } else if (std::strcmp(argv[i], "--watchdog-ms") == 0) {
-      options.server.watchdog_ms = static_cast<std::uint64_t>(int_of(i, "--watchdog-ms", 1, 3600000));
     } else if (std::strcmp(argv[i], "--stats-every") == 0) {
       options.stats_every_s = int_of(i, "--stats-every", 1, 86400);
     } else if (std::strcmp(argv[i], "--help") == 0) {

@@ -48,7 +48,6 @@
 //   --chaos           arm the default chaos profile (DefaultChaosSpec)
 //   --watchdog-ms N   stall watchdog: a worker making no progress for N ms
 //                     dumps held locks + failpoints and aborts (exit 3)
-//   --no-watchdog-abort  count stalls instead of aborting
 //
 // SIGINT/SIGTERM stop the runs cleanly: partial results, traces and metrics
 // are still written, and the process exits with 128 + signal.
@@ -108,7 +107,6 @@ struct RunnerOptions {
   std::string failpoints;
   bool chaos = false;
   long watchdog_ms = 0;
-  bool watchdog_abort = true;
 };
 
 void PrintUsage(const char* prog, std::FILE* out) {
@@ -118,7 +116,7 @@ void PrintUsage(const char* prog, std::FILE* out) {
                "  --read-percent P  --key-space N  --json  --quick\n"
                "  --shards N  --thread-sweep 1,2,4,8\n"
                "  --trace FILE  --metrics  --lockdep  --meter auto|model|off  --sample-ms N\n"
-               "  --failpoints SPEC  --chaos  --watchdog-ms N  --no-watchdog-abort\n",
+               "  --failpoints SPEC  --chaos  --watchdog-ms N\n",
                prog);
 }
 
@@ -171,11 +169,13 @@ RunnerOptions ParseArgs(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       // Full uint64 range: seeds are often derived from timestamps/hashes.
+      // Decimal digits only: strtoull alone would accept leading spaces
+      // and a sign, wrapping "-1" to 2^64 - 1.
       const char* value = value_of(i, "--seed");
-      char* end = nullptr;
       errno = 0;
-      options.seed = std::strtoull(value, &end, 10);
-      if (end == value || *end != '\0' || errno == ERANGE) {
+      options.seed = std::strtoull(value, nullptr, 10);
+      if (*value == '\0' || value[std::strspn(value, "0123456789")] != '\0' ||
+          errno == ERANGE) {
         Fail(argv[0], std::string("invalid --seed value: ") + value);
       }
     } else if (std::strcmp(argv[i], "--read-percent") == 0) {
@@ -220,8 +220,6 @@ RunnerOptions ParseArgs(int argc, char** argv) {
       options.chaos = true;
     } else if (std::strcmp(argv[i], "--watchdog-ms") == 0) {
       options.watchdog_ms = int_of(i, "--watchdog-ms", 1, 3600000);
-    } else if (std::strcmp(argv[i], "--no-watchdog-abort") == 0) {
-      options.watchdog_abort = false;
     } else if (std::strcmp(argv[i], "--help") == 0) {
       PrintUsage(argv[0], stdout);
       std::exit(0);
@@ -262,12 +260,6 @@ void EmitJson(const ScenarioResult& r, bool record_latency, const RunnerOptions&
                 static_cast<unsigned long long>(r.op_latency_cycles.P99()),
                 static_cast<unsigned long long>(r.op_latency_cycles.max()));
   }
-  // Watchdog stalls: only printed when nonzero so default runs keep
-  // byte-identical output.
-  if (r.watchdog_stalls != 0) {
-    std::printf(", \"watchdog_stalls\": %llu",
-                static_cast<unsigned long long>(r.watchdog_stalls));
-  }
   if (!r.meter_name.empty()) {
     // Dedicated fields, not scenario metrics: the metrics below print with
     // %.0f (they are counters) and sub-Joule values would truncate to 0.
@@ -282,17 +274,11 @@ void EmitJson(const ScenarioResult& r, bool record_latency, const RunnerOptions&
 
 std::string MetricsToString(const ScenarioResult& r) {
   std::string out;
-  const auto append = [&out](const std::string& name, double value) {
+  for (const ScenarioMetric& metric : r.metrics) {
     if (!out.empty()) {
       out += " ";
     }
-    out += name + "=" + FormatDouble(value, 0);
-  };
-  for (const ScenarioMetric& metric : r.metrics) {
-    append(metric.name, metric.value);
-  }
-  if (r.watchdog_stalls != 0) {
-    append("watchdog_stalls", static_cast<double>(r.watchdog_stalls));
+    out += metric.name + "=" + FormatDouble(metric.value, 0);
   }
   return out;
 }
@@ -395,7 +381,6 @@ int main(int argc, char** argv) {
     }
   }
   config.watchdog_ms = static_cast<std::uint32_t>(options.watchdog_ms);
-  config.watchdog_abort = options.watchdog_abort;
   config.external_stop = &g_stop;
 
   // One run per thread count: a plain run uses --threads, a sweep runs the

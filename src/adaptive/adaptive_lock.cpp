@@ -12,7 +12,6 @@ AdaptiveLock::AdaptiveLock(AdaptiveLockConfig config, std::unique_ptr<AdaptivePo
     : config_(std::move(config)),
       policy_(policy ? std::move(policy) : std::make_unique<EwmaThresholdPolicy>()),
       ttas_(config_.spin),
-      futex_(config_.sleep),
       mutexee_(config_.mutexee) {
   if (config_.epoch_acquires == 0) {
     config_.epoch_acquires = 1;

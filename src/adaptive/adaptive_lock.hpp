@@ -47,10 +47,9 @@ struct AdaptiveLockConfig {
   // of comparisons, so even 64 is cheap.
   std::uint64_t epoch_acquires = 256;
 
-  // Backend construction parameters.
-  SpinConfig spin;          // TTAS backend (yield_after matters on small hosts)
-  FutexLockConfig sleep;    // futex-mutex backend
-  MutexeeConfig mutexee;    // MUTEXEE backend; budgets are retuned online
+  // Backend construction parameters (the futex-mutex backend has none).
+  SpinConfig spin;        // TTAS backend (yield_after matters on small hosts)
+  MutexeeConfig mutexee;  // MUTEXEE backend; budgets are retuned online
 };
 
 class LL_CAPABILITY("mutex") AdaptiveLock {

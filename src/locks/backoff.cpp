@@ -10,20 +10,20 @@ void BackoffTasLock::lock() {
   // Per-thread RNG so concurrent waiters decorrelate.
   thread_local Xoshiro256 rng(
       std::hash<std::thread::id>{}(std::this_thread::get_id()) | 1);
-  std::uint64_t window = config_.min_cycles;
+  std::uint64_t window = kMinBackoffCycles;
   std::uint32_t iteration = 0;
   while (locked_.exchange(1, std::memory_order_acquire) != 0) {
-    const std::uint64_t wait = config_.min_cycles + rng.NextBelow(window);
+    const std::uint64_t wait = kMinBackoffCycles + rng.NextBelow(window);
     const std::uint64_t start = ReadCycles();
     while (ReadCycles() - start < wait) {
-      if (config_.yield_after != 0 && ++iteration >= config_.yield_after) {
+      if (spin_.yield_after != 0 && ++iteration >= spin_.yield_after) {
         iteration = 0;
         SpinPause(PauseKind::kYield);
       } else {
-        SpinPause(config_.pause);
+        SpinPause(PauseKind::kMfence);
       }
     }
-    window = std::min(window * 2, config_.max_cycles);
+    window = std::min(window * 2, kMaxBackoffCycles);
   }
 }
 
@@ -33,19 +33,15 @@ bool BackoffTasLock::try_lock() {
 
 void BackoffTasLock::unlock() { locked_.store(0, std::memory_order_release); }
 
-CohortLock::CohortLock(Config config) : config_(config) {
-  if (config_.sockets < 1) {
-    config_.sockets = 1;
-  }
-  locals_.reserve(static_cast<std::size_t>(config_.sockets));
-  for (int i = 0; i < config_.sockets; ++i) {
-    locals_.push_back(std::make_unique<Local>(config_.spin));
+CohortLock::CohortLock(SpinConfig spin) {
+  locals_.reserve(kSockets);
+  for (int i = 0; i < kSockets; ++i) {
+    locals_.push_back(std::make_unique<Local>(spin));
   }
 }
 
 void CohortLock::lock(int socket) {
-  Local& local = *locals_[static_cast<std::size_t>(socket) %
-                          static_cast<std::size_t>(config_.sockets)];
+  Local& local = *locals_[static_cast<std::size_t>(socket) % kSockets];
   local.waiters.fetch_add(1, std::memory_order_relaxed);
   local.lock.lock();
   local.waiters.fetch_sub(1, std::memory_order_relaxed);
@@ -60,12 +56,11 @@ void CohortLock::lock(int socket) {
 }
 
 void CohortLock::unlock(int socket) {
-  Local& local = *locals_[static_cast<std::size_t>(socket) %
-                          static_cast<std::size_t>(config_.sockets)];
+  Local& local = *locals_[static_cast<std::size_t>(socket) % kSockets];
   // Hand over within the socket while the budget lasts *and* a local
   // waiter exists to take it; the next local acquirer inherits the global
   // lock (global_held stays true).
-  if (local.handovers < config_.max_cohort_handovers &&
+  if (local.handovers < kMaxCohortHandovers &&
       local.waiters.load(std::memory_order_relaxed) > 0) {
     local.handovers++;
     local.lock.unlock();
@@ -76,10 +71,10 @@ void CohortLock::unlock(int socket) {
   local.lock.unlock();
 }
 
-int CohortLock::SocketOfThisThread() const {
+int CohortLock::SocketOfThisThread() {
   thread_local const std::size_t tid_hash =
       std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return static_cast<int>(tid_hash % static_cast<std::size_t>(config_.sockets));
+  return static_cast<int>(tid_hash % kSockets);
 }
 
 void CohortLock::lock() { lock(SocketOfThisThread()); }

@@ -19,45 +19,39 @@
 
 namespace lockin {
 
-struct BackoffConfig {
-  std::uint64_t min_cycles = 128;     // initial backoff window
-  std::uint64_t max_cycles = 16384;   // cap (avoids unbounded unfairness)
-  PauseKind pause = PauseKind::kMfence;
-  std::uint32_t yield_after = 0;      // oversubscription escape hatch
-};
-
 // TAS with randomized exponential backoff: each failed exchange doubles the
 // backoff window and waits a random fraction of it, draining the atomic
-// storm that makes plain TAS's release so expensive (Figure 11).
+// storm that makes plain TAS's release so expensive (Figure 11). Waits
+// pause with mfence; the SpinConfig only sets the yield threshold.
 class LL_CAPABILITY("mutex") BackoffTasLock {
  public:
+  static constexpr std::uint64_t kMinBackoffCycles = 128;    // initial window
+  static constexpr std::uint64_t kMaxBackoffCycles = 16384;  // cap (bounds unfairness)
+
   BackoffTasLock() = default;
-  explicit BackoffTasLock(BackoffConfig config) : config_(config) {}
+  explicit BackoffTasLock(SpinConfig spin) : spin_(spin) {}
 
   void lock() LL_ACQUIRE();
   bool try_lock() LL_TRY_ACQUIRE(true);
   void unlock() LL_RELEASE();
 
  private:
-  BackoffConfig config_{};
+  SpinConfig spin_{};
   alignas(kCacheLineSize) std::atomic<std::uint32_t> locked_{0};
 };
 
 // Two-level cohort lock: one TTAS per socket plus a global TICKET. A
 // releasing thread hands over within its socket cohort for up to
-// `max_cohort_handovers` before releasing the global lock, trading
-// (bounded) fairness for far fewer cross-socket line transfers -- the same
+// kMaxCohortHandovers before releasing the global lock, trading (bounded)
+// fairness for far fewer cross-socket line transfers -- the same
 // fairness/efficiency dial the paper turns with MUTEXEE, in spinlock form.
 class LL_CAPABILITY("mutex") CohortLock {
  public:
-  struct Config {
-    int sockets = 2;
-    std::uint32_t max_cohort_handovers = 64;
-    SpinConfig spin;
-  };
+  static constexpr int kSockets = 2;
+  static constexpr std::uint32_t kMaxCohortHandovers = 64;
 
-  CohortLock() : CohortLock(Config{}) {}
-  explicit CohortLock(Config config);
+  CohortLock() : CohortLock(SpinConfig{}) {}
+  explicit CohortLock(SpinConfig spin);
 
   // The socket id comes from the caller (thread pinning determines it);
   // the Lockable-conforming lock() uses a hash of the thread id.
@@ -85,9 +79,8 @@ class LL_CAPABILITY("mutex") CohortLock {
     bool global_held = false;
   };
 
-  int SocketOfThisThread() const;
+  static int SocketOfThisThread();
 
-  Config config_;
   std::vector<std::unique_ptr<Local>> locals_;
   TicketLock global_;
 };

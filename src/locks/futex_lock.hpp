@@ -1,13 +1,13 @@
 // FutexLock: a faithful re-implementation of the glibc pthread mutex
 // acquire/release protocol (Franke et al., "Fuss, Futexes and Furwocks").
 //
-// This is the paper's baseline MUTEX: spin briefly (default glibc tries the
-// atomic once; PTHREAD_MUTEX_ADAPTIVE_NP retries up to 100 times), then
-// sleep with FUTEX_WAIT. Release stores 0 in user space and wakes one
-// sleeper. The paper shows (section 5.1) that this "can result in very poor
-// performance for critical sections of up to 4000 cycles" because threads
-// are put to sleep although the queueing time is below the futex-sleep
-// latency -- the pathology MUTEXEE fixes.
+// This is the paper's baseline MUTEX, glibc's default mutex: one CAS, one
+// `pause` (the paper keeps glibc's pause for MUTEX, while the spinlocks and
+// MUTEXEE use mfence), then sleep with FUTEX_WAIT. Release stores 0 in user
+// space and wakes one sleeper. The paper shows (section 5.1) that this "can
+// result in very poor performance for critical sections of up to 4000
+// cycles" because threads are put to sleep although the queueing time is
+// below the futex-sleep latency -- the pathology MUTEXEE fixes.
 //
 // State protocol (same as glibc's lowlevellock):
 //   0 = free, 1 = locked/no waiters, 2 = locked/maybe waiters.
@@ -26,33 +26,18 @@
 
 namespace lockin {
 
-struct FutexLockConfig {
-  // Acquire attempts before sleeping. 1 mimics default MUTEX; 100 mimics
-  // PTHREAD_MUTEX_ADAPTIVE_NP. The paper uses the default in its figures.
-  std::uint32_t spin_tries = 1;
-  // Pausing between attempts; glibc uses `pause`, which the paper keeps for
-  // MUTEX ("MUTEX spins with pause, while TICKET uses a memory barrier").
-  PauseKind pause = PauseKind::kPause;
-};
-
 class LL_CAPABILITY("mutex") FutexLock {
  public:
-  FutexLock() = default;
-  explicit FutexLock(FutexLockConfig config) : config_(config) {}
-
   // Fast paths are inline (the uncontested CAS / release store is what the
   // devirtualized bench tier measures); the futex sleep phase stays
   // out-of-line in futex_lock.cpp.
   void lock() LL_ACQUIRE() {
-    // Spin phase: up to config_.spin_tries CAS attempts from 0.
-    for (std::uint32_t attempt = 0; attempt < config_.spin_tries; ++attempt) {
-      std::uint32_t expected = 0;
-      if (state_.compare_exchange_strong(expected, 1, std::memory_order_acquire,
-                                         std::memory_order_relaxed)) {
-        return;
-      }
-      SpinPause(config_.pause);
+    std::uint32_t expected = 0;
+    if (state_.compare_exchange_strong(expected, 1, std::memory_order_acquire,
+                                       std::memory_order_relaxed)) {
+      return;
     }
+    SpinPause(PauseKind::kPause);
     LockSlow();
   }
 
@@ -77,7 +62,6 @@ class LL_CAPABILITY("mutex") FutexLock {
   // Sleep phase: advertise waiters by moving to state 2, then futex-wait.
   void LockSlow();
 
-  FutexLockConfig config_{};
   FutexStats stats_;
   alignas(kCacheLineSize) std::atomic<std::uint32_t> state_{0};
 };

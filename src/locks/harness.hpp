@@ -36,8 +36,8 @@ struct AcquireShape {
   int locks = 1;  // each op picks one at random when there are several
   std::uint64_t cs_cycles = 1000;
   std::uint64_t non_cs_cycles = 100;
-  // The only input that shapes how the locks are built: pause kind, yield
-  // threshold, budgets.
+  // The only input that shapes how the locks are built: spin yield
+  // threshold, MUTEXEE budgets.
   LockBuildOptions lock_options;
 };
 
@@ -49,9 +49,8 @@ struct AcquireShape {
 // record_latency (one sample per acquire), meter, energy sampling, the
 // workers' trace rings, the watchdog and external_stop. The microbenchmark
 // ignores the scenario-only fields: the mix (read_percent, key_space),
-// shards, failpoints, lockdep and yield_after (set
-// shape.lock_options.spin.yield_after instead). The
-// result's scenario name and metrics stay empty. Unknown lock names raise
+// shards, failpoints and lockdep. The result's scenario name and metrics
+// stay empty. Unknown lock names raise
 // std::invalid_argument (the registry's throwing contract via
 // MakeLockOrThrow).
 ScenarioResult RunNativeBench(const ScenarioConfig& config, const AcquireShape& shape);

@@ -9,9 +9,8 @@ namespace lockin {
 
 std::unique_ptr<LockHandle> MakeLock(const std::string& name, const LockBuildOptions& options) {
   // Every concrete (non-ADAPTIVE) name routes through the compile-time
-  // dispatch table, wrapped in a LockAdapter. The *ConfigFrom helpers in
-  // static_dispatch.hpp keep this type-erased tier and the devirtualized
-  // tier configured identically.
+  // dispatch table, wrapped in a LockAdapter, which keeps this type-erased
+  // tier and the devirtualized tier configured identically.
   std::unique_ptr<LockHandle> handle;
   const bool concrete =
       WithConcreteLock(name, options, [&](auto tag, auto&&... args) {
@@ -25,13 +24,10 @@ std::unique_ptr<LockHandle> MakeLock(const std::string& name, const LockBuildOpt
   if (name == "ADAPTIVE") {
     AdaptiveLockConfig config;
     // Registry-wide knobs reach the backends: the spin config keeps TTAS
-    // yielding on oversubscribed hosts, the MUTEXEE config carries budget /
-    // ablation choices made for the static MUTEXEE, and the futex backend
-    // honors the same pre-sleep attempt count as "MUTEX".
+    // yielding on oversubscribed hosts, and the MUTEXEE config carries
+    // budget / ablation choices made for the static MUTEXEE.
     config.spin = options.spin;
-    config.mutexee = options.mutexee;
-    config.mutexee.sleep_timeout_ns = 0;
-    config.sleep.spin_tries = options.mutex_spin_tries;
+    config.mutexee = MutexeeConfigFrom(options);
     return std::make_unique<LockAdapter<AdaptiveLock>>("ADAPTIVE", config);
   }
   return nullptr;

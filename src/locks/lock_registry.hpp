@@ -19,9 +19,8 @@ namespace lockin {
 
 // Options applied at construction where the algorithm supports them.
 struct LockBuildOptions {
-  SpinConfig spin;           // spinlock pausing / yield policy
-  MutexeeConfig mutexee;     // MUTEXEE budgets, timeout, ablation switches
-  std::uint32_t mutex_spin_tries = 1;  // FutexLock pre-sleep attempts
+  SpinConfig spin;        // spinlock yield policy
+  MutexeeConfig mutexee;  // MUTEXEE budgets, timeout, ablation switches
 };
 
 // Creates a lock by paper name. Recognized names: "MUTEX" (FutexLock),

@@ -1,6 +1,7 @@
 #include "src/locks/mutexee.hpp"
 
 #include "src/platform/cycles.hpp"
+#include "src/platform/spin_hint.hpp"
 
 namespace lockin {
 
@@ -18,7 +19,7 @@ bool MutexeeLock::SpinAcquire(std::uint64_t budget) {
     if (ReadCycles() - start >= budget) {
       return false;
     }
-    SpinPause(config_.pause);
+    SpinPause(PauseKind::kMfence);
   }
 }
 
@@ -91,7 +92,7 @@ void MutexeeLock::lock() {
                                                        std::memory_order_relaxed)) {
         break;
       }
-      SpinPause(config_.pause);
+      SpinPause(PauseKind::kMfence);
     }
     timeout_handovers_.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -140,7 +141,7 @@ void MutexeeLock::unlock() {
         wake_skips_.fetch_add(1, std::memory_order_relaxed);
         return;
       }
-      SpinPause(config_.pause);
+      SpinPause(PauseKind::kMfence);
     }
     if (state_.load(std::memory_order_relaxed) != 0) {
       wake_skips_.fetch_add(1, std::memory_order_relaxed);
@@ -152,7 +153,7 @@ void MutexeeLock::unlock() {
 
 void MutexeeLock::MaybeAdapt() {
   const std::uint64_t window = window_acquires_.load(std::memory_order_relaxed);
-  if (window < config_.adapt_period) {
+  if (window < kAdaptPeriod) {
     return;
   }
   // One thread wins the reset race; losers skip this round.

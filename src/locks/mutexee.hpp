@@ -33,7 +33,6 @@
 
 #include "src/futex/futex.hpp"
 #include "src/platform/cacheline.hpp"
-#include "src/platform/spin_hint.hpp"
 #include "src/platform/thread_annotations.hpp"
 
 namespace lockin {
@@ -49,16 +48,12 @@ struct MutexeeConfig {
   std::uint64_t mutex_mode_lock_cycles = 256;
   std::uint64_t mutex_mode_grace_cycles = 128;
 
-  // Pausing technique in the spin phase; the paper uses mfence (section 4.2).
-  PauseKind pause = PauseKind::kMfence;
-
   // Futex sleep timeout in nanoseconds; 0 disables (the paper's default).
   // "For timeouts shorter than 16-32 ms, both throughput and TPP suffer."
   std::uint64_t sleep_timeout_ns = 0;
 
-  // Mode adaptation: re-evaluate every `adapt_period` acquisitions and use
+  // Mode adaptation: every MutexeeLock::kAdaptPeriod acquisitions, use
   // mutex mode when futex handovers exceed `futex_ratio_threshold`.
-  std::uint32_t adapt_period = 512;
   double futex_ratio_threshold = 0.30;
 
   // Ablation switch: disabling the unlock grace window makes MUTEXEE behave
@@ -70,6 +65,10 @@ struct MutexeeConfig {
 class LL_CAPABILITY("mutex") MutexeeLock {
  public:
   enum class Mode { kSpin, kMutex };
+
+  // Acquisitions between two mode re-evaluations (the simulator's MUTEXEE
+  // reads it too). Spin phases pause with mfence (section 4.2).
+  static constexpr std::uint32_t kAdaptPeriod = 512;
 
   struct Stats {
     std::uint64_t acquires = 0;

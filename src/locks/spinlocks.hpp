@@ -5,9 +5,9 @@
 // spinlocks spin with a load until the lock becomes free and only then try
 // to acquire the lock with an atomic operation (local spinning)."
 //
-// Every spinlock takes a SpinConfig so the pausing technique (Figure 4) and
-// an oversubscription escape hatch (yield after N spins) can be selected
-// per experiment; the defaults follow the paper (mfence pausing, no yield).
+// Every spinlock pauses with mfence, the paper's choice (section 4.2,
+// Figure 4), and takes a SpinConfig for one escape hatch: yielding after N
+// spins on oversubscribed hosts (default: never).
 #ifndef SRC_LOCKS_SPINLOCKS_HPP_
 #define SRC_LOCKS_SPINLOCKS_HPP_
 
@@ -21,20 +21,19 @@
 namespace lockin {
 
 struct SpinConfig {
-  PauseKind pause = PauseKind::kMfence;
   // After this many spin iterations the waiter yields the CPU (0 = never).
   // Pure spinning livelocks on oversubscribed hosts (section 6's MySQL and
   // SQLite results); tests on small machines set a small threshold.
   std::uint32_t yield_after = 0;
 };
 
-// One spin-wait step: pause per the configured technique, yielding after
-// `iteration` exceeds the configured threshold.
+// One spin-wait step: an mfence pause, or a yield once `iteration` reaches
+// the configured threshold.
 inline void SpinWaitStep(const SpinConfig& config, std::uint32_t iteration) {
   if (config.yield_after != 0 && iteration >= config.yield_after) {
     SpinPause(PauseKind::kYield);
   } else {
-    SpinPause(config.pause);
+    SpinPause(PauseKind::kMfence);
   }
 }
 

@@ -12,10 +12,10 @@
 // indirect) and unknown names are not mapped; callers fall back to the
 // LockHandle tier.
 //
-// The *ConfigFrom helpers below are the single source of truth for how
-// LockBuildOptions reaches each algorithm's config struct; lock_registry.cpp
-// builds its LockAdapters through the same helpers so the two dispatch
-// tiers can never configure a lock differently.
+// WithConcreteLock below is the single source of truth for how
+// LockBuildOptions reaches each algorithm's constructor; lock_registry.cpp
+// builds its LockAdapters through it, so the two dispatch tiers can never
+// configure a lock differently.
 #ifndef SRC_LOCKS_STATIC_DISPATCH_HPP_
 #define SRC_LOCKS_STATIC_DISPATCH_HPP_
 
@@ -41,30 +41,11 @@ struct LockTypeTag {
   using type = L;
 };
 
-inline FutexLockConfig MutexConfigFrom(const LockBuildOptions& options) {
-  FutexLockConfig config;
-  config.spin_tries = options.mutex_spin_tries;
-  return config;
-}
-
 // "MUTEXEE": the options' budgets with the sleep timeout forced off (the
 // paper's default MUTEXEE never times out; "MUTEXEE-TO" is the timeout row).
 inline MutexeeConfig MutexeeConfigFrom(const LockBuildOptions& options) {
   MutexeeConfig config = options.mutexee;
   config.sleep_timeout_ns = 0;
-  return config;
-}
-
-inline BackoffConfig BackoffConfigFrom(const LockBuildOptions& options) {
-  BackoffConfig config;
-  config.pause = options.spin.pause;
-  config.yield_after = options.spin.yield_after;
-  return config;
-}
-
-inline CohortLock::Config CohortConfigFrom(const LockBuildOptions& options) {
-  CohortLock::Config config;
-  config.spin = options.spin;
   return config;
 }
 
@@ -79,7 +60,7 @@ template <typename Visitor>
 bool WithConcreteLock(const std::string& name, const LockBuildOptions& options,
                       Visitor&& visitor) {
   if (name == "MUTEX") {
-    visitor(LockTypeTag<FutexLock>{}, MutexConfigFrom(options));
+    visitor(LockTypeTag<FutexLock>{});
     return true;
   }
   if (name == "PTHREAD") {
@@ -115,11 +96,11 @@ bool WithConcreteLock(const std::string& name, const LockBuildOptions& options,
     return true;
   }
   if (name == "TAS-BO") {
-    visitor(LockTypeTag<BackoffTasLock>{}, BackoffConfigFrom(options));
+    visitor(LockTypeTag<BackoffTasLock>{}, options.spin);
     return true;
   }
   if (name == "COHORT") {
-    visitor(LockTypeTag<CohortLock>{}, CohortConfigFrom(options));
+    visitor(LockTypeTag<CohortLock>{}, options.spin);
     return true;
   }
   return false;

@@ -77,9 +77,8 @@ void Listener::Close() {
 
 // --- Connection --------------------------------------------------------------
 
-Connection::Connection(EventLoop& loop, int fd, Options options)
-    : loop_(loop), fd_(fd), options_(options) {
-  read_buf_.resize(options_.read_chunk);
+Connection::Connection(EventLoop& loop, int fd) : loop_(loop), fd_(fd) {
+  read_buf_.resize(kReadChunk);
 }
 
 Connection::~Connection() {
@@ -126,12 +125,12 @@ void Connection::HandleReadable() {
     if (n > 0) {
       bytes_in_ += static_cast<std::uint64_t>(n);
       on_data_(std::string_view(read_buf_.data(), static_cast<std::size_t>(n)));
-      if (closing_ || read_stopped_ || destroy_pending_) {
-        return;  // the callback closed or paused us
+      if (closing_ || destroy_pending_) {
+        return;  // the callback closed us
       }
       // Backpressure: replies queued by on_data past the high watermark stop
       // this read pass; UpdateInterest drops EPOLLIN after the handler.
-      if (outbound_bytes() > options_.max_outbound) {
+      if (outbound_bytes() > kMaxOutbound) {
         return;
       }
       continue;
@@ -139,7 +138,6 @@ void Connection::HandleReadable() {
     if (n == 0) {
       // Peer EOF (possibly a half-close: client shutdown(SHUT_WR) and still
       // reads). Finish flushing queued replies, then tear down.
-      read_stopped_ = true;
       closing_ = true;
       if (!FlushSome()) {
         return;
@@ -205,19 +203,11 @@ void Connection::Send(std::string_view data) {
   }
 }
 
-void Connection::StopReading() {
-  read_stopped_ = true;
-  if (!in_callback_ && !closed_) {
-    UpdateInterest();
-  }
-}
-
 void Connection::CloseAfterFlush() {
   if (closed_ || destroy_pending_) {
     return;
   }
   closing_ = true;
-  read_stopped_ = true;
   if (!FlushSome()) {
     if (!in_callback_) {
       Destroy();
@@ -264,12 +254,12 @@ void Connection::CloseNow() {
 
 void Connection::UpdateInterest() {
   const std::size_t backlog = outbound_bytes();
-  if (!paused_ && backlog > options_.max_outbound) {
+  if (!paused_ && backlog > kMaxOutbound) {
     paused_ = true;
-  } else if (paused_ && backlog < options_.resume_outbound) {
+  } else if (paused_ && backlog < kResumeOutbound) {
     paused_ = false;
   }
-  const bool want_read = !read_stopped_ && !closing_ && !paused_;
+  const bool want_read = !closing_ && !paused_;
   const bool want_write = backlog > 0;
   if (want_read == want_read_ && want_write == want_write_) {
     return;

@@ -8,11 +8,11 @@
 // flushed opportunistically and then via EPOLLOUT.
 //
 // Backpressure is per connection and byte-bounded: when the unflushed
-// output exceeds Options::max_outbound (a slow or stalled reader), the
+// output exceeds Connection::kMaxOutbound (a slow or stalled reader), the
 // connection *stops reading* -- EPOLLIN is dropped, so a pipelining client
 // that never drains replies stops being parsed instead of ballooning the
 // write queue; reading resumes once the backlog falls under
-// Options::resume_outbound. This is the standard proxy/server watermark
+// Connection::kResumeOutbound. This is the standard proxy/server watermark
 // scheme (memcached's conn_nread/write gating, libevent bufferevents).
 #ifndef SRC_NET_CHANNEL_HPP_
 #define SRC_NET_CHANNEL_HPP_
@@ -54,14 +54,12 @@ class Listener {
 
 class Connection {
  public:
-  struct Options {
-    std::size_t read_chunk = 16 * 1024;
-    // Stop reading above max_outbound of unflushed replies; resume below
-    // resume_outbound. resume < max gives hysteresis so a borderline client
-    // doesn't flap EPOLLIN on every flushed byte.
-    std::size_t max_outbound = 1 << 20;
-    std::size_t resume_outbound = 1 << 18;
-  };
+  static constexpr std::size_t kReadChunk = 16 * 1024;
+  // Stop reading above kMaxOutbound bytes of unflushed replies; resume
+  // below kResumeOutbound. Resume < max gives hysteresis so a borderline
+  // client doesn't flap EPOLLIN on every flushed byte.
+  static constexpr std::size_t kMaxOutbound = 1 << 20;
+  static constexpr std::size_t kResumeOutbound = 1 << 18;
 
   // `on_data` receives every chunk read from the peer (called on the loop
   // thread, possibly multiple times per iteration). `on_close` fires
@@ -70,7 +68,7 @@ class Connection {
   using DataFn = std::function<void(std::string_view data)>;
   using CloseFn = std::function<void()>;
 
-  Connection(EventLoop& loop, int fd, Options options);
+  Connection(EventLoop& loop, int fd);
   ~Connection();
 
   Connection(const Connection&) = delete;
@@ -90,17 +88,12 @@ class Connection {
   // dropped (protocol-error path).
   void CloseNow();
 
-  // Drain support: stop accepting *new* input after the current buffer --
-  // the owner decides when to CloseAfterFlush.
-  void StopReading();
-
   // Graceful-drain primitive: one final read pass (everything already in
   // the kernel receive buffer still reaches on_data, so buffered pipelined
   // requests execute and their replies are queued), then CloseAfterFlush.
   // Loop-thread only.
   void DrainAndClose();
 
-  bool reading_paused() const { return !want_read_; }
   std::size_t outbound_bytes() const { return out_.size() - out_offset_; }
   std::uint64_t bytes_in() const { return bytes_in_; }
   std::uint64_t bytes_out() const { return bytes_out_; }
@@ -116,7 +109,6 @@ class Connection {
 
   EventLoop& loop_;
   int fd_;
-  Options options_;
   DataFn on_data_;
   CloseFn on_close_;
 
@@ -125,9 +117,8 @@ class Connection {
   std::size_t out_offset_ = 0; // flushed prefix of out_
   bool want_read_ = true;      // effective epoll read interest
   bool want_write_ = false;
-  bool read_stopped_ = false;  // explicit StopReading / EOF / closing
   bool paused_ = false;        // backpressure pause (watermark hysteresis)
-  bool closing_ = false;       // CloseAfterFlush requested
+  bool closing_ = false;       // EOF or CloseAfterFlush: read no more
   bool closed_ = false;
   bool in_callback_ = false;   // defer Destroy while inside HandleEvents
   bool destroy_pending_ = false;

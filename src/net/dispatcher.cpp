@@ -112,11 +112,10 @@ std::unique_ptr<CommandDispatcher::Backend> BuildBackend(const NetBackendConfig&
   if (config.system == "cache") {
     MemCache::Config cache;
     cache.shards = shards(16);
-    cache.capacity = config.cache_capacity;
     return std::make_unique<CacheBackend>(factory, cache);
   }
   if (config.system == "nosql-cache") {
-    return std::make_unique<NosqlBackend>(std::make_unique<CacheDb>(factory, shards(1)));
+    return std::make_unique<NosqlBackend>(std::make_unique<HashDb>(factory, shards(1)));
   }
   if (config.system == "nosql-hash") {
     return std::make_unique<NosqlBackend>(std::make_unique<HashDb>(factory, shards(8)));

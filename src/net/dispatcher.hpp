@@ -31,7 +31,6 @@ struct NetBackendConfig {
   std::string system = "kvstore";  // see CommandDispatcher::KnownSystems()
   std::string lock_name = "MUTEX";
   std::uint32_t shards = 0;  // 0 = the system's registered default shape
-  std::size_t cache_capacity = 100000;  // MemCache LRU capacity
 };
 
 class CommandDispatcher {

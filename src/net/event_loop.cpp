@@ -56,7 +56,6 @@ void EventLoop::Remove(int fd) {
 }
 
 void EventLoop::Run() {
-  loop_thread_ = std::this_thread::get_id();
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   while (!stop_.load(std::memory_order_acquire)) {
@@ -68,7 +67,6 @@ void EventLoop::Run() {
       std::perror("lockin net: epoll_wait");
       break;
     }
-    ticks_.fetch_add(1, std::memory_order_relaxed);
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       const auto it = handlers_.find(fd);

@@ -16,7 +16,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -51,15 +50,6 @@ class EventLoop {
   // the loop thread itself run at the end of the current iteration.
   void Post(std::function<void()> task);
 
-  bool IsLoopThread() const { return std::this_thread::get_id() == loop_thread_; }
-
-  // Monotone count of loop iterations; the server's stall watchdog reads
-  // it cross-thread to tell "blocked in epoll_wait" from "wedged handler".
-  std::uint64_t ticks() const { return ticks_.load(std::memory_order_relaxed); }
-
-  // Number of registered fds (wakeup eventfd excluded). Loop-thread only.
-  std::size_t handler_count() const { return handlers_.size() - 1; }
-
  private:
   void Wake();
   void DrainWake();
@@ -68,8 +58,6 @@ class EventLoop {
   int epoll_fd_ = -1;
   int wake_fd_ = -1;
   std::atomic<bool> stop_{false};
-  std::atomic<std::uint64_t> ticks_{0};
-  std::thread::id loop_thread_;
 
   // shared_ptr per handler: the dispatch loop copies the pointer before
   // invoking, so a handler that removes its own (or a sibling's) fd during

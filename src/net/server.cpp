@@ -4,21 +4,19 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <sstream>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
-#include "src/analysis/lockdep.hpp"
-#include "src/platform/failpoint.hpp"
+#include "src/net/resp.hpp"
 
 namespace lockin {
 
 // --- Internal state ----------------------------------------------------------
 
 struct LockServer::Client {
-  Client(EventLoop& loop, int fd, Connection::Options conn_options, RespLimits limits)
-      : conn(loop, fd, conn_options), parser(limits) {}
+  Client(EventLoop& loop, int fd) : conn(loop, fd) {}
   Connection conn;
   RespParser parser;
   std::string reply;  // batch buffer: one Send per read chunk
@@ -89,9 +87,6 @@ void LockServer::Start() {
     Worker* w = worker.get();
     w->thread = std::thread([w] { w->loop.Run(); });
   }
-  if (options_.watchdog_ms > 0) {
-    watchdog_ = std::thread([this] { WatchdogMain(); });
-  }
 }
 
 void LockServer::Drain() {
@@ -161,10 +156,6 @@ void LockServer::Join() {
       worker->thread.join();
     }
   }
-  watchdog_stop_.store(true);
-  if (watchdog_.joinable()) {
-    watchdog_.join();
-  }
 }
 
 std::string LockServer::StatsJson() const {
@@ -195,7 +186,7 @@ void LockServer::AdoptConnection(Worker& worker, int fd) {
     close(fd);
     return;
   }
-  auto owned = std::make_unique<Client>(worker.loop, fd, options_.conn, options_.limits);
+  auto owned = std::make_unique<Client>(worker.loop, fd);
   Client* client = owned.get();
   worker.clients.emplace(client, std::move(owned));
   stats_->accepted.Add();
@@ -258,53 +249,6 @@ void LockServer::OnClose(Worker& worker, Client* client) {
   worker.clients.erase(client);  // deletes client (and its Connection)
   if (worker.draining && worker.clients.empty()) {
     worker.loop.Stop();
-  }
-}
-
-// --- Stall watchdog ----------------------------------------------------------
-
-void LockServer::WatchdogMain() {
-  // A healthy loop ticks at least once per second (epoll_wait timeout), so
-  // "no tick for ~2s + two check intervals" means a handler is wedged --
-  // typically behind a lock. Dump who holds what and the failpoint state,
-  // the same forensic surface the scenario driver's watchdog prints.
-  const std::uint64_t interval_ms = options_.watchdog_ms;
-  const int stall_threshold = static_cast<int>(
-      std::max<std::uint64_t>(2, (2000 + 2 * interval_ms + interval_ms - 1) / interval_ms));
-  std::vector<std::uint64_t> last_tick(workers_.size(), 0);
-  std::vector<int> stalled(workers_.size(), 0);
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    last_tick[i] = workers_[i]->loop.ticks();
-  }
-  std::uint64_t slept_ms = 0;
-  while (!watchdog_stop_.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    slept_ms += 50;
-    if (slept_ms < interval_ms) {
-      continue;
-    }
-    slept_ms = 0;
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      const std::uint64_t tick = workers_[i]->loop.ticks();
-      if (tick != last_tick[i]) {
-        last_tick[i] = tick;
-        stalled[i] = 0;
-        continue;
-      }
-      if (++stalled[i] < stall_threshold) {
-        continue;
-      }
-      stalled[i] = 0;  // re-arm: report once per stall window
-      std::fprintf(stderr,
-                   "lockin net: worker %zu event loop stalled (no tick for ~%d ms)\n",
-                   i, stall_threshold * static_cast<int>(interval_ms));
-      std::fputs(LockdepHeldDescribe().c_str(), stderr);
-      const std::string failpoints = FailpointsReport();
-      if (!failpoints.empty()) {
-        std::fputs(failpoints.c_str(), stderr);
-      }
-      std::fflush(stderr);
-    }
   }
 }
 

@@ -26,12 +26,6 @@
 //   net.protocol_errors, net.service_ns (histogram around Execute),
 //   plus the dispatcher's net.cmd.* / net.hits / net.misses / net.errors.
 // STATS over the wire returns the registry's JSON (StatsJson()).
-//
-// FailSafe: NetServerOptions::watchdog_ms arms a stall watchdog thread
-// that checks every worker loop's tick counter; a loop that stops ticking
-// (a handler wedged behind a lock) gets lock-holder + failpoint state
-// dumped to stderr once per stall window, and the server keeps running --
-// the networked analogue of the scenario driver's watchdog.
 #ifndef SRC_NET_SERVER_HPP_
 #define SRC_NET_SERVER_HPP_
 
@@ -39,13 +33,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/net/channel.hpp"
 #include "src/net/dispatcher.hpp"
 #include "src/net/event_loop.hpp"
-#include "src/net/resp.hpp"
 #include "src/obs/metrics.hpp"
 
 namespace lockin {
@@ -54,9 +46,6 @@ struct NetServerOptions {
   std::uint16_t port = 0;  // 0 = ephemeral; read back via port()
   std::size_t workers = 1;
   NetBackendConfig backend;
-  RespLimits limits;
-  Connection::Options conn;
-  std::uint64_t watchdog_ms = 0;  // 0 = no stall watchdog
 };
 
 class LockServer {
@@ -89,7 +78,6 @@ class LockServer {
   void AdoptConnection(Worker& worker, int fd);
   void OnData(Worker& worker, Client* client, std::string_view data);
   void OnClose(Worker& worker, Client* client);
-  void WatchdogMain();
 
   NetServerOptions options_;
   MetricsRegistry metrics_;
@@ -103,9 +91,6 @@ class LockServer {
   std::atomic<bool> started_{false};
   std::atomic<bool> draining_{false};
   std::atomic<bool> joined_{false};
-
-  std::thread watchdog_;
-  std::atomic<bool> watchdog_stop_{false};
 };
 
 }  // namespace lockin

@@ -275,7 +275,7 @@ void SimMutexee::RecordWindow(bool futex_handover) {
   if (futex_handover) {
     window_futex_++;
   }
-  if (window_acquires_ >= config_.base.adapt_period) {
+  if (window_acquires_ >= MutexeeLock::kAdaptPeriod) {
     const double ratio =
         static_cast<double>(window_futex_) / static_cast<double>(window_acquires_);
     mode_ = ratio > config_.base.futex_ratio_threshold ? MutexeeLock::Mode::kMutex
@@ -559,9 +559,7 @@ std::unique_ptr<SimLock> MakeSimLock(const std::string& name, SimMachine* machin
     return std::make_unique<SimAdaptiveLock>(machine, options);
   }
   if (name == "MUTEX") {
-    SimFutexMutexConfig config;
-    config.spin_cycles = options.mutex_spin_cycles;
-    return std::make_unique<SimFutexMutex>(machine, config);
+    return std::make_unique<SimFutexMutex>(machine, SimFutexMutexConfig{});
   }
   if (name == "MUTEXEE" || name == "MUTEXEE-TO") {
     SimMutexeeConfig config;

@@ -290,8 +290,7 @@ class SimAdaptiveLock final : public SimLock {
 // Factory: paper lock names -> simulated locks.
 // ---------------------------------------------------------------------------
 struct SimLockOptions {
-  MutexeeConfig mutexee;            // budgets / timeout for MUTEXEE variants
-  std::uint64_t mutex_spin_cycles = 300;
+  MutexeeConfig mutexee;  // budgets / timeout for MUTEXEE variants
   std::uint64_t rng_seed = 42;
 };
 

@@ -117,13 +117,14 @@ WorkloadResult RunLockWorkload(const std::string& lock_name, const WorkloadConfi
 
   driver.engine.RunUntil(config.duration_cycles);
 
-  if (config.record_censored_waits) {
-    for (int t = 0; t < config.threads; ++t) {
-      const SimTime requested_at = driver.pending_request_at[t];
-      if (requested_at != Driver::kNoPendingRequest &&
-          requested_at < config.duration_cycles) {
-        driver.latency.Record(config.duration_cycles - requested_at);
-      }
+  // Censored waits: still-waiting threads' elapsed wait goes into the
+  // latency histogram as a lower bound. Without it, a starved MUTEXEE
+  // sleeper that never acquires would be invisible to the tail percentiles
+  // the paper plots in Figures 9/15.
+  for (int t = 0; t < config.threads; ++t) {
+    const SimTime requested_at = driver.pending_request_at[t];
+    if (requested_at != Driver::kNoPendingRequest && requested_at < config.duration_cycles) {
+      driver.latency.Record(config.duration_cycles - requested_at);
     }
   }
 

@@ -37,11 +37,6 @@ struct WorkloadConfig {
   std::uint64_t blocked_cycles = 0;
   // Jitter critical sections uniformly in [cs/2, 3cs/2] (0 = fixed size).
   bool randomize_cs = false;
-  // Record still-waiting threads' elapsed wait at the end of the run into
-  // the latency histogram (as a lower bound). Without this, a starved
-  // MUTEXEE sleeper that never acquires would be invisible to the tail
-  // percentiles the paper plots in Figures 9/15.
-  bool record_censored_waits = true;
 };
 
 struct WorkloadResult {

@@ -11,10 +11,9 @@ constexpr std::size_t kInitialSlots = 16;  // power of two
 
 // Eviction victim sampling width. The old eviction scanned *every* slot for
 // the exact-oldest ticket -- O(table) per eviction, which dominated the
-// SET-heavy path once the cache ran at capacity (the cache/set-heavy-seglru
-// ops/s of `scenario_runner --all --json`). A bounded clock-hand sample is
-// memcached's own answer: probe from the cursor until this many live
-// entries were seen and evict the oldest of the sample. With >= 2 live
+// SET-heavy path once the cache ran at capacity. A bounded clock-hand
+// sample is memcached's own answer: probe from the cursor until this many
+// live entries were seen and evict the oldest of the sample. With >= 2 live
 // entries sampled the newest item is never the sample's oldest, so the
 // "just-written key stays resident" property the tests pin still holds.
 constexpr std::size_t kEvictSample = 8;
@@ -33,10 +32,6 @@ MemCache::MemCache(const LockFactory& make_lock, Config config)
     : config_(config),
       shards_(make_lock, config.shards),
       lru_lock_(make_lock()) {
-  per_shard_capacity_ = config_.capacity / shards_.shard_count();
-  if (per_shard_capacity_ == 0) {
-    per_shard_capacity_ = 1;
-  }
   for (std::size_t i = 0; i < shards_.shard_count(); ++i) {
     shards_.UnsafeShardAt(i).slots.assign(kInitialSlots, Slot{});
   }
@@ -157,7 +152,7 @@ void MemCache::EvictOneFrom(CacheTable& table) {
   evictions_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void MemCache::EvictIfNeededGlobal() {
+void MemCache::EvictIfNeeded() {
   // Called with lru_lock_ held; the victim-shard cursor round-robins with
   // the global LRU clock, as before the ShardedMap rework.
   if (size_.load(std::memory_order_relaxed) <= config_.capacity) {
@@ -169,26 +164,14 @@ void MemCache::EvictIfNeededGlobal() {
 
 void MemCache::Set(const std::string& key, std::string value) {
   const std::size_t hash = HashKey(key);
-  if (config_.lru_mode == LruMode::kGlobalLock) {
-    // Every SET crosses the global LRU lock -- the contention point the
-    // paper's SET-heavy Memcached workload exposes.
-    HandleGuard lru_guard(*lru_lock_);
-    const std::uint64_t ticket = ++lru_clock_;
-    shards_.WithShard(hash, [&](CacheTable& table) {
-      Upsert(table, hash, key, std::move(value), ticket);
-    });
-    EvictIfNeededGlobal();
-    return;
-  }
-  // kPerShard: the shard lock covers the ticket, the write and the
-  // eviction; no SET ever touches a cross-shard line.
+  // Every SET crosses the global LRU lock -- the contention point the
+  // paper's SET-heavy Memcached workload exposes.
+  HandleGuard lru_guard(*lru_lock_);
+  const std::uint64_t ticket = ++lru_clock_;
   shards_.WithShard(hash, [&](CacheTable& table) {
-    const std::uint64_t ticket = ++table.lru_clock;
     Upsert(table, hash, key, std::move(value), ticket);
-    while (table.used > per_shard_capacity_) {
-      EvictOneFrom(table);
-    }
   });
+  EvictIfNeeded();
 }
 
 bool MemCache::Get(const std::string& key, std::string* out) {

@@ -8,11 +8,7 @@
 // Storage is an open-addressing table per shard that keeps each key's hash
 // next to the entry: the key is hashed exactly once per operation and the
 // stored hash is reused for shard routing, probing (full-hash compare
-// short-circuits the string compare) and the LRU eviction scan. Two LRU
-// modes: kGlobalLock preserves the paper's contention shape (the default);
-// kPerShard segments the LRU clock and eviction budget per shard so SETs
-// never cross a global lock -- the scale scenario for many-core hosts
-// (memcached itself made the same move with its segmented LRU).
+// short-circuits the string compare) and the LRU eviction scan.
 //
 // Shard routing and locking are the shared ShardedMap layer
 // (src/systems/sharded.hpp), keeping the hash(key) % shards mapping the
@@ -35,15 +31,9 @@ namespace lockin {
 
 class MemCache {
  public:
-  enum class LruMode {
-    kGlobalLock,  // every SET crosses one LRU lock (paper-shape contention)
-    kPerShard,    // segmented LRU: per-shard clock + eviction budget
-  };
-
   struct Config {
     std::size_t shards = 16;        // bucket-lock stripes
     std::size_t capacity = 100000;  // max items before LRU eviction
-    LruMode lru_mode = LruMode::kGlobalLock;
   };
 
   MemCache(const LockFactory& make_lock, Config config);
@@ -51,8 +41,7 @@ class MemCache {
   MemCache(const MemCache&) = delete;
   MemCache& operator=(const MemCache&) = delete;
 
-  // SET: writes the item; touches the LRU under the global lru lock
-  // (kGlobalLock) or entirely under the shard lock (kPerShard).
+  // SET: writes the item and touches the LRU under the global lru lock.
   void Set(const std::string& key, std::string value);
 
   // GET: reads under the shard lock only (LRU touch is sampled, like
@@ -63,7 +52,6 @@ class MemCache {
 
   std::size_t Size() const;
   std::uint64_t evictions() const { return evictions_.load(std::memory_order_relaxed); }
-  LruMode lru_mode() const { return config_.lru_mode; }
 
   // Key hashing and shard routing, exposed so tests can pin the mapping:
   // routing must stay hash(key) % shards across storage reworks (clients
@@ -94,7 +82,6 @@ class MemCache {
     std::vector<Slot> slots;     // power-of-two, linear probing
     std::size_t used = 0;        // kFull entries
     std::size_t occupied = 0;    // kFull + kTombstone (drives rehash)
-    std::uint64_t lru_clock = 0; // per-shard ticket clock (kPerShard)
     std::size_t evict_cursor = 0;  // clock hand for the sampled eviction
   };
 
@@ -107,18 +94,17 @@ class MemCache {
   void TombstoneSlot(CacheTable& table, Slot& slot);
   void EvictOneFrom(CacheTable& table);
 
-  void EvictIfNeededGlobal() LL_REQUIRES(*lru_lock_);
+  void EvictIfNeeded() LL_REQUIRES(*lru_lock_);
 
   Config config_;
-  std::size_t per_shard_capacity_ = 0;  // kPerShard eviction budget
   ShardedMap<CacheTable> shards_;
-  // Global LRU clock, guarded by lru_lock_ (kGlobalLock mode).
   std::unique_ptr<LockHandle> lru_lock_;
-  // Own line: every Get reads shards_, every Set writes lru_clock_ and size_.
+  // Global LRU clock, guarded by lru_lock_. Own line: every Get reads
+  // shards_, every Set writes lru_clock_ and size_.
   alignas(kCacheLineSize) std::uint64_t lru_clock_ LL_GUARDED_BY(*lru_lock_) = 0;
-  // Written under a lock (lru_lock_ or a shard lock depending on the LRU
-  // mode) but read by the unsynchronized evictions() accessor: atomic with
-  // relaxed ordering (it is a monotone statistic, not a synchronizer).
+  // Written under lru_lock_ (eviction runs inside Set) but read by the
+  // unsynchronized evictions() accessor: atomic with relaxed ordering (it
+  // is a monotone statistic, not a synchronizer).
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::size_t> size_{0};
 };

@@ -18,15 +18,19 @@ namespace lockin {
 
 using LockFactory = std::function<std::unique_ptr<LockHandle>()>;
 
-// Factory for a registered lock name with default options. On hosts with
-// fewer cores than threads, spinlocks yield after a bounded number of spins
-// so tests cannot livelock (see SpinConfig::yield_after). Unknown names
-// raise std::invalid_argument at system construction (the registry's
-// throwing contract) instead of handing the system a null lock.
-inline LockFactory NamedLockFactory(const std::string& name, std::uint32_t yield_after = 1024) {
-  return [name, yield_after] {
+// Spins after which a mini-system's spinlock waiter yields the CPU, so
+// runs with more threads than cores cannot livelock (see
+// SpinConfig::yield_after).
+inline constexpr std::uint32_t kSystemSpinYieldAfter = 256;
+
+// Factory for a registered lock name with default options and the
+// kSystemSpinYieldAfter yield threshold. Unknown names raise
+// std::invalid_argument at system construction (the registry's throwing
+// contract) instead of handing the system a null lock.
+inline LockFactory NamedLockFactory(const std::string& name) {
+  return [name] {
     LockBuildOptions options;
-    options.spin.yield_after = yield_after;
+    options.spin.yield_after = kSystemSpinYieldAfter;
     return MakeLockOrThrow(name, options);
   };
 }

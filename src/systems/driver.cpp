@@ -27,12 +27,11 @@ TraceBuffer* NewTraceBuffer(const ScenarioConfig& config, int tid) {
 // FailSafe stall watchdog. Polls every worker's progress counter; a worker
 // that is neither finished nor advancing for a full window is declared
 // stalled. The report goes to stderr with the lockdep held-lock snapshot and
-// the failpoint counters, then the run either aborts with exit code 3
-// (default: a wedged run fails fast instead of hanging ctest) or is counted
-// and the window re-armed. Returns the number of stalls counted.
-std::uint64_t WatchStalls(const ScenarioConfig& config, const std::string& scenario_name,
-                          std::vector<WorkerSlot>& slots, const DriverFlags& flags,
-                          const std::atomic<bool>& watchdog_stop) {
+// the failpoint counters, then the process exits with code 3: a wedged run
+// fails fast instead of hanging ctest. Returns once `watchdog_stop` is set.
+void WatchStalls(const ScenarioConfig& config, const std::string& scenario_name,
+                 std::vector<WorkerSlot>& slots, const DriverFlags& flags,
+                 const std::atomic<bool>& watchdog_stop) {
   ScopedTraceSink sink(NewTraceBuffer(config, config.threads + 2));
   using Clock = std::chrono::steady_clock;
   const auto poll = std::chrono::milliseconds(
@@ -40,11 +39,10 @@ std::uint64_t WatchStalls(const ScenarioConfig& config, const std::string& scena
   const auto window = std::chrono::milliseconds(config.watchdog_ms);
   while (!flags.start.load(std::memory_order_acquire)) {
     if (watchdog_stop.load(std::memory_order_acquire)) {
-      return 0;
+      return;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  std::uint64_t stalls = 0;
   std::vector<std::uint64_t> last_progress(slots.size(), 0);
   std::vector<Clock::time_point> last_change(slots.size(), Clock::now());
   while (!watchdog_stop.load(std::memory_order_acquire)) {
@@ -81,16 +79,11 @@ std::uint64_t WatchStalls(const ScenarioConfig& config, const std::string& scena
       if (config.on_stall) {
         config.on_stall();
       }
-      if (config.watchdog_abort) {
-        std::fputs("lockin watchdog: aborting the wedged run (exit code 3)\n", stderr);
-        std::fflush(nullptr);
-        std::_Exit(3);
-      }
-      ++stalls;
-      last_change[w] = now;  // re-arm for the next window
+      std::fputs("lockin watchdog: aborting the wedged run (exit code 3)\n", stderr);
+      std::fflush(nullptr);
+      std::_Exit(3);
     }
   }
-  return stalls;
 }
 
 }  // namespace
@@ -144,12 +137,10 @@ DriverRun RunDriverPhase(const ScenarioConfig& config, const std::string& scenar
                                               NewTraceBuffer(config, config.threads + 1));
   }
   std::atomic<bool> watchdog_stop{false};
-  std::uint64_t watchdog_stalls = 0;
   std::thread watchdog;
   if (config.watchdog_ms > 0) {
-    watchdog = std::thread([&] {
-      watchdog_stalls = WatchStalls(config, scenario_name, slots, flags, watchdog_stop);
-    });
+    watchdog = std::thread(
+        [&] { WatchStalls(config, scenario_name, slots, flags, watchdog_stop); });
   }
 
   TraceEmit(TraceEventKind::kPhaseBegin, 1);
@@ -184,7 +175,6 @@ DriverRun RunDriverPhase(const ScenarioConfig& config, const std::string& scenar
 
   DriverRun run;
   run.seconds = std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0).count();
-  run.watchdog_stalls = watchdog_stalls;
   if (sampler != nullptr) {
     run.energy_series = sampler->Finish();
   }
@@ -211,7 +201,6 @@ ScenarioResult CollectResult(const ScenarioConfig& config, const std::string& sc
   result.energy = run.energy;
   result.meter_name = std::move(run.meter_name);
   result.energy_series = std::move(run.energy_series);
-  result.watchdog_stalls = run.watchdog_stalls;
   return result;
 }
 

@@ -82,7 +82,6 @@ static_assert(sizeof(WorkerSlot) % kCacheLineSize == 0,
 // What the run phase measured.
 struct DriverRun {
   double seconds = 0;
-  std::uint64_t watchdog_stalls = 0;
   EnergySample energy;                     // zero when config.meter is kOff
   std::string meter_name;                  // "rapl", "model", "" when off
   std::vector<EnergyPoint> energy_series;  // non-empty when energy_sample_ms > 0
@@ -167,8 +166,7 @@ DriverRun RunDriver(const ScenarioConfig& config, const std::string& scenario_na
 
 // The result fields every driver caller reports the same way: scenario,
 // lock, threads, seconds, total_ops (the slots' op_index), ops_per_s, the
-// merged latency histogram, energy, meter name, energy series and watchdog
-// stalls.
+// merged latency histogram, energy, meter name and energy series.
 ScenarioResult CollectResult(const ScenarioConfig& config, const std::string& scenario_name,
                              const std::vector<WorkerSlot>& slots, DriverRun run);
 

@@ -1,56 +1,15 @@
 #include "src/systems/nosql.hpp"
 
 namespace lockin {
-namespace {
-
-// All three backends route with the same multiplicative mix the old HT
-// region hash used: Nosql keys are small dense integers, and unmixed
-// modulo routing would stripe structured workloads lumpily.
-inline std::uint64_t RouteHash(std::uint64_t key) { return key * 0x9e3779b97f4a7c15ULL; }
-
-}  // namespace
-
-// --- CacheDb ---------------------------------------------------------------
-
-void CacheDb::Set(std::uint64_t key, std::string value) {
-  shards_.WithShard(RouteHash(key), [&](Map& map) { map[key] = std::move(value); });
-}
-
-bool CacheDb::Get(std::uint64_t key, std::string* out) {
-  return shards_.WithShard(RouteHash(key), [&](const Map& map) {
-    const auto it = map.find(key);
-    if (it == map.end()) {
-      return false;
-    }
-    if (out != nullptr) {
-      *out = it->second;
-    }
-    return true;
-  });
-}
-
-bool CacheDb::Remove(std::uint64_t key) {
-  return shards_.WithShard(RouteHash(key), [&](Map& map) { return map.erase(key) != 0; });
-}
-
-void CacheDb::Append(std::uint64_t key, const std::string& suffix) {
-  shards_.WithShard(RouteHash(key), [&](Map& map) { map[key] += suffix; });
-}
-
-std::size_t CacheDb::Count() {
-  std::size_t total = 0;
-  shards_.ForEachShard([&total](Map& map) { total += map.size(); });
-  return total;
-}
 
 // --- HashDb ----------------------------------------------------------------
 
 void HashDb::Set(std::uint64_t key, std::string value) {
-  shards_.WithShard(RouteHash(key), [&](Map& map) { map[key] = std::move(value); });
+  shards_.WithShard(ShardedMap<Map>::MixHash(key), [&](Map& map) { map[key] = std::move(value); });
 }
 
 bool HashDb::Get(std::uint64_t key, std::string* out) {
-  return shards_.WithShard(RouteHash(key), [&](const Map& map) {
+  return shards_.WithShard(ShardedMap<Map>::MixHash(key), [&](const Map& map) {
     const auto it = map.find(key);
     if (it == map.end()) {
       return false;
@@ -63,11 +22,12 @@ bool HashDb::Get(std::uint64_t key, std::string* out) {
 }
 
 bool HashDb::Remove(std::uint64_t key) {
-  return shards_.WithShard(RouteHash(key), [&](Map& map) { return map.erase(key) != 0; });
+  return shards_.WithShard(ShardedMap<Map>::MixHash(key),
+                           [&](Map& map) { return map.erase(key) != 0; });
 }
 
 void HashDb::Append(std::uint64_t key, const std::string& suffix) {
-  shards_.WithShard(RouteHash(key), [&](Map& map) { map[key] += suffix; });
+  shards_.WithShard(ShardedMap<Map>::MixHash(key), [&](Map& map) { map[key] += suffix; });
 }
 
 std::size_t HashDb::Count() {
@@ -79,21 +39,22 @@ std::size_t HashDb::Count() {
 // --- TreeDb ----------------------------------------------------------------
 
 void TreeDb::Set(std::uint64_t key, std::string value) {
-  shards_.WithShard(RouteHash(key),
+  shards_.WithShard(ShardedMap<BPlusTree>::MixHash(key),
                     [&](BPlusTree& tree) { tree.Put(key, std::move(value)); });
 }
 
 bool TreeDb::Get(std::uint64_t key, std::string* out) {
-  return shards_.WithShard(RouteHash(key),
+  return shards_.WithShard(ShardedMap<BPlusTree>::MixHash(key),
                            [&](const BPlusTree& tree) { return tree.Get(key, out); });
 }
 
 bool TreeDb::Remove(std::uint64_t key) {
-  return shards_.WithShard(RouteHash(key), [&](BPlusTree& tree) { return tree.Erase(key); });
+  return shards_.WithShard(ShardedMap<BPlusTree>::MixHash(key),
+                           [&](BPlusTree& tree) { return tree.Erase(key); });
 }
 
 void TreeDb::Append(std::uint64_t key, const std::string& suffix) {
-  shards_.WithShard(RouteHash(key), [&](BPlusTree& tree) {
+  shards_.WithShard(ShardedMap<BPlusTree>::MixHash(key), [&](BPlusTree& tree) {
     std::string value;
     tree.Get(key, &value);
     value += suffix;

@@ -6,9 +6,11 @@
 // locks with *short* critical sections, which is why swapping MUTEX out
 // produces the paper's largest wins (1.5-1.85x, Figures 13-14).
 //
-// All three backends sit on the same ShardedMap router. CACHE and B-TREE
-// default to one shard (whole-DB locking, the paper shape); HT keeps its 8
-// bucket regions as 8 shards. The shard count is the one scale input.
+// Two classes serve the three backends, all on the same ShardedMap router.
+// CACHE and HT share one hash-map class and differ only in shard count:
+// CACHE is one shard (whole-DB locking, the paper shape), HT keeps its 8
+// bucket regions as 8 shards. B-TREE defaults to one shard. The shard
+// count is the one scale input.
 #ifndef SRC_SYSTEMS_NOSQL_HPP_
 #define SRC_SYSTEMS_NOSQL_HPP_
 
@@ -22,7 +24,7 @@
 
 namespace lockin {
 
-// Common record interface over the three backends.
+// Common record interface over the backends.
 class NosqlDb {
  public:
   virtual ~NosqlDb() = default;
@@ -33,41 +35,20 @@ class NosqlDb {
   // Read-modify-write: appends to the record (Kyoto's `append`).
   virtual void Append(std::uint64_t key, const std::string& suffix) = 0;
   virtual std::size_t Count() = 0;
-
-  virtual const char* backend() const = 0;
 };
 
-// CACHE: hash map(s) behind whole-DB locking (one shard by default).
-class CacheDb final : public NosqlDb {
- public:
-  explicit CacheDb(const LockFactory& make_lock, std::size_t shards = 1)
-      : shards_(make_lock, shards) {}
-
-  void Set(std::uint64_t key, std::string value) override;
-  bool Get(std::uint64_t key, std::string* out) override;
-  bool Remove(std::uint64_t key) override;
-  void Append(std::uint64_t key, const std::string& suffix) override;
-  std::size_t Count() override;
-  const char* backend() const override { return "CACHE"; }
-
- private:
-  using Map = std::unordered_map<std::uint64_t, std::string>;
-  ShardedMap<Map> shards_;
-};
-
-// HT DB: hash database with a small number of bucket-region locks (Kyoto
-// uses 8-ish mutexes over bucket regions) -- i.e. 8 shards by default.
+// Hash maps behind `shards` locks: Kyoto's CACHE with 1 shard (whole-DB
+// locking), its HT DB with 8 (Kyoto uses 8-ish mutexes over bucket
+// regions).
 class HashDb final : public NosqlDb {
  public:
-  explicit HashDb(const LockFactory& make_lock, std::size_t shards = 8)
-      : shards_(make_lock, shards) {}
+  HashDb(const LockFactory& make_lock, std::size_t shards) : shards_(make_lock, shards) {}
 
   void Set(std::uint64_t key, std::string value) override;
   bool Get(std::uint64_t key, std::string* out) override;
   bool Remove(std::uint64_t key) override;
   void Append(std::uint64_t key, const std::string& suffix) override;
   std::size_t Count() override;
-  const char* backend() const override { return "HT"; }
 
  private:
   using Map = std::unordered_map<std::uint64_t, std::string>;
@@ -86,7 +67,6 @@ class TreeDb final : public NosqlDb {
   bool Remove(std::uint64_t key) override;
   void Append(std::uint64_t key, const std::string& suffix) override;
   std::size_t Count() override;
-  const char* backend() const override { return "B-TREE"; }
 
  private:
   ShardedMap<BPlusTree> shards_;

@@ -19,7 +19,6 @@ class CacheScenario final : public ScenarioWorkload {
     std::size_t shards = 16;
     std::size_t capacity = 50000;
     std::uint64_t key_space = 60000;
-    MemCache::LruMode lru_mode = MemCache::LruMode::kGlobalLock;
   };
 
   explicit CacheScenario(Params params) : params_(params) {}
@@ -29,7 +28,7 @@ class CacheScenario final : public ScenarioWorkload {
     key_space_ = config.key_space != 0 ? config.key_space : params_.key_space;
     cache_ = std::make_unique<MemCache>(
         config.MakeLockFactory(),
-        MemCache::Config{ShardCount(config, params_.shards), params_.capacity, params_.lru_mode});
+        MemCache::Config{ShardCount(config, params_.shards), params_.capacity});
   }
 
   std::vector<std::string> CounterNames() const override { return {"gets", "get_hits", "sets"}; }
@@ -74,12 +73,6 @@ void RegisterCacheScenarios(ScenarioRegistry& registry) {
   add("cache/set-heavy", "10% GET / 90% SET, global LRU lock (paper-shape SET contention)",
       set_heavy);
   add("cache/get-heavy", "90% GET / 10% SET, global LRU lock (GETs spread over the stripes)",
-      get_heavy);
-  set_heavy.lru_mode = MemCache::LruMode::kPerShard;
-  get_heavy.lru_mode = MemCache::LruMode::kPerShard;
-  add("cache/set-heavy-seglru", "10% GET / 90% SET, segmented per-shard LRU (scale scenario)",
-      set_heavy);
-  add("cache/get-heavy-seglru", "90% GET / 10% SET, segmented per-shard LRU (scale scenario)",
       get_heavy);
 }
 

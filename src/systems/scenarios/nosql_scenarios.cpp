@@ -12,12 +12,11 @@
 namespace lockin {
 namespace {
 
-enum class Backend { kCache, kHash, kTree };
-
 class NosqlScenario final : public ScenarioWorkload {
  public:
   struct Params {
-    Backend backend = Backend::kCache;
+    bool tree = false;  // TreeDb (B-TREE); otherwise HashDb (CACHE, HT)
+    std::size_t shards = 1;
     int read_percent = 50;
     std::uint64_t key_space = 10000;
   };
@@ -32,20 +31,11 @@ class NosqlScenario final : public ScenarioWorkload {
     const int writes = 100 - read_percent;
     set_below_ = read_percent + writes * 6 / 10;
     append_below_ = read_percent + writes * 9 / 10;
-    switch (params_.backend) {
-      case Backend::kCache:
-        db_ = std::make_unique<CacheDb>(config.MakeLockFactory(),
-                                        ShardCount(config, /*default_shards=*/1));
-        break;
-      case Backend::kHash:
-        // HT keeps Kyoto's 8 bucket regions as its default shard count.
-        db_ = std::make_unique<HashDb>(config.MakeLockFactory(),
-                                       ShardCount(config, /*default_shards=*/8));
-        break;
-      case Backend::kTree:
-        db_ = std::make_unique<TreeDb>(config.MakeLockFactory(),
-                                       ShardCount(config, /*default_shards=*/1));
-        break;
+    const std::size_t shards = ShardCount(config, params_.shards);
+    if (params_.tree) {
+      db_ = std::make_unique<TreeDb>(config.MakeLockFactory(), shards);
+    } else {
+      db_ = std::make_unique<HashDb>(config.MakeLockFactory(), shards);
     }
     preloaded_ = 0;
     for (std::uint64_t key = 0; key < key_space_; key += 2) {
@@ -99,16 +89,21 @@ class NosqlScenario final : public ScenarioWorkload {
 }  // namespace
 
 void RegisterNosqlScenarios(ScenarioRegistry& registry) {
-  auto add = [&registry](const char* name, const char* description, Backend backend) {
+  auto add = [&registry](const char* name, const char* description, bool tree,
+                         std::size_t shards) {
     NosqlScenario::Params params;
-    params.backend = backend;
+    params.tree = tree;
+    params.shards = shards;
     registry.Register({name, "NosqlDb", description},
                       [params] { return std::make_unique<NosqlScenario>(params); });
   };
   add("nosql/cache", "CACHE backend: one hash map behind a whole-DB lock, 50/50 mix",
-      Backend::kCache);
-  add("nosql/hash", "HT backend: bucket-region locks (8 regions), 50/50 mix", Backend::kHash);
-  add("nosql/btree", "B-TREE backend: B+-tree behind one lock, 50/50 mix", Backend::kTree);
+      /*tree=*/false, /*shards=*/1);
+  // HT keeps Kyoto's 8 bucket regions as its default shard count.
+  add("nosql/hash", "HT backend: bucket-region locks (8 regions), 50/50 mix", /*tree=*/false,
+      /*shards=*/8);
+  add("nosql/btree", "B-TREE backend: B+-tree behind one lock, 50/50 mix", /*tree=*/true,
+      /*shards=*/1);
 }
 
 }  // namespace lockin

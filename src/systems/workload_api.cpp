@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/analysis/lockdep.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/platform/cycles.hpp"
 #include "src/platform/failpoint.hpp"
 #include "src/systems/driver.hpp"
@@ -89,9 +88,6 @@ ScenarioResult RunScenario(ScenarioWorkload& workload, const ScenarioConfig& con
     for (std::size_t c = 0; c < counter_sums.size(); ++c) {
       counter_sums[c] += slot.counters[c];
     }
-  }
-  if (config.watchdog_ms > 0) {
-    MetricsRegistry::Instance().Counter("failsafe.watchdog_stalls").Add(result.watchdog_stalls);
   }
   result.metrics.reserve(counter_names.size());
   for (std::size_t c = 0; c < counter_names.size(); ++c) {

@@ -76,8 +76,7 @@ struct ScenarioConfig {
   std::uint32_t shards = 0;
 
   std::uint64_t seed = 1;
-  std::uint32_t yield_after = 256;  // spinlock oversubscription escape hatch
-  bool record_latency = true;       // batched per-op rdtsc histogram
+  bool record_latency = true;  // batched per-op rdtsc histogram
 
   // --- LockScope observability ----------------------------------------------
   // trace: give every worker a per-thread event ring in the process
@@ -108,14 +107,12 @@ struct ScenarioConfig {
   std::string failpoints;
   // watchdog_ms > 0 starts a stall watchdog over the run phase: a worker
   // whose progress counter does not move for watchdog_ms gets reported to
-  // stderr (with the lockdep held-lock snapshot and failpoint status).
-  // With watchdog_abort the process then exits with code 3 -- failing the
-  // run cleanly instead of hanging ctest/CI forever; without it the stall
-  // is counted (ScenarioResult::watchdog_stalls) and watching continues.
+  // stderr (with the lockdep held-lock snapshot and failpoint status), and
+  // the process exits with code 3 -- failing the run fast instead of
+  // hanging ctest/CI.
   std::uint32_t watchdog_ms = 0;
-  bool watchdog_abort = true;
-  // Runner hook invoked on every detected stall before any abort: flush
-  // partial traces/metrics so the evidence survives the _Exit.
+  // Runner hook invoked on a detected stall before the exit: flush partial
+  // traces/metrics so the evidence survives the _Exit.
   std::function<void()> on_stall;
   // External cancellation (scenario_runner's SIGINT handler): polled by
   // fixed-op workers at the kStopCheckEvery cadence and by the duration
@@ -127,7 +124,7 @@ struct ScenarioConfig {
   // unknown names, at Setup time. Traced and lockdep runs enable every
   // lock's trace hook (LockHandle::EnableTrace).
   LockFactory MakeLockFactory() const {
-    return [factory = NamedLockFactory(lock_name, yield_after), traced = trace || lockdep] {
+    return [factory = NamedLockFactory(lock_name), traced = trace || lockdep] {
       std::unique_ptr<LockHandle> handle = factory();
       if (traced) {
         handle->EnableTrace();
@@ -157,7 +154,6 @@ struct ScenarioResult {
   // Ops the driver abandoned. Always 0: every op runs to completion. Kept
   // because the benchmark counts it as failed ops.
   std::uint64_t ops_shed = 0;
-  std::uint64_t watchdog_stalls = 0;  // stalls a non-aborting watchdog saw
 
   // Energy over the run phase (setup excluded). Zero when meter == kOff.
   // Kept out of `metrics` on purpose: the metrics vector is the

@@ -276,13 +276,11 @@ TEST(AdaptiveRegistryTest, SystemsFactoryUsesTheThrowingContract) {
 
 TEST(AdaptiveRegistryTest, RegistryKnobsReachTheBackends) {
   LockBuildOptions options;
-  options.mutex_spin_tries = 100;  // PTHREAD_MUTEX_ADAPTIVE_NP-style
   options.spin.yield_after = 77;
   auto lock = MakeLock("ADAPTIVE", options);
   ASSERT_NE(lock, nullptr);
   const AdaptiveLock& adaptive =
       static_cast<LockAdapter<AdaptiveLock>*>(lock.get())->impl();
-  EXPECT_EQ(adaptive.config().sleep.spin_tries, 100u);
   EXPECT_EQ(adaptive.config().spin.yield_after, 77u);
   EXPECT_EQ(adaptive.config().mutexee.sleep_timeout_ns, 0u);
 }

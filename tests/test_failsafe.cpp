@@ -331,37 +331,22 @@ class WedgeOnceWorkload : public ScenarioWorkload {
   std::atomic<bool> wedged_{false};
 };
 
-TEST(Watchdog, CountsStallsWithoutAborting) {
-  WedgeOnceWorkload workload(/*wedge_ms=*/400);
-  ScenarioConfig config;
-  config.threads = 2;
-  config.ops_per_thread = 3;
-  config.watchdog_ms = 50;
-  config.watchdog_abort = false;
-  config.meter = MeterChoice::kOff;
-  bool on_stall_ran = false;
-  config.on_stall = [&on_stall_ran] { on_stall_ran = true; };
-  const ScenarioResult result = RunScenario(workload, config, "test/wedge");
-  EXPECT_GE(result.watchdog_stalls, 1u);
-  EXPECT_TRUE(on_stall_ran);
-  // The wedge cleared, so the run still completed every op.
-  EXPECT_EQ(result.total_ops, 6u);
-}
-
 TEST(Watchdog, QuickRunsSeeNoStalls) {
+  // A watchdog over a healthy run stays silent: the run is not aborted and
+  // completes every op.
   WedgeOnceWorkload workload(/*wedge_ms=*/0);
   ScenarioConfig config;
   config.threads = 2;
   config.ops_per_thread = 100;
   config.watchdog_ms = 2000;
-  config.watchdog_abort = false;
   config.meter = MeterChoice::kOff;
   const ScenarioResult result = RunScenario(workload, config, "test/quick");
-  EXPECT_EQ(result.watchdog_stalls, 0u);
+  EXPECT_EQ(result.total_ops, 200u);
 }
 
 TEST(WatchdogDeathTest, AbortsWedgedRunWithExitCode3) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // The on_stall hook runs before the exit; its marker on stderr proves it.
   EXPECT_EXIT(
       {
         WedgeOnceWorkload workload(/*wedge_ms=*/30000);
@@ -369,11 +354,11 @@ TEST(WatchdogDeathTest, AbortsWedgedRunWithExitCode3) {
         config.threads = 2;
         config.ops_per_thread = 2;
         config.watchdog_ms = 50;
-        config.watchdog_abort = true;
         config.meter = MeterChoice::kOff;
+        config.on_stall = [] { std::fputs("on_stall hook ran\n", stderr); };
         RunScenario(workload, config, "test/wedge-abort");
       },
-      ::testing::ExitedWithCode(3), "watchdog");
+      ::testing::ExitedWithCode(3), "on_stall hook ran");
 }
 
 // --- Error-message enumeration -----------------------------------------------
@@ -417,7 +402,6 @@ TEST(ChaosSweep, EveryScenarioSurvivesDefaultChaosUnderMutex) {
     config.threads = 4;
     config.ops_per_thread = 1500;
     config.key_space = 512;
-    config.yield_after = 64;
     config.failpoints = DefaultChaosSpec();
     config.meter = MeterChoice::kOff;
     const ScenarioResult r = RunScenarioByName(info.name, config);

@@ -225,10 +225,9 @@ TEST(ClhLock, HandoffAcrossThreads) {
 }
 
 TEST(CohortLockTest, ExplicitSocketInterface) {
-  CohortLock::Config config;
-  config.sockets = 2;
-  config.spin.yield_after = 64;
-  CohortLock lock(config);
+  SpinConfig spin;
+  spin.yield_after = 64;
+  CohortLock lock(spin);
   lock.lock(0);
   lock.unlock(0);
   lock.lock(1);
@@ -252,11 +251,9 @@ TEST(CohortLockTest, ExplicitSocketInterface) {
 }
 
 TEST(BackoffTasTest, BackoffWindowIsBounded) {
-  BackoffConfig config;
-  config.min_cycles = 64;
-  config.max_cycles = 1024;
-  config.yield_after = 32;
-  BackoffTasLock lock(config);
+  SpinConfig spin;
+  spin.yield_after = 32;
+  BackoffTasLock lock(spin);
   long long counter = 0;
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {

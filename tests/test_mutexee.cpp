@@ -20,7 +20,6 @@ TEST(Mutexee, DefaultConfigMatchesPaper) {
   EXPECT_EQ(lock.config().spin_mode_grace_cycles, 384u);
   EXPECT_EQ(lock.config().mutex_mode_lock_cycles, 256u);
   EXPECT_EQ(lock.config().mutex_mode_grace_cycles, 128u);
-  EXPECT_EQ(lock.config().pause, PauseKind::kMfence);
   EXPECT_DOUBLE_EQ(lock.config().futex_ratio_threshold, 0.30);
   EXPECT_EQ(lock.config().sleep_timeout_ns, 0u);  // timeouts off by default
   EXPECT_EQ(lock.mode(), MutexeeLock::Mode::kSpin);
@@ -192,11 +191,11 @@ TEST(Mutexee, ModeSwitchesToMutexUnderFutexChurn) {
   MutexeeConfig config;
   config.spin_mode_lock_cycles = 50;
   config.mutex_mode_lock_cycles = 50;
-  config.adapt_period = 64;
   // On small hosts the unlocking thread often re-acquires before sleepers
   // run, keeping the futex-handover ratio low; any futex traffic at all
-  // should flip the mode with a near-zero threshold.
-  config.futex_ratio_threshold = 0.005;
+  // should flip the mode, so one futex handover in an adaptation window
+  // must exceed the threshold.
+  config.futex_ratio_threshold = 0.5 / MutexeeLock::kAdaptPeriod;
   MutexeeLock lock(config);
 
   std::vector<std::thread> threads;

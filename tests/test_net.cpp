@@ -2,12 +2,16 @@
 // byte boundary, pipelined batches, oversized/garbage/binary input, all
 // without allocation blowup), and the full server end-to-end over a real
 // loopback socket -- reply correctness per system x lock, counter
-// invariants after shutdown, and the graceful drain path flushing every
+// invariants after shutdown, the backpressure pause and resume for a
+// client that stops reading, and the graceful drain path flushing every
 // in-flight pipelined reply before EOF.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -282,7 +286,14 @@ TEST(NetKey, DecimalKeysAreTheirValueOthersHash) {
 // Minimal blocking client for the in-process server.
 class TestClient {
  public:
-  explicit TestClient(std::uint16_t port) : fd_(ConnectLoopback(port)) {}
+  explicit TestClient(std::uint16_t port) : fd_(ConnectLoopback(port)) {
+    // A reply that never comes (say, a connection that stays paused) fails
+    // the test instead of hanging it until the ctest timeout.
+    const timeval timeout{10, 0};
+    if (fd_ >= 0) {
+      setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    }
+  }
   ~TestClient() { Close(); }
 
   bool ok() const { return fd_ >= 0; }
@@ -308,7 +319,7 @@ class TestClient {
     SendRaw(wire);
   }
 
-  // Blocking read of the next reply; false on EOF or protocol error.
+  // Blocking read of the next reply; false on EOF, timeout or protocol error.
   bool ReadReply(RespReply* out) {
     std::string error;
     char buf[4096];
@@ -501,6 +512,64 @@ TEST(NetServer, DrainFlushesEveryInFlightReply) {
   EXPECT_EQ(CounterValue(server, "net.requests"), 40u);
   EXPECT_EQ(CounterValue(server, "net.replies"), 40u);
   EXPECT_EQ(CounterValue(server, "net.conn.accepted"), CounterValue(server, "net.conn.closed"));
+}
+
+TEST(NetServer, SlowReaderStopsBeingRead) {
+  // Backpressure: once more than Connection::kMaxOutbound bytes of replies
+  // wait for a client that reads nothing, the server stops reading that
+  // client; once it reads again, every reply arrives whole.
+  NetServerOptions options;
+  options.backend.system = "cache";
+  LockServer server(options);
+  server.Start();
+  TestClient client(server.port());
+  ASSERT_TRUE(client.ok());
+
+  // Just under the 1 MiB bulk limit, so a few dozen GET replies are
+  // several times what the loopback socket buffers hold.
+  std::string value(RespLimits{}.max_bulk_bytes - 64, '\0');
+  for (std::size_t i = 0; i < value.size(); ++i) {
+    value[i] = static_cast<char>('a' + i % 26);
+  }
+  client.Send({"SET", "big", value});
+  RespReply reply;
+  ASSERT_TRUE(client.ReadReply(&reply));
+  ASSERT_EQ(reply.text, "OK");
+
+  // One GET per write, a few ms apart, so each lands in its own read and
+  // the server can stop reading between two of them.
+  constexpr int kGets = 64;
+  for (int i = 0; i < kGets; ++i) {
+    client.Send({"GET", "big"});
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  const std::uint64_t sent = kGets + 1;  // the GETs and the SET
+
+  // Wait until net.requests has not moved for 300 ms.
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline = Clock::now() + std::chrono::seconds(30);
+  std::uint64_t served = CounterValue(server, "net.requests");
+  Clock::time_point last_change = Clock::now();
+  while (Clock::now() - last_change < std::chrono::milliseconds(300)) {
+    ASSERT_TRUE(Clock::now() < deadline) << "net.requests never settled";
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const std::uint64_t now_served = CounterValue(server, "net.requests");
+    if (now_served != served) {
+      served = now_served;
+      last_change = Clock::now();
+    }
+  }
+  EXPECT_LT(served, sent);
+
+  for (int i = 0; i < kGets; ++i) {
+    ASSERT_TRUE(client.ReadReply(&reply)) << "reply " << i;
+    ASSERT_EQ(reply.type, RespReply::Type::kBulk) << "reply " << i;
+    ASSERT_TRUE(reply.text == value) << "reply " << i << " is not the stored value";
+  }
+  client.Close();
+  server.Drain();
+  server.Join();
+  EXPECT_EQ(CounterValue(server, "net.requests"), sent);
 }
 
 TEST(NetServer, LoadgenDrivesServerInProcess) {

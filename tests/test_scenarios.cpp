@@ -24,7 +24,6 @@ ScenarioConfig TinyConfig(const std::string& lock, int threads, int ops) {
   config.threads = threads;
   config.ops_per_thread = ops;
   config.key_space = 512;
-  config.yield_after = 64;
   return config;
 }
 
@@ -192,7 +191,7 @@ TEST_P(ScenarioInvariants, KvStoreSizeMatchesPutsMinusErases) {
 }
 
 TEST_P(ScenarioInvariants, CacheHitsBoundedAndCapacityHeld) {
-  for (const char* name : {"cache/set-heavy", "cache/get-heavy", "cache/set-heavy-seglru"}) {
+  for (const char* name : {"cache/set-heavy", "cache/get-heavy"}) {
     const ScenarioResult r = Run(name);
     EXPECT_LE(r.MetricOr("get_hits"), r.MetricOr("gets")) << name;
     // Tiny key space: far below capacity, so nothing may be evicted and the

@@ -22,7 +22,7 @@
 namespace lockin {
 namespace {
 
-LockFactory Mutex() { return NamedLockFactory("MUTEX", /*yield_after=*/64); }
+LockFactory Mutex() { return NamedLockFactory("MUTEX"); }
 
 // --- ShardedMap --------------------------------------------------------------
 
@@ -190,7 +190,6 @@ class ShardMatrix : public ::testing::TestWithParam<std::string> {
     config.threads = 4;
     config.ops_per_thread = 600;
     config.key_space = 512;
-    config.yield_after = 64;
     config.record_latency = false;
     config.meter = MeterChoice::kOff;
     config.shards = shards;
@@ -291,7 +290,6 @@ TEST(ShardChaos, ShardedPathsSurviveChaosWithLockdepClean) {
     config.threads = 4;
     config.ops_per_thread = 800;
     config.key_space = 512;
-    config.yield_after = 64;
     config.record_latency = false;
     config.meter = MeterChoice::kOff;
     config.failpoints = DefaultChaosSpec();

@@ -78,13 +78,6 @@ TEST(StaticDispatch, MutexeeTimeoutPlumbingMatchesRegistry) {
   });
 }
 
-TEST(StaticDispatch, MutexSpinTriesReachFutexLock) {
-  LockBuildOptions options;
-  options.mutex_spin_tries = 100;
-  const FutexLockConfig config = MutexConfigFrom(options);
-  EXPECT_EQ(config.spin_tries, 100u);
-}
-
 TEST(StaticDispatch, RegistryBuildsConcreteNamesThroughSameTable) {
   // MakeLock must succeed exactly for {statically dispatchable} + ADAPTIVE.
   for (const std::string& name : RegisteredLockNames()) {

@@ -51,21 +51,15 @@ TEST(Workload, MoreLocksMoreThroughputUnderContention) {
 }
 
 TEST(Workload, CensoredWaitsAppearInTail) {
-  // MUTEXEE starves sleepers; with censoring on, the tail must show waits
-  // on the order of the run length.
+  // MUTEXEE starves sleepers; censored waits are recorded, so the tail must
+  // show waits on the order of the run length.
   WorkloadConfig config;
   config.threads = 20;
   config.cs_cycles = 1000;
   config.non_cs_cycles = 100;
   config.duration_cycles = 14'000'000;
-  config.record_censored_waits = true;
-  const WorkloadResult with_censoring = RunLockWorkload("MUTEXEE", config);
-  EXPECT_GT(with_censoring.acquire_latency_cycles.max(), config.duration_cycles / 2);
-
-  config.record_censored_waits = false;
-  const WorkloadResult without = RunLockWorkload("MUTEXEE", config);
-  EXPECT_LE(without.acquire_latency_cycles.max(),
-            with_censoring.acquire_latency_cycles.max());
+  const WorkloadResult result = RunLockWorkload("MUTEXEE", config);
+  EXPECT_GT(result.acquire_latency_cycles.max(), config.duration_cycles / 2);
 }
 
 TEST(Workload, EnergyAccountingConsistent) {
