@@ -9,16 +9,13 @@
 //   --connections N   concurrent connections (default 4)
 //   --pipeline N      in-flight requests per connection (default 8)
 //   --duration-ms N   send window in milliseconds (default 2000)
-//   --get-percent P   GET share of the mix, rest SET (default 80)
-//   --key-space N     keys are uniform over [0, N) (default 10000)
-//   --value-bytes N   SET payload size (default 64)
 //   --threads N       client threads; connections are striped (default 1)
-//   --seed N          workload seed (default 42)
 //   --json            print the result as one JSON object (default: text)
 //
 // Every connection keeps its pipeline full, so the offered load follows the
-// server's speed. Latency at a fixed offered rate is the benchmark's
-// open-loop netserve-open workload (perfbench/).
+// server's speed. The mix is fixed (src/net/loadgen.hpp): 80% GET, 20% SET
+// of 64-byte values over 10000 keys. Latency at a fixed offered rate is the
+// benchmark's open-loop netserve-open workload (perfbench/).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,8 +30,7 @@ using namespace lockin;
 void PrintUsage(const char* prog, std::FILE* out) {
   std::fprintf(out,
                "usage: %s --port N [options]\n"
-               "  --connections N  --pipeline N  --duration-ms N  --get-percent P\n"
-               "  --key-space N  --value-bytes N  --threads N  --seed N  --json\n",
+               "  --connections N  --pipeline N  --duration-ms N  --threads N  --json\n",
                prog);
 }
 
@@ -73,16 +69,8 @@ int main(int argc, char** argv) {
       options.pipeline = static_cast<std::size_t>(int_of(i, "--pipeline", 1, 100000));
     } else if (std::strcmp(argv[i], "--duration-ms") == 0) {
       options.duration_ms = static_cast<std::uint64_t>(int_of(i, "--duration-ms", 1, 86400000));
-    } else if (std::strcmp(argv[i], "--get-percent") == 0) {
-      options.get_percent = static_cast<int>(int_of(i, "--get-percent", 0, 100));
-    } else if (std::strcmp(argv[i], "--key-space") == 0) {
-      options.key_space = static_cast<std::uint64_t>(int_of(i, "--key-space", 1, 1000000000));
-    } else if (std::strcmp(argv[i], "--value-bytes") == 0) {
-      options.value_bytes = static_cast<std::size_t>(int_of(i, "--value-bytes", 1, 1000000));
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       options.threads = static_cast<std::size_t>(int_of(i, "--threads", 1, 256));
-    } else if (std::strcmp(argv[i], "--seed") == 0) {
-      options.seed = static_cast<std::uint64_t>(int_of(i, "--seed", 0, 1000000000));
     } else if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
     } else if (std::strcmp(argv[i], "--help") == 0) {

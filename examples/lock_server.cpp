@@ -1,17 +1,13 @@
-// NetServe server CLI: serve a Scenario API system (KvStore, MemCache or a
-// NosqlDb backend) over a RESP-style loopback socket, under any registered
-// lock algorithm -- the networked counterpart of scenario_runner's
-// in-process cache/* and kvstore/* scenarios.
+// NetServe server CLI: serve MemCache, the paper's Memcached target, over
+// a RESP-style loopback socket, under any registered lock algorithm -- the
+// networked counterpart of scenario_runner's in-process cache/* scenarios.
 //
-//   $ ./lock_server --port 7911 --system cache --lock MUTEXEE --workers 2
-//   $ ./lock_server --system kvstore --lock TICKET --shards 4
+//   $ ./lock_server --port 7911 --lock MUTEXEE --workers 2
 //
 // Flags:
 //   --port N          TCP port on 127.0.0.1 (default 0 = ephemeral; the
 //                     bound port is printed on stdout either way)
-//   --system NAME     kvstore | cache | nosql-cache | nosql-hash | nosql-btree
 //   --lock NAME       lock algorithm (default MUTEX)
-//   --shards N        shard count override (0 = the system's default shape)
 //   --workers N       event-loop worker threads (default 1)
 //   --failpoints SPEC arm named failpoints (grammar in
 //                     src/platform/failpoint.hpp; `scenario/op` fires once
@@ -58,8 +54,7 @@ struct ServerCliOptions {
 void PrintUsage(const char* prog, std::FILE* out) {
   std::fprintf(out,
                "usage: %s [options]\n"
-               "  --port N  --system kvstore|cache|nosql-cache|nosql-hash|nosql-btree\n"
-               "  --lock NAME  --shards N  --workers N\n"
+               "  --port N  --lock NAME  --workers N\n"
                "  --failpoints SPEC  --stats-every S\n",
                prog);
 }
@@ -90,13 +85,8 @@ ServerCliOptions ParseArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--port") == 0) {
       options.server.port = static_cast<std::uint16_t>(int_of(i, "--port", 0, 65535));
-    } else if (std::strcmp(argv[i], "--system") == 0) {
-      options.server.backend.system = value_of(i, "--system");
     } else if (std::strcmp(argv[i], "--lock") == 0) {
       options.server.backend.lock_name = value_of(i, "--lock");
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      options.server.backend.shards =
-          static_cast<std::uint32_t>(int_of(i, "--shards", 0, 4096));
     } else if (std::strcmp(argv[i], "--workers") == 0) {
       options.server.workers = static_cast<std::size_t>(int_of(i, "--workers", 1, 256));
     } else if (std::strcmp(argv[i], "--failpoints") == 0) {
@@ -144,9 +134,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s: %s\n", argv[0], error.what());
     return 1;
   }
-  std::printf("listening on 127.0.0.1:%u (system=%s lock=%s workers=%zu)\n",
-              static_cast<unsigned>(server.port()), options.server.backend.system.c_str(),
-              options.server.backend.lock_name.c_str(),
+  std::printf("listening on 127.0.0.1:%u (lock=%s workers=%zu)\n",
+              static_cast<unsigned>(server.port()), options.server.backend.lock_name.c_str(),
               std::max<std::size_t>(1, options.server.workers));
   std::fflush(stdout);  // the port line is how scripts find an ephemeral port
 

@@ -9,13 +9,8 @@
 namespace lockin {
 
 // Defined here (declared in trace.hpp) so TraceEmit's guard needs no
-// include of this header. Builds configured with -DLOCKIN_LOCKDEP=ON
-// define LOCKIN_LOCKDEP_ON_BY_DEFAULT and start enabled.
-#if defined(LOCKIN_LOCKDEP_ON_BY_DEFAULT)
-std::atomic<bool> g_lockdep_enabled{true};
-#else
+// include of this header.
 std::atomic<bool> g_lockdep_enabled{false};
-#endif
 
 namespace {
 

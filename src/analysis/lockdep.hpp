@@ -77,9 +77,8 @@ struct LockdepStats {
 
 // Runtime switch. Enabling is cheap (one atomic store); the hook itself is
 // always compiled in next to the trace emit (see TraceEmit) and costs one
-// relaxed load + branch while disabled. A build configured with
-// -DLOCKIN_LOCKDEP=ON starts with lockdep enabled; otherwise callers opt
-// in (scenario_runner --lockdep, ScenarioConfig::lockdep, tests).
+// relaxed load + branch while disabled. Callers opt in
+// (scenario_runner --lockdep, ScenarioConfig::lockdep, tests).
 void LockdepEnable(bool on);
 bool LockdepIsEnabled();
 

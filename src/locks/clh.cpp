@@ -1,71 +1,111 @@
 #include "src/locks/clh.hpp"
 
-#include <unordered_map>
+#include <mutex>
 
 namespace lockin {
+namespace {
+
+// Free nodes. Each thread keeps its own list: lock() takes a node and the
+// matching unlock() gives one back (the predecessor's), so in steady state
+// no list is shared. A thread that exits, and a lock that dies, hand their
+// nodes to the shared list, where the next thread that runs short finds
+// them. The shared list is never destroyed, so its nodes stay reachable.
+struct SharedFreeList {
+  std::mutex mu;
+  ClhNode* head = nullptr;
+};
+
+SharedFreeList& Shared() {
+  static SharedFreeList* const shared = new SharedFreeList;
+  return *shared;
+}
+
+void GiveShared(ClhNode* node) {
+  SharedFreeList& shared = Shared();
+  std::lock_guard<std::mutex> guard(shared.mu);
+  node->next_free = shared.head;
+  shared.head = node;
+}
+
+ClhNode* TakeShared() {
+  SharedFreeList& shared = Shared();
+  std::lock_guard<std::mutex> guard(shared.mu);
+  ClhNode* node = shared.head;
+  if (node == nullptr) {
+    return new ClhNode();
+  }
+  shared.head = node->next_free;
+  return node;
+}
+
+struct LocalFreeList {
+  ClhNode* head = nullptr;
+  ~LocalFreeList() {
+    while (head != nullptr) {
+      ClhNode* next = head->next_free;
+      GiveShared(head);
+      head = next;
+    }
+  }
+};
+
+thread_local LocalFreeList tls_free;
+
+ClhNode* TakeNode() {
+  ClhNode* node = tls_free.head;
+  if (node == nullptr) {
+    return TakeShared();
+  }
+  tls_free.head = node->next_free;
+  return node;
+}
+
+void GiveNode(ClhNode* node) {
+  node->next_free = tls_free.head;
+  tls_free.head = node;
+}
+
+}  // namespace
 
 ClhLock::ClhLock() : ClhLock(SpinConfig{}) {}
 
 ClhLock::ClhLock(SpinConfig config) : config_(config) {
-  initial_node_ = new ClhNode();
-  initial_node_->locked.store(0, std::memory_order_relaxed);
-  tail_.store(initial_node_, std::memory_order_relaxed);
+  ClhNode* initial = TakeShared();
+  initial->locked.store(0, std::memory_order_relaxed);
+  tail_.store(initial, std::memory_order_relaxed);
 }
 
 ClhLock::~ClhLock() {
-  // The node in tail_ when the lock dies is owned by the lock (either the
-  // initial node or one donated by the last releaser; nodes migrate between
-  // threads, so the last one standing is freed here; thread slots free the
-  // rest on lock destruction via their map).
-  delete tail_.load(std::memory_order_relaxed);
-}
-
-ClhLock::ThreadSlot* ClhLock::SlotForThisThread() {
-  // Per-thread, per-lock slot. CLH nodes migrate between threads, so slots
-  // cannot be a single thread_local; key by lock identity. Destruction of
-  // slots leaks at most one node per (thread, lock) pair that is never
-  // reused -- nodes owned by live slots are freed when the thread exits.
-  struct SlotMap {
-    std::unordered_map<const ClhLock*, ThreadSlot> slots;
-    ~SlotMap() {
-      for (auto& [lock, slot] : slots) {
-        delete slot.my_node;
-      }
-    }
-  };
-  thread_local SlotMap tls_map;
-  ThreadSlot& slot = tls_map.slots[this];
-  if (slot.my_node == nullptr) {
-    slot.my_node = new ClhNode();
-  }
-  return &slot;
+  // The tail is the one node the queue still holds once the lock is free.
+  // Locks may die during static destruction, after this thread's list is
+  // gone, so it goes to the shared list.
+  GiveShared(tail_.load(std::memory_order_relaxed));
 }
 
 void ClhLock::lock() {
-  ThreadSlot* slot = SlotForThisThread();
-  ClhNode* node = slot->my_node;
+  ClhNode* node = TakeNode();
   node->locked.store(1, std::memory_order_relaxed);
   ClhNode* pred = tail_.exchange(node, std::memory_order_acq_rel);
-  slot->my_pred = pred;
   std::uint32_t iteration = 0;
   while (pred->locked.load(std::memory_order_acquire) != 0) {
     SpinWaitStep(config_, iteration++);
   }
+  holder_node_ = node;
+  holder_pred_ = pred;
 }
 
 bool ClhLock::try_lock() {
-  ThreadSlot* slot = SlotForThisThread();
-  ClhNode* node = slot->my_node;
-  node->locked.store(1, std::memory_order_relaxed);
   ClhNode* current_tail = tail_.load(std::memory_order_acquire);
   if (current_tail->locked.load(std::memory_order_acquire) != 0) {
     return false;  // held or queued behind
   }
+  ClhNode* node = TakeNode();
+  node->locked.store(1, std::memory_order_relaxed);
   if (!tail_.compare_exchange_strong(current_tail, node, std::memory_order_acq_rel,
                                      std::memory_order_relaxed)) {
+    GiveNode(node);
     return false;
   }
-  slot->my_pred = current_tail;
   // Nodes are recycled across threads, so the tail can go N -> M -> N
   // between the check and the CAS, with N re-locked by a new holder; the
   // CAS still succeeds. We are enqueued either way, so wait on the
@@ -75,16 +115,18 @@ bool ClhLock::try_lock() {
   while (current_tail->locked.load(std::memory_order_acquire) != 0) {
     SpinWaitStep(config_, iteration++);
   }
+  holder_node_ = node;
+  holder_pred_ = current_tail;
   return true;
 }
 
 void ClhLock::unlock() {
-  ThreadSlot* slot = SlotForThisThread();
-  ClhNode* node = slot->my_node;
-  // Recycle: take the predecessor's node for the next acquisition, then
-  // release ours to the successor (who is spinning on it).
-  slot->my_node = slot->my_pred;
-  slot->my_pred = nullptr;
+  // Read the holder fields before the release: the successor overwrites
+  // them as soon as it owns the lock.
+  ClhNode* node = holder_node_;
+  // Recycle: the predecessor's node is ours now; ours passes to the
+  // successor (who is spinning on it).
+  GiveNode(holder_pred_);
   node->locked.store(0, std::memory_order_release);
 }
 

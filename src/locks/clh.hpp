@@ -4,6 +4,11 @@
 // *predecessor's* node and inherits that node for its next acquisition
 // (node recycling). The paper evaluates CLH alongside MCS in section 5
 // ("CLH ... differ[s] in [its] busy-waiting implementation").
+//
+// A node carries no lock identity, so any free node serves any lock. Nodes
+// are recycled, never freed: try_lock() reads the flag of a tail it loaded
+// a moment earlier, by which time that node may have moved on to another
+// thread or lock, so every node must outlive every reader (clh.cpp).
 #ifndef SRC_LOCKS_CLH_HPP_
 #define SRC_LOCKS_CLH_HPP_
 
@@ -18,6 +23,7 @@ namespace lockin {
 
 struct alignas(kCacheLineSize) ClhNode {
   std::atomic<std::uint32_t> locked{0};
+  ClhNode* next_free = nullptr;  // free-list link while no queue holds the node
 };
 
 class LL_CAPABILITY("mutex") ClhLock {
@@ -34,16 +40,14 @@ class LL_CAPABILITY("mutex") ClhLock {
   void unlock() LL_RELEASE();
 
  private:
-  struct ThreadSlot {
-    ClhNode* my_node = nullptr;    // node to publish on next acquisition
-    ClhNode* my_pred = nullptr;    // predecessor node while holding
-  };
-
-  ThreadSlot* SlotForThisThread();
-
   SpinConfig config_{};
   alignas(kCacheLineSize) std::atomic<ClhNode*> tail_;
-  ClhNode* initial_node_;
+  // The holder's queue node (its successor spins on it) and its
+  // predecessor's (the holder's to recycle). Written once the lock is
+  // acquired, read by unlock(); own line, so enqueuers on tail_ do not
+  // contend with the holder.
+  alignas(kCacheLineSize) ClhNode* holder_node_ = nullptr;
+  ClhNode* holder_pred_ = nullptr;
 };
 
 }  // namespace lockin

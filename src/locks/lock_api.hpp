@@ -85,9 +85,12 @@ class LockAdapter final : public LockHandle {
     }
     impl_.lock();
   }
+  // kReleased is stamped before the release, so a hold span ends before
+  // the next holder's begins; the wake-up a release may cost has its own
+  // kFutexWake event.
   void unlock() LL_RELEASE() LL_NO_THREAD_SAFETY_ANALYSIS override {
-    impl_.unlock();
     Emit(TraceEventKind::kReleased);
+    impl_.unlock();
   }
   bool try_lock() LL_TRY_ACQUIRE(true) LL_NO_THREAD_SAFETY_ANALYSIS override {
     Emit(TraceEventKind::kAcquireBegin);

@@ -59,7 +59,7 @@ void EventLoop::Run() {
   constexpr int kMaxEvents = 64;
   epoll_event events[kMaxEvents];
   while (!stop_.load(std::memory_order_acquire)) {
-    const int n = epoll_wait(epoll_fd_, events, kMaxEvents, /*timeout_ms=*/1000);
+    const int n = epoll_wait(epoll_fd_, events, kMaxEvents, /*timeout_ms=*/-1);
     if (n < 0) {
       if (errno == EINTR) {
         continue;

@@ -21,6 +21,12 @@
 namespace lockin {
 namespace {
 
+// The request mix.
+constexpr int kGetPercent = 80;  // the rest are SETs
+constexpr std::uint64_t kKeySpace = 10000;
+constexpr std::size_t kValueBytes = 64;
+constexpr std::uint64_t kSeed = 42;
+
 std::uint64_t NowNs() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -50,8 +56,8 @@ struct WorkerStats {
 void RunWorker(const LoadgenOptions& options, std::size_t thread_index,
                std::size_t conn_count, WorkerStats* stats) {
   const std::size_t pipeline = std::max<std::size_t>(1, options.pipeline);
-  std::mt19937_64 rng(options.seed + 0x9e3779b97f4a7c15ULL * (thread_index + 1));
-  const std::string value(std::max<std::size_t>(1, options.value_bytes), 'v');
+  std::mt19937_64 rng(kSeed + 0x9e3779b97f4a7c15ULL * (thread_index + 1));
+  const std::string value(kValueBytes, 'v');
 
   std::vector<ClientConn> conns(conn_count);
   for (ClientConn& conn : conns) {
@@ -70,8 +76,8 @@ void RunWorker(const LoadgenOptions& options, std::size_t thread_index,
   std::vector<std::string> args;
   const auto enqueue = [&](ClientConn& conn) {
     args.clear();
-    const std::uint64_t key = rng() % std::max<std::uint64_t>(1, options.key_space);
-    if (static_cast<int>(rng() % 100) < options.get_percent) {
+    const std::uint64_t key = rng() % kKeySpace;
+    if (static_cast<int>(rng() % 100) < kGetPercent) {
       args.push_back("GET");
       args.push_back(std::to_string(key));
     } else {

@@ -3,10 +3,12 @@
 //
 // Every connection keeps `pipeline` requests in flight and sends the next
 // one when a reply arrives, so it measures the server at saturation: the
-// offered load follows the server's speed. Latency is measured per request
-// from enqueue to reply parse, pipelining included. For latency at a fixed
-// offered rate, use the benchmark's open-loop netserve-open workload
-// (perfbench/), which times each request from its due time.
+// offered load follows the server's speed. The mix is fixed: 80% GET, 20%
+// SET of a 64-byte value, keys uniform over [0, 10000), seeded per client
+// thread. Latency is measured per request from enqueue to reply parse,
+// pipelining included. For latency at a fixed offered rate, use the
+// benchmark's open-loop netserve-open workload (perfbench/), which times
+// each request from its due time.
 //
 // This lives in src/ rather than examples/ so tests can run client and
 // server in one process, while examples/loadgen.cpp wraps the same engine
@@ -26,10 +28,6 @@ struct LoadgenOptions {
   std::size_t connections = 4;
   std::size_t pipeline = 8;       // in-flight requests per connection
   std::uint64_t duration_ms = 2000;
-  int get_percent = 80;           // GET share; the rest are SETs
-  std::uint64_t key_space = 10000;
-  std::size_t value_bytes = 64;
-  std::uint64_t seed = 42;
   std::size_t threads = 1;        // client threads; connections are striped
 };
 

@@ -30,8 +30,8 @@ std::size_t FindNewline(const std::string& buffer, std::size_t from) {
   return static_cast<std::size_t>(static_cast<const char*>(hit) - buffer.data());
 }
 
-// Strips one trailing '\r' (lines are CRLF on the wire, but a bare LF from
-// an interactive client is tolerated, like redis-cli's inline mode).
+// Strips one trailing '\r' (lines are CRLF on the wire, but a bare LF is
+// tolerated).
 std::string_view StripCr(std::string_view line) {
   if (!line.empty() && line.back() == '\r') {
     line.remove_suffix(1);
@@ -72,128 +72,89 @@ RespParseStatus RespParser::Next(RespCommand* out, std::string* error) {
     }
     return RespParseStatus::kError;
   }
-  // Loop: empty inline lines and `*0` arrays are consumed silently and
-  // parsing continues with the next frame.
+  // Loop: `*0` arrays are consumed silently and parsing continues with the
+  // next frame.
   for (;;) {
     std::size_t cursor = consumed_;
     if (cursor >= buffer_.size()) {
       return RespParseStatus::kNeedMore;
     }
-    if (buffer_[cursor] == '*') {
-      // RESP array: *<count>\r\n then count x ($<len>\r\n<payload>\r\n).
-      const std::size_t header_end = FindNewline(buffer_, cursor);
-      if (header_end == std::string::npos) {
-        if (buffer_.size() - cursor > 32) {
-          return FailWith(error, "invalid array header (no terminator)");
-        }
-        return RespParseStatus::kNeedMore;
-      }
-      const std::string_view count_text =
-          StripCr(std::string_view(buffer_).substr(cursor + 1, header_end - cursor - 1));
-      long long count = 0;
-      if (!ParseHeaderInt(count_text.data(), count_text.data() + count_text.size(), &count,
-                          /*allow_minus_one=*/false)) {
-        return FailWith(error, "invalid array header");
-      }
-      if (static_cast<std::size_t>(count) > limits_.max_args) {
-        return FailWith(error, "too many arguments");
-      }
-      cursor = header_end + 1;
-      std::vector<std::string> args;
-      args.reserve(static_cast<std::size_t>(count));
-      for (long long i = 0; i < count; ++i) {
-        if (cursor >= buffer_.size()) {
-          return RespParseStatus::kNeedMore;
-        }
-        if (buffer_[cursor] != '$') {
-          return FailWith(error, "expected bulk string in array");
-        }
-        const std::size_t len_end = FindNewline(buffer_, cursor);
-        if (len_end == std::string::npos) {
-          if (buffer_.size() - cursor > 32) {
-            return FailWith(error, "invalid bulk header (no terminator)");
-          }
-          return RespParseStatus::kNeedMore;
-        }
-        const std::string_view len_text =
-            StripCr(std::string_view(buffer_).substr(cursor + 1, len_end - cursor - 1));
-        long long len = 0;
-        if (!ParseHeaderInt(len_text.data(), len_text.data() + len_text.size(), &len,
-                            /*allow_minus_one=*/false)) {
-          return FailWith(error, "invalid bulk length");
-        }
-        // Rejected from the header alone: the payload is never buffered.
-        if (static_cast<std::size_t>(len) > limits_.max_bulk_bytes) {
-          return FailWith(error, "bulk string too large");
-        }
-        const std::size_t payload_start = len_end + 1;
-        // Payload + its CRLF (or LF) terminator.
-        if (buffer_.size() < payload_start + static_cast<std::size_t>(len) + 1) {
-          if (buffer_.size() - consumed_ > limits_.max_command_bytes) {
-            return FailWith(error, "command too large");
-          }
-          return RespParseStatus::kNeedMore;
-        }
-        std::size_t terminator = payload_start + static_cast<std::size_t>(len);
-        std::size_t after = terminator + 1;
-        if (buffer_[terminator] == '\r') {
-          if (buffer_.size() < after + 1) {
-            return RespParseStatus::kNeedMore;
-          }
-          if (buffer_[after] != '\n') {
-            return FailWith(error, "bulk string not terminated");
-          }
-          ++after;
-        } else if (buffer_[terminator] != '\n') {
-          return FailWith(error, "bulk string not terminated");
-        }
-        args.emplace_back(buffer_, payload_start, static_cast<std::size_t>(len));
-        cursor = after;
-      }
-      consumed_ = cursor;
-      if (args.empty()) {
-        continue;  // *0: legal no-op frame
-      }
-      out->args = std::move(args);
-      return RespParseStatus::kCommand;
+    // RESP array: *<count>\r\n then count x ($<len>\r\n<payload>\r\n).
+    if (buffer_[cursor] != '*') {
+      return FailWith(error, "expected array");
     }
-    if (buffer_[cursor] == '$') {
-      // A bulk string outside an array is not a request framing we accept.
-      return FailWith(error, "expected array or inline command");
-    }
-    // Inline command: one line, whitespace-separated tokens.
-    const std::size_t line_end = FindNewline(buffer_, cursor);
-    if (line_end == std::string::npos) {
-      if (buffer_.size() - cursor > limits_.max_inline_bytes) {
-        return FailWith(error, "inline command too long");
+    const std::size_t header_end = FindNewline(buffer_, cursor);
+    if (header_end == std::string::npos) {
+      if (buffer_.size() - cursor > 32) {
+        return FailWith(error, "invalid array header (no terminator)");
       }
       return RespParseStatus::kNeedMore;
     }
-    if (line_end - cursor > limits_.max_inline_bytes) {
-      return FailWith(error, "inline command too long");
+    const std::string_view count_text =
+        StripCr(std::string_view(buffer_).substr(cursor + 1, header_end - cursor - 1));
+    long long count = 0;
+    if (!ParseHeaderInt(count_text.data(), count_text.data() + count_text.size(), &count,
+                        /*allow_minus_one=*/false)) {
+      return FailWith(error, "invalid array header");
     }
-    const std::string_view line =
-        StripCr(std::string_view(buffer_).substr(cursor, line_end - cursor));
-    consumed_ = line_end + 1;
+    if (static_cast<std::size_t>(count) > limits_.max_args) {
+      return FailWith(error, "too many arguments");
+    }
+    cursor = header_end + 1;
     std::vector<std::string> args;
-    std::size_t i = 0;
-    while (i < line.size()) {
-      while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) {
-        ++i;
+    args.reserve(static_cast<std::size_t>(count));
+    for (long long i = 0; i < count; ++i) {
+      if (cursor >= buffer_.size()) {
+        return RespParseStatus::kNeedMore;
       }
-      std::size_t start = i;
-      while (i < line.size() && line[i] != ' ' && line[i] != '\t') {
-        ++i;
+      if (buffer_[cursor] != '$') {
+        return FailWith(error, "expected bulk string in array");
       }
-      if (i > start) {
-        if (args.size() == limits_.max_args) {
-          return FailWith(error, "too many arguments");
+      const std::size_t len_end = FindNewline(buffer_, cursor);
+      if (len_end == std::string::npos) {
+        if (buffer_.size() - cursor > 32) {
+          return FailWith(error, "invalid bulk header (no terminator)");
         }
-        args.emplace_back(line.substr(start, i - start));
+        return RespParseStatus::kNeedMore;
       }
+      const std::string_view len_text =
+          StripCr(std::string_view(buffer_).substr(cursor + 1, len_end - cursor - 1));
+      long long len = 0;
+      if (!ParseHeaderInt(len_text.data(), len_text.data() + len_text.size(), &len,
+                          /*allow_minus_one=*/false)) {
+        return FailWith(error, "invalid bulk length");
+      }
+      // Rejected from the header alone: the payload is never buffered.
+      if (static_cast<std::size_t>(len) > limits_.max_bulk_bytes) {
+        return FailWith(error, "bulk string too large");
+      }
+      const std::size_t payload_start = len_end + 1;
+      // Payload + its CRLF (or LF) terminator.
+      if (buffer_.size() < payload_start + static_cast<std::size_t>(len) + 1) {
+        if (buffer_.size() - consumed_ > limits_.max_command_bytes) {
+          return FailWith(error, "command too large");
+        }
+        return RespParseStatus::kNeedMore;
+      }
+      std::size_t terminator = payload_start + static_cast<std::size_t>(len);
+      std::size_t after = terminator + 1;
+      if (buffer_[terminator] == '\r') {
+        if (buffer_.size() < after + 1) {
+          return RespParseStatus::kNeedMore;
+        }
+        if (buffer_[after] != '\n') {
+          return FailWith(error, "bulk string not terminated");
+        }
+        ++after;
+      } else if (buffer_[terminator] != '\n') {
+        return FailWith(error, "bulk string not terminated");
+      }
+      args.emplace_back(buffer_, payload_start, static_cast<std::size_t>(len));
+      cursor = after;
     }
+    consumed_ = cursor;
     if (args.empty()) {
-      continue;  // blank line: ignore, like memcached
+      continue;  // *0: legal no-op frame
     }
     out->args = std::move(args);
     return RespParseStatus::kCommand;

@@ -1,10 +1,10 @@
 // NetServe wire codec: a RESP-style text protocol for the Scenario API.
 //
-// Requests arrive either as RESP arrays of bulk strings
-// (`*2\r\n$3\r\nGET\r\n$3\r\nfoo\r\n`, the pipelining-friendly form loadgen
-// emits -- values may contain any byte, NUL included) or as memcached-style
-// inline lines (`GET foo\r\n`, handy for netcat-debugging a live server).
-// Replies are RESP: `+OK`, `-ERR msg`, `:42`, `$5\r\nhello`, `$-1` (nil).
+// Requests are RESP arrays of bulk strings
+// (`*2\r\n$3\r\nGET\r\n$3\r\nfoo\r\n`, the form every client here emits --
+// values may contain any byte, NUL included); a request that does not
+// start with `*` is a protocol error. Replies are RESP: `+OK`, `-ERR msg`,
+// `:42`, `$5\r\nhello`, `$-1` (nil).
 //
 // Both parsers here are *incremental*: bytes are fed as they come off the
 // socket, in any fragmentation -- a frame torn at every byte boundary, or
@@ -39,7 +39,7 @@ enum class RespParseStatus : std::uint8_t {
 // raised from the *header* (or from the running line length), never after
 // buffering the oversized payload.
 struct RespLimits {
-  std::size_t max_inline_bytes = 8 * 1024;        // one inline command line
+  std::size_t max_inline_bytes = 8 * 1024;        // one reply line (RespReplyParser)
   std::size_t max_args = 64;                      // elements per RESP array
   std::size_t max_bulk_bytes = 1 * 1024 * 1024;   // one argument's payload
   std::size_t max_command_bytes = 4 * 1024 * 1024;  // whole buffered frame

@@ -1,6 +1,6 @@
 // NetServe server: N worker threads, each owning one epoll EventLoop,
-// serving the RESP codec over loopback TCP and dispatching into a Scenario
-// API system (src/net/dispatcher.hpp).
+// serving the RESP codec over loopback TCP and dispatching into one
+// MemCache store (src/net/dispatcher.hpp).
 //
 // Thread shape (the memcached model): the Listener lives on worker 0's
 // loop; accepted fds are handed round-robin to a worker via Post, and from

@@ -6,42 +6,6 @@ namespace lockin {
 
 thread_local constinit TraceBuffer* tls_trace_sink = nullptr;
 
-const char* TraceEventKindName(TraceEventKind kind) {
-  switch (kind) {
-    case TraceEventKind::kNone:
-      return "none";
-    case TraceEventKind::kAcquireBegin:
-      return "acquire_begin";
-    case TraceEventKind::kAcquired:
-      return "acquired";
-    case TraceEventKind::kReleased:
-      return "released";
-    case TraceEventKind::kContended:
-      return "contended";
-    case TraceEventKind::kFutexSleepBegin:
-      return "futex_sleep_begin";
-    case TraceEventKind::kFutexSleepEnd:
-      return "futex_sleep_end";
-    case TraceEventKind::kFutexWake:
-      return "futex_wake";
-    case TraceEventKind::kEpochSwitch:
-      return "epoch_switch";
-    case TraceEventKind::kPhaseBegin:
-      return "phase_begin";
-    case TraceEventKind::kPhaseEnd:
-      return "phase_end";
-    case TraceEventKind::kWattsSample:
-      return "watts";
-    case TraceEventKind::kLockdepViolation:
-      return "lockdep_violation";
-    case TraceEventKind::kWatchdogStall:
-      return "watchdog_stall";
-    case TraceEventKind::kFailpointFire:
-      return "failpoint_fire";
-  }
-  return "unknown";
-}
-
 namespace {
 
 std::uint32_t RoundUpPowerOfTwo(std::uint32_t value) {

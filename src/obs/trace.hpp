@@ -41,7 +41,7 @@ enum class TraceEventKind : std::uint16_t {
   kNone = 0,
   kAcquireBegin = 1,     // arg = lock site id; start of a lock() call
   kAcquired = 2,         // arg = site id; lock() returned
-  kReleased = 3,         // arg = site id; unlock() finished
+  kReleased = 3,         // arg = site id; unlock() about to release
   kContended = 4,        // arg = site id; fast path failed, entering slow path
   kFutexSleepBegin = 5,  // entering FUTEX_WAIT (the kernel round-trip)
   kFutexSleepEnd = 6,    // arg = FutexWaitResult; back from FUTEX_WAIT
@@ -54,9 +54,6 @@ enum class TraceEventKind : std::uint16_t {
   kWatchdogStall = 15,     // arg = worker index reported stalled
   kFailpointFire = 16,     // arg = FailpointId that triggered
 };
-
-// Exporter-facing name ("acquire_begin", "futex_sleep", ...).
-const char* TraceEventKindName(TraceEventKind kind);
 
 // One trace record. 16 bytes, POD, cache-friendly: four events per line.
 struct TraceEvent {

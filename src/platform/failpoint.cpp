@@ -1,7 +1,6 @@
 #include "src/platform/failpoint.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -148,25 +147,6 @@ void DisarmLocked() {
     site.delays.store(0, std::memory_order_relaxed);
   }
 }
-
-// Arms from LOCKIN_FAILPOINTS at process start so any binary (benches,
-// tests, one-off tools) can be chaos-tested without code changes.
-struct EnvArmer {
-  EnvArmer() {
-    const char* spec = std::getenv("LOCKIN_FAILPOINTS");
-    if (spec == nullptr || spec[0] == '\0') return;
-    std::uint64_t seed = 1;
-    if (const char* s = std::getenv("LOCKIN_FAILPOINTS_SEED")) {
-      seed = std::strtoull(s, nullptr, 10);
-    }
-    try {
-      FailpointsArm(spec, seed);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "LOCKIN_FAILPOINTS ignored: %s\n", e.what());
-    }
-  }
-};
-EnvArmer g_env_armer;
 
 }  // namespace
 

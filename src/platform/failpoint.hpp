@@ -11,9 +11,8 @@
 // function of (rule seed, k), so a failing chaos run replays exactly with
 // the same SPEC and seed regardless of thread interleaving at other sites.
 //
-// SPEC grammar (parsed by FailpointsArm, also taken from the
-// LOCKIN_FAILPOINTS environment variable and `scenario_runner
-// --failpoints`):
+// SPEC grammar (parsed by FailpointsArm, also taken from `scenario_runner
+// --failpoints` and `lock_server --failpoints`):
 //
 //   spec  := entry (',' entry)*
 //   entry := site '=' rule

@@ -17,8 +17,6 @@ namespace lockin {
 // The pausing technique used inside a spin-wait loop. Names follow the
 // paper's Figure 4 series.
 enum class PauseKind {
-  kNone,    // raw load loop ("local")
-  kNop,     // nop; hidden by the out-of-order core, no power effect
   kPause,   // x86 `pause` ("local-pause")
   kMfence,  // full memory barrier before the load ("local-mbar"); default
   kYield,   // sched_yield-ish; for oversubscribed hosts and unit tests
@@ -31,11 +29,6 @@ void SpinYield();
 // One pause step of the given kind. Inlined so the spin loop stays tight.
 inline void SpinPause(PauseKind kind) {
   switch (kind) {
-    case PauseKind::kNone:
-      break;
-    case PauseKind::kNop:
-      asm volatile("nop");
-      break;
     case PauseKind::kPause:
 #if defined(__x86_64__)
       asm volatile("pause");

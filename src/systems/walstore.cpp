@@ -106,37 +106,25 @@ void WalStore::Put(std::uint64_t key, std::string value) {
   WriteRequest req;
   req.key = key;
   req.value = std::move(value);
-
-  db_lock_->lock();
-  req.sequence = next_sequence_++;
-  queue_.push_back(&req);
-  // Followers wait until a leader finishes their batch; the first writer in
-  // becomes leader once no batch is running.
-  while (!req.done) {
-    if (!batch_running_ && !queue_.empty() && queue_.front() == &req) {
-      RunBatchLocked();
-      break;
-    }
-    if (!batch_running_ && !queue_.empty()) {
-      // A follower can also lead if the designated leader already returned.
-      RunBatchLocked();
-      break;
-    }
-    queue_cv_.Wait(*db_lock_);
-  }
-  db_lock_->unlock();
+  Write(&req);
 }
 
 void WalStore::Delete(std::uint64_t key) {
   WriteRequest req;
   req.key = key;
   req.is_delete = true;
+  Write(&req);
+}
 
+void WalStore::Write(WriteRequest* req) {
   db_lock_->lock();
-  req.sequence = next_sequence_++;
-  queue_.push_back(&req);
-  while (!req.done) {
-    if (!batch_running_ && !queue_.empty()) {
+  req->sequence = next_sequence_++;
+  queue_.push_back(req);
+  // Followers wait until a leader finishes their batch; whichever queued
+  // writer finds no batch running leads the next one (a queued, unfinished
+  // request keeps queue_ non-empty).
+  while (!req->done) {
+    if (!batch_running_) {
       RunBatchLocked();
       break;
     }

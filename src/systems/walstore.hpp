@@ -80,6 +80,9 @@ class WalStore {
     bool done = false;
   };
 
+  // Enqueues *req and returns once a batch (maybe its own) has applied it.
+  void Write(WriteRequest* req);
+
   // Applies all queued writes (leader path). Called with db_lock_ held.
   void RunBatchLocked() LL_REQUIRES(*db_lock_);
 

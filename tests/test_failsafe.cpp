@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "src/locks/lock_registry.hpp"
-#include "src/obs/trace.hpp"
 #include "src/platform/failpoint.hpp"
 #include "src/systems/wal_log.hpp"
 #include "src/systems/walstore.hpp"
@@ -131,11 +130,6 @@ TEST(Failpoints, DefaultChaosSpecParsesAndExcludesWalCrashSites) {
   ScopedFailpoints arm(spec, 1);  // throws if the profile ever goes stale
   EXPECT_EQ(spec.find("wal/append"), std::string::npos);
   EXPECT_EQ(spec.find("wal/flush"), std::string::npos);
-}
-
-TEST(Failpoints, NewTraceEventKindsHaveNames) {
-  EXPECT_STREQ(TraceEventKindName(TraceEventKind::kWatchdogStall), "watchdog_stall");
-  EXPECT_STREQ(TraceEventKindName(TraceEventKind::kFailpointFire), "failpoint_fire");
 }
 
 // --- WalLog crash consistency ------------------------------------------------

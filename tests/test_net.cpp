@@ -1,7 +1,7 @@
 // NetServe tests: the RESP codec under adversarial framing (torn at every
 // byte boundary, pipelined batches, oversized/garbage/binary input, all
 // without allocation blowup), and the full server end-to-end over a real
-// loopback socket -- reply correctness per system x lock, counter
+// loopback socket -- reply correctness per lock, counter
 // invariants after shutdown, the backpressure pause and resume for a
 // client that stops reading, and the graceful drain path flushing every
 // in-flight pipelined reply before EOF.
@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,7 +66,7 @@ TEST(RespParser, TornFramesAtEveryByteBoundary) {
   const std::string wire =
       "*3\r\n$3\r\nSET\r\n$3\r\nfoo\r\n$5\r\nhello\r\n"
       "*2\r\n$3\r\nGET\r\n$3\r\nfoo\r\n"
-      "PING\r\n"
+      "*1\r\n$4\r\nPING\r\n"
       "*1\r\n$4\r\nQUIT\r\n";
   // Every split point: [0, wire) fed as two chunks, plus the byte-by-byte
   // worst case via ParseByteByByte.
@@ -147,6 +148,8 @@ TEST(RespParser, GarbageHeadersError) {
       "*2\r\nGET foo\r\n",   // array element that is not a bulk string
       "*1\r\n$abc\r\n",      // non-numeric bulk length
       "$5\r\nhello\r\n",     // bulk string outside an array
+      "PING\r\n",            // inline request: not an array
+      "\r\n",                // blank line: not an array
       "*1\r\n$3\r\nGETxy",   // payload terminator is neither CR nor LF
   };
   for (const char* wire : cases) {
@@ -179,14 +182,15 @@ TEST(RespParser, LimitsEnforced) {
     EXPECT_EQ(error, "too many arguments");
   }
   {
+    // Reply lines: the client-side parser caps an unterminated line.
     RespLimits limits;
     limits.max_inline_bytes = 16;
-    RespParser parser(limits);
-    parser.Feed(std::string(17, 'x'));  // no newline yet, already over budget
-    RespCommand command;
+    RespReplyParser parser(limits);
+    parser.Feed("+" + std::string(17, 'x'));  // no newline yet, already over budget
+    RespReply reply;
     std::string error;
-    EXPECT_EQ(parser.Next(&command, &error), RespParseStatus::kError);
-    EXPECT_EQ(error, "inline command too long");
+    EXPECT_EQ(parser.Next(&reply, &error), RespParseStatus::kError);
+    EXPECT_EQ(error, "reply line too long");
   }
   {
     // Whole-frame cap: an incomplete bulk payload may not buffer without
@@ -202,9 +206,10 @@ TEST(RespParser, LimitsEnforced) {
   }
 }
 
-TEST(RespParser, InlineCommandsAndNoOpFramesSkipped) {
+TEST(RespParser, NoOpFramesSkipped) {
   RespParser parser;
-  parser.Feed("\r\n*0\r\n  \t \r\nGET  foo\r\nset bar baz\r\n");
+  parser.Feed("*0\r\n*2\r\n$3\r\nGET\r\n$3\r\nfoo\r\n*0\r\n*0\r\n"
+              "*3\r\n$3\r\nset\r\n$3\r\nbar\r\n$3\r\nbaz\r\n*0\r\n");
   RespCommand command;
   std::string error;
   ASSERT_EQ(parser.Next(&command, &error), RespParseStatus::kCommand);
@@ -212,6 +217,7 @@ TEST(RespParser, InlineCommandsAndNoOpFramesSkipped) {
   ASSERT_EQ(parser.Next(&command, &error), RespParseStatus::kCommand);
   EXPECT_EQ(command.args, (std::vector<std::string>{"set", "bar", "baz"}));
   EXPECT_EQ(parser.Next(&command, &error), RespParseStatus::kNeedMore);
+  EXPECT_EQ(parser.buffered_bytes(), 0u);
 }
 
 TEST(RespParser, CompactionKeepsPipelinedStreamBounded) {
@@ -269,16 +275,6 @@ TEST(RespReplyParser, InvalidTypeByteErrors) {
   RespReply reply;
   std::string error;
   EXPECT_EQ(parser.Next(&reply, &error), RespParseStatus::kError);
-}
-
-// --- Key mapping -------------------------------------------------------------
-
-TEST(NetKey, DecimalKeysAreTheirValueOthersHash) {
-  EXPECT_EQ(NetKeyToUint64("0"), 0u);
-  EXPECT_EQ(NetKeyToUint64("42"), 42u);
-  EXPECT_EQ(NetKeyToUint64("1234567890"), 1234567890u);
-  EXPECT_NE(NetKeyToUint64("foo"), NetKeyToUint64("bar"));
-  EXPECT_EQ(NetKeyToUint64("foo"), NetKeyToUint64("foo"));
 }
 
 // --- End-to-end over loopback ------------------------------------------------
@@ -358,97 +354,115 @@ std::uint64_t CounterValue(LockServer& server, const std::string& name) {
   return server.metrics().Counter(name).Value();
 }
 
-TEST(NetServer, RoundTripAcrossSystemsAndLocks) {
-  for (const char* system : {"kvstore", "cache"}) {
-    for (const char* lock : {"MUTEX", "TICKET", "MUTEXEE"}) {
-      SCOPED_TRACE(std::string(system) + " / " + lock);
-      NetServerOptions options;
-      options.workers = 2;
-      options.backend.system = system;
-      options.backend.lock_name = lock;
-      LockServer server(options);
-      server.Start();
-      ASSERT_GT(server.port(), 0);
+TEST(NetServer, RoundTripAcrossLocks) {
+  for (const char* lock : {"MUTEX", "TICKET", "MUTEXEE"}) {
+    SCOPED_TRACE(lock);
+    NetServerOptions options;
+    options.workers = 2;
+    options.backend.lock_name = lock;
+    LockServer server(options);
+    server.Start();
+    ASSERT_GT(server.port(), 0);
 
-      TestClient client(server.port());
-      ASSERT_TRUE(client.ok());
-      // One pipelined burst: SET, GET hit, GET miss, DEL, DEL again, PING.
-      std::string burst;
-      RespAppendCommand(&burst, {"SET", "alpha", "one"});
-      RespAppendCommand(&burst, {"GET", "alpha"});
-      RespAppendCommand(&burst, {"GET", "missing"});
-      RespAppendCommand(&burst, {"DEL", "alpha"});
-      RespAppendCommand(&burst, {"DEL", "alpha"});
-      burst += "PING\r\n";  // inline form on the same connection
-      client.SendRaw(burst);
+    TestClient client(server.port());
+    ASSERT_TRUE(client.ok());
+    // One pipelined burst: SET, GET hit, GET miss, SIZE, DEL, DEL again,
+    // PING, STATS.
+    std::string burst;
+    RespAppendCommand(&burst, {"SET", "alpha", "one"});
+    RespAppendCommand(&burst, {"GET", "alpha"});
+    RespAppendCommand(&burst, {"GET", "missing"});
+    RespAppendCommand(&burst, {"SIZE"});
+    RespAppendCommand(&burst, {"DEL", "alpha"});
+    RespAppendCommand(&burst, {"DEL", "alpha"});
+    RespAppendCommand(&burst, {"ping"});  // verbs are case-insensitive
+    RespAppendCommand(&burst, {"STATS"});
+    client.SendRaw(burst);
 
-      RespReply reply;
-      ASSERT_TRUE(client.ReadReply(&reply));
-      EXPECT_EQ(reply.type, RespReply::Type::kSimple);
-      EXPECT_EQ(reply.text, "OK");
-      ASSERT_TRUE(client.ReadReply(&reply));
-      EXPECT_EQ(reply.type, RespReply::Type::kBulk);
-      EXPECT_EQ(reply.text, "one");
-      ASSERT_TRUE(client.ReadReply(&reply));
-      EXPECT_EQ(reply.type, RespReply::Type::kNil);
-      ASSERT_TRUE(client.ReadReply(&reply));
-      EXPECT_EQ(reply.integer, 1);
-      ASSERT_TRUE(client.ReadReply(&reply));
-      EXPECT_EQ(reply.integer, 0);
-      ASSERT_TRUE(client.ReadReply(&reply));
-      EXPECT_EQ(reply.text, "PONG");
+    RespReply reply;
+    ASSERT_TRUE(client.ReadReply(&reply));
+    EXPECT_EQ(reply.type, RespReply::Type::kSimple);
+    EXPECT_EQ(reply.text, "OK");
+    ASSERT_TRUE(client.ReadReply(&reply));
+    EXPECT_EQ(reply.type, RespReply::Type::kBulk);
+    EXPECT_EQ(reply.text, "one");
+    ASSERT_TRUE(client.ReadReply(&reply));
+    EXPECT_EQ(reply.type, RespReply::Type::kNil);
+    ASSERT_TRUE(client.ReadReply(&reply));
+    EXPECT_EQ(reply.type, RespReply::Type::kInteger);
+    EXPECT_EQ(reply.integer, 1);
+    ASSERT_TRUE(client.ReadReply(&reply));
+    EXPECT_EQ(reply.integer, 1);
+    ASSERT_TRUE(client.ReadReply(&reply));
+    EXPECT_EQ(reply.integer, 0);
+    ASSERT_TRUE(client.ReadReply(&reply));
+    EXPECT_EQ(reply.text, "PONG");
+    ASSERT_TRUE(client.ReadReply(&reply));
+    EXPECT_EQ(reply.type, RespReply::Type::kBulk);
+    EXPECT_NE(reply.text.find("\"net.cmd.set\""), std::string::npos);
 
-      // QUIT: +OK then the server closes.
-      client.Send({"QUIT"});
-      ASSERT_TRUE(client.ReadReply(&reply));
-      EXPECT_EQ(reply.text, "OK");
-      EXPECT_FALSE(client.ReadReply(&reply));  // EOF
-      client.Close();
+    // QUIT: +OK then the server closes.
+    client.Send({"QUIT"});
+    ASSERT_TRUE(client.ReadReply(&reply));
+    EXPECT_EQ(reply.text, "OK");
+    EXPECT_FALSE(client.ReadReply(&reply));  // EOF
+    client.Close();
 
-      server.Drain();
-      server.Join();
+    server.Drain();
+    server.Join();
 
-      // Counter invariants after a quiesced shutdown.
-      EXPECT_EQ(CounterValue(server, "net.requests"), 7u);
-      EXPECT_EQ(CounterValue(server, "net.replies"), 7u);
-      EXPECT_EQ(CounterValue(server, "net.conn.accepted"),
-                CounterValue(server, "net.conn.closed"));
-      EXPECT_EQ(CounterValue(server, "net.hits") + CounterValue(server, "net.misses"),
-                CounterValue(server, "net.cmd.get"));
-      EXPECT_EQ(CounterValue(server, "net.cmd.get"), 2u);
-      EXPECT_EQ(CounterValue(server, "net.cmd.set"), 1u);
-      EXPECT_EQ(CounterValue(server, "net.cmd.del"), 2u);
-      EXPECT_EQ(CounterValue(server, "net.protocol_errors"), 0u);
-    }
+    // Counter invariants after a quiesced shutdown.
+    EXPECT_EQ(CounterValue(server, "net.requests"), 9u);
+    EXPECT_EQ(CounterValue(server, "net.replies"), 9u);
+    EXPECT_EQ(CounterValue(server, "net.conn.accepted"),
+              CounterValue(server, "net.conn.closed"));
+    EXPECT_EQ(CounterValue(server, "net.hits") + CounterValue(server, "net.misses"),
+              CounterValue(server, "net.cmd.get"));
+    EXPECT_EQ(CounterValue(server, "net.cmd.get"), 2u);
+    EXPECT_EQ(CounterValue(server, "net.cmd.set"), 1u);
+    EXPECT_EQ(CounterValue(server, "net.cmd.del"), 2u);
+    EXPECT_EQ(CounterValue(server, "net.cmd.size"), 1u);
+    EXPECT_EQ(CounterValue(server, "net.cmd.ping"), 1u);
+    EXPECT_EQ(CounterValue(server, "net.cmd.stats"), 1u);
+    EXPECT_EQ(CounterValue(server, "net.cmd.quit"), 1u);
+    EXPECT_EQ(CounterValue(server, "net.errors"), 0u);
+    EXPECT_EQ(CounterValue(server, "net.protocol_errors"), 0u);
   }
 }
 
-TEST(NetServer, NosqlAppendAndUnknownCommands) {
+TEST(NetServer, OnlyTheCacheStoreIsServed) {
   NetServerOptions options;
-  options.backend.system = "nosql-hash";
+  options.backend.system = "kvstore";
+  try {
+    LockServer server(options);
+    FAIL() << "a store other than cache was accepted";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("'cache'"), std::string::npos) << error.what();
+  }
+}
+
+TEST(NetServer, AppendAndUnknownVerbsAreUnknownCommands) {
+  NetServerOptions options;
   LockServer server(options);
   server.Start();
   TestClient client(server.port());
   ASSERT_TRUE(client.ok());
   client.Send({"APPEND", "log", "a"});
-  client.Send({"APPEND", "log", "b"});
-  client.Send({"GET", "log"});
   client.Send({"FLY", "me"});
+  client.Send({"GET", "log"});
   RespReply reply;
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(client.ReadReply(&reply));
+    EXPECT_EQ(reply.type, RespReply::Type::kError);
+    EXPECT_EQ(reply.text.rfind("ERR unknown command", 0), 0u) << reply.text;
+  }
   ASSERT_TRUE(client.ReadReply(&reply));
-  EXPECT_EQ(reply.text, "OK");
-  ASSERT_TRUE(client.ReadReply(&reply));
-  EXPECT_EQ(reply.text, "OK");
-  ASSERT_TRUE(client.ReadReply(&reply));
-  EXPECT_EQ(reply.text, "ab");
-  ASSERT_TRUE(client.ReadReply(&reply));
-  EXPECT_EQ(reply.type, RespReply::Type::kError);
-  EXPECT_EQ(reply.text.rfind("ERR unknown command", 0), 0u);
+  EXPECT_EQ(reply.type, RespReply::Type::kNil);  // the APPEND stored nothing
   client.Close();
   server.Drain();
   server.Join();
-  EXPECT_EQ(CounterValue(server, "net.cmd.append"), 2u);
-  EXPECT_EQ(CounterValue(server, "net.cmd.unknown"), 1u);
+  EXPECT_EQ(CounterValue(server, "net.cmd.unknown"), 2u);
+  EXPECT_EQ(CounterValue(server, "net.errors"), 2u);
 }
 
 TEST(NetServer, StatsReturnsServerMetricsJson) {
@@ -468,26 +482,30 @@ TEST(NetServer, StatsReturnsServerMetricsJson) {
 }
 
 TEST(NetServer, ProtocolErrorRepliesThenCloses) {
-  NetServerOptions options;
-  LockServer server(options);
-  server.Start();
-  TestClient client(server.port());
-  ASSERT_TRUE(client.ok());
-  client.SendRaw("*abc\r\n");
-  RespReply reply;
-  ASSERT_TRUE(client.ReadReply(&reply));
-  EXPECT_EQ(reply.type, RespReply::Type::kError);
-  EXPECT_EQ(reply.text.rfind("ERR protocol error", 0), 0u);
-  EXPECT_FALSE(client.ReadReply(&reply));  // EOF after the diagnostic
-  client.Close();
-  server.Drain();
-  server.Join();
-  EXPECT_EQ(CounterValue(server, "net.protocol_errors"), 1u);
+  // A malformed array header, and an inline request (not an array at all).
+  for (const char* wire : {"*abc\r\n", "PING\r\n"}) {
+    SCOPED_TRACE(wire);
+    NetServerOptions options;
+    LockServer server(options);
+    server.Start();
+    TestClient client(server.port());
+    ASSERT_TRUE(client.ok());
+    client.SendRaw(wire);
+    RespReply reply;
+    ASSERT_TRUE(client.ReadReply(&reply));
+    EXPECT_EQ(reply.type, RespReply::Type::kError);
+    EXPECT_EQ(reply.text.rfind("ERR protocol error", 0), 0u);
+    EXPECT_FALSE(client.ReadReply(&reply));  // EOF after the diagnostic
+    client.Close();
+    server.Drain();
+    server.Join();
+    EXPECT_EQ(CounterValue(server, "net.protocol_errors"), 1u);
+    EXPECT_EQ(CounterValue(server, "net.requests"), 0u);
+  }
 }
 
 TEST(NetServer, DrainFlushesEveryInFlightReply) {
   NetServerOptions options;
-  options.backend.system = "cache";
   LockServer server(options);
   server.Start();
   TestClient client(server.port());
@@ -519,7 +537,6 @@ TEST(NetServer, SlowReaderStopsBeingRead) {
   // wait for a client that reads nothing, the server stops reading that
   // client; once it reads again, every reply arrives whole.
   NetServerOptions options;
-  options.backend.system = "cache";
   LockServer server(options);
   server.Start();
   TestClient client(server.port());
@@ -574,7 +591,6 @@ TEST(NetServer, SlowReaderStopsBeingRead) {
 
 TEST(NetServer, LoadgenDrivesServerInProcess) {
   NetServerOptions options;
-  options.backend.system = "cache";
   options.workers = 2;
   LockServer server(options);
   server.Start();

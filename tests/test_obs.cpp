@@ -5,8 +5,10 @@
 // and TPP surfacing in scenario results via the model meter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -340,6 +342,76 @@ TEST(LockTraceHookTest, UntracedHandleEmitsNothing) {
   handle->unlock();
   EXPECT_EQ(handle->trace_site(), 0u);
   EXPECT_EQ(ring.size(), 0u);
+}
+
+// A spinlock whose unlock() lingers after the release, the way a MUTEX
+// release lingers in its futex wake while the next holder already runs.
+class LingeringUnlockLock {
+ public:
+  void lock() {
+    while (!try_lock()) {
+      std::this_thread::yield();
+    }
+  }
+  bool try_lock() { return !held_.exchange(true, std::memory_order_acquire); }
+  void unlock() {
+    held_.store(false, std::memory_order_release);
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+
+ private:
+  std::atomic<bool> held_{false};
+};
+
+TEST(LockTraceHookTest, HoldSpansOfOneLockDoNotOverlap) {
+  // Two threads share one traced handle and take turns, each releasing
+  // while the other waits. kReleased is stamped before the release, so
+  // every hold span [kAcquired, kReleased] ends before the other thread's
+  // next one begins: a lock is never held twice at once.
+  constexpr int kIterations = 50;
+  LockAdapter<LingeringUnlockLock> handle("LINGER");
+  handle.EnableTrace();
+  TraceBuffer rings[2] = {TraceBuffer(1024, 0), TraceBuffer(1024, 1)};
+  std::atomic<int> turn{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&, t] {
+      ScopedTraceSink sink(&rings[t]);
+      for (int i = 0; i < kIterations; ++i) {
+        while (turn.load() != t) {
+          std::this_thread::yield();
+        }
+        handle.lock();
+        turn.store(1 - t);
+        handle.unlock();
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  std::vector<TraceEvent> events;
+  for (TraceBuffer& ring : rings) {
+    ASSERT_EQ(ring.dropped(), 0u);
+    ring.Drain(&events);
+  }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) { return a.timestamp < b.timestamp; });
+  int holder = -1;
+  int acquired = 0;
+  int overlaps = 0;
+  for (const TraceEvent& event : events) {
+    if (event.kind == static_cast<std::uint16_t>(TraceEventKind::kAcquired)) {
+      ++acquired;
+      overlaps += holder != -1 ? 1 : 0;
+      holder = event.tid;
+    } else if (event.kind == static_cast<std::uint16_t>(TraceEventKind::kReleased) &&
+               holder == event.tid) {
+      holder = -1;
+    }
+  }
+  EXPECT_EQ(acquired, 2 * kIterations);
+  EXPECT_EQ(overlaps, 0);
 }
 
 // --- Exporter ----------------------------------------------------------------

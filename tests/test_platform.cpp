@@ -90,8 +90,7 @@ TEST(Topology, PinThreadToCpuZero) {
 }
 
 TEST(SpinHint, AllPauseKindsExecute) {
-  for (PauseKind kind : {PauseKind::kNone, PauseKind::kNop, PauseKind::kPause,
-                         PauseKind::kMfence, PauseKind::kYield}) {
+  for (PauseKind kind : {PauseKind::kPause, PauseKind::kMfence, PauseKind::kYield}) {
     SpinPause(kind);  // must not crash or hang
   }
 }
