@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   EmitTable(grace, options,
             "Ablation: unlock grace window (paper: removing it brings power back to "
             "MUTEX-like levels; in this simulator arrivals rarely land inside the 384-cycle "
-            "window, so the effect is smaller -- see EXPERIMENTS.md)");
+            "window, so the effect is smaller)");
 
   TextTable adapt({"adaptation", "long_cs_tput_Kacq/s", "long_cs_power_W", "mode_note"});
   for (const bool adaptive : {true, false}) {

@@ -1,8 +1,8 @@
 // Shared helpers for the figure/table reproduction binaries.
 //
 // Every binary prints the same rows/series the paper's figure plots, plus a
-// "paper" column where the paper reports a number, so EXPERIMENTS.md can be
-// regenerated by running build/bench/*. Flags: --csv emits CSV instead of
+// "paper" column where the paper reports a number, so each row can be read
+// against the paper's figure directly. Flags: --csv emits CSV instead of
 // the aligned table; --json emits one JSON array of row objects per table;
 // --quick shortens simulated durations. Unknown, mistyped or inapplicable
 // flags are an error: Parse prints usage and exits non-zero instead of
@@ -12,10 +12,8 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <initializer_list>
 #include <iostream>
 #include <string>
-#include <vector>
 
 #include "src/stats/table.hpp"
 
@@ -25,47 +23,20 @@ struct BenchOptions {
   bool csv = false;
   bool json = false;
   bool quick = false;
-  // Per-binary boolean flags matched from Parse's `extra_flags` (e.g.
-  // fig08's --no-grace ablation switch).
-  std::vector<std::string> extras;
 
-  bool HasExtra(const char* flag) const {
-    for (const std::string& extra : extras) {
-      if (extra == flag) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  static void PrintUsage(const char* prog, std::ostream& out,
-                         std::initializer_list<const char*> extra_flags = {}) {
+  static void PrintUsage(const char* prog, std::ostream& out) {
     out << "usage: " << prog << " [--csv] [--json] [--quick]\n"
         << "  [--help]             print this message\n";
-    for (const char* flag : extra_flags) {
-      out << "  [" << flag << "]     (this binary)\n";
-    }
   }
 
-  // Parses the shared flags; `extra_flags` names additional boolean flags
-  // this binary accepts (surfaced via HasExtra). Anything else prints usage
-  // and exits 2 -- mistyped or inapplicable flags must not be silently
-  // ignored.
-  static BenchOptions Parse(int argc, char** argv,
-                            std::initializer_list<const char*> extra_flags = {}) {
+  // Parses the shared flags. Anything else prints usage and exits 2 --
+  // mistyped or inapplicable flags must not be silently ignored.
+  static BenchOptions Parse(int argc, char** argv) {
     BenchOptions options;
     auto fail = [&](const std::string& message) {
       std::cerr << argv[0] << ": " << message << "\n";
-      PrintUsage(argv[0], std::cerr, extra_flags);
+      PrintUsage(argv[0], std::cerr);
       std::exit(2);
-    };
-    auto is_extra = [&](const char* arg) {
-      for (const char* flag : extra_flags) {
-        if (std::strcmp(arg, flag) == 0) {
-          return true;
-        }
-      }
-      return false;
     };
     for (int i = 1; i < argc; ++i) {
       if (std::strcmp(argv[i], "--csv") == 0) {
@@ -74,10 +45,8 @@ struct BenchOptions {
         options.json = true;
       } else if (std::strcmp(argv[i], "--quick") == 0) {
         options.quick = true;
-      } else if (is_extra(argv[i])) {
-        options.extras.push_back(argv[i]);
       } else if (std::strcmp(argv[i], "--help") == 0) {
-        PrintUsage(argv[0], std::cout, extra_flags);
+        PrintUsage(argv[0], std::cout);
         std::exit(0);
       } else {
         fail(std::string("unrecognized argument: ") + argv[i]);

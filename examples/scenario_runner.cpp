@@ -15,7 +15,6 @@
 //   --ops N           operations per thread (default 40000; --quick: 8000)
 //   --seconds S       time-bounded run instead of fixed ops
 //   --seed N          workload seed (default 1)
-//   --read-percent P  override the scenario's default mix
 //   --key-space N     override the scenario's default key space
 //   --json            machine-readable output (one JSON object per run)
 //   --quick           short run (CI smoke)
@@ -38,9 +37,8 @@
 //   --lockdep         arm the LockLint lock-order detector for the runs and
 //                     print any reported violations (exit 1 if any)
 //   --meter MODE      energy meter: auto (RAPL else model; default),
-//                     model, off
-//   --sample-ms N     sample the meter every N ms into an energy series
-//                     (and a watts counter track when tracing)
+//                     model, off; a metered --trace run also gets a watts
+//                     counter track
 //
 // FailSafe robustness flags:
 //   --failpoints SPEC arm named failpoints for the runs (grammar in
@@ -95,7 +93,6 @@ struct RunnerOptions {
   int ops = 0;  // 0 = default (40000, or 8000 with --quick)
   double seconds = 0;
   std::uint64_t seed = 1;
-  int read_percent = -1;
   std::uint64_t key_space = 0;
   long shards = 0;  // 0 = scenario default
   std::vector<int> thread_sweep;
@@ -103,7 +100,6 @@ struct RunnerOptions {
   bool metrics = false;
   bool lockdep = false;
   std::string meter = "auto";
-  long sample_ms = 0;
   std::string failpoints;
   bool chaos = false;
   long watchdog_ms = 0;
@@ -113,9 +109,9 @@ void PrintUsage(const char* prog, std::FILE* out) {
   std::fprintf(out,
                "usage: %s --list | --scenario NAME | --all [options]\n"
                "  --lock NAME|all  --threads N  --ops N  --seconds S  --seed N\n"
-               "  --read-percent P  --key-space N  --json  --quick\n"
+               "  --key-space N  --json  --quick\n"
                "  --shards N  --thread-sweep 1,2,4,8\n"
-               "  --trace FILE  --metrics  --lockdep  --meter auto|model|off  --sample-ms N\n"
+               "  --trace FILE  --metrics  --lockdep  --meter auto|model|off\n"
                "  --failpoints SPEC  --chaos  --watchdog-ms N\n",
                prog);
 }
@@ -178,8 +174,6 @@ RunnerOptions ParseArgs(int argc, char** argv) {
           errno == ERANGE) {
         Fail(argv[0], std::string("invalid --seed value: ") + value);
       }
-    } else if (std::strcmp(argv[i], "--read-percent") == 0) {
-      options.read_percent = static_cast<int>(int_of(i, "--read-percent", 0, 100));
     } else if (std::strcmp(argv[i], "--key-space") == 0) {
       options.key_space = static_cast<std::uint64_t>(int_of(i, "--key-space", 1, 1000000000));
     } else if (std::strcmp(argv[i], "--shards") == 0) {
@@ -212,8 +206,6 @@ RunnerOptions ParseArgs(int argc, char** argv) {
       if (options.meter != "auto" && options.meter != "model" && options.meter != "off") {
         Fail(argv[0], "invalid --meter value: " + options.meter + " (auto|model|off)");
       }
-    } else if (std::strcmp(argv[i], "--sample-ms") == 0) {
-      options.sample_ms = int_of(i, "--sample-ms", 1, 60000);
     } else if (std::strcmp(argv[i], "--failpoints") == 0) {
       options.failpoints = value_of(i, "--failpoints");
     } else if (std::strcmp(argv[i], "--chaos") == 0) {
@@ -357,7 +349,6 @@ int main(int argc, char** argv) {
     config.duration_ms = ms < 1.0 ? 1 : static_cast<std::uint64_t>(ms);
   }
   config.seed = options.seed;
-  config.read_percent = options.read_percent;
   config.key_space = options.key_space;
   config.shards = static_cast<std::uint32_t>(options.shards);
   config.trace = !options.trace_path.empty();
@@ -365,7 +356,6 @@ int main(int argc, char** argv) {
   config.meter = options.meter == "off"     ? MeterChoice::kOff
                  : options.meter == "model" ? MeterChoice::kModel
                                             : MeterChoice::kAuto;
-  config.energy_sample_ms = static_cast<std::uint32_t>(options.sample_ms);
 
   if (options.chaos && !options.failpoints.empty()) {
     Fail(argv[0], "--chaos and --failpoints are mutually exclusive");

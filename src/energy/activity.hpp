@@ -27,9 +27,6 @@ enum class ActivityState {
 
 inline constexpr int kActivityStateCount = 12;
 
-// Paper-facing name for reports.
-const char* ActivityStateName(ActivityState state);
-
 }  // namespace lockin
 
 #endif  // SRC_ENERGY_ACTIVITY_HPP_

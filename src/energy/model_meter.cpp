@@ -1,63 +1,34 @@
 #include "src/energy/model_meter.hpp"
 
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "src/energy/rapl_meter.hpp"
 
 namespace lockin {
 
-ActivityRegistry::ActivityRegistry(PowerModel model)
-    : model_(std::move(model)),
-      states_(model_.topology().total_contexts(), ActivityState::kInactive),
-      last_transition_(std::chrono::steady_clock::now()) {}
-
-void ActivityRegistry::AccumulateLocked(std::chrono::steady_clock::time_point now) {
-  const double dt =
-      std::chrono::duration_cast<std::chrono::duration<double>>(now - last_transition_).count();
-  if (dt > 0) {
-    const PowerModel::Breakdown watts = model_.ComponentWatts(states_, {});
-    totals_.package_joules += watts.package_w * dt;
-    totals_.dram_joules += watts.dram_w * dt;
-    totals_.seconds += dt;
-  }
-  last_transition_ = now;
+ModelMeter::ModelMeter(const PowerModel& model, int busy_contexts) {
+  const int contexts = model.topology().total_contexts();
+  std::vector<ActivityState> states(static_cast<std::size_t>(contexts), ActivityState::kInactive);
+  std::fill_n(states.begin(), std::clamp(busy_contexts, 0, contexts), ActivityState::kCritical);
+  watts_ = model.ComponentWatts(states, {});
 }
 
-void ActivityRegistry::SetState(int ctx, ActivityState state) {
-  std::lock_guard<std::mutex> guard(mu_);
-  AccumulateLocked(std::chrono::steady_clock::now());
-  if (ctx >= 0 && ctx < static_cast<int>(states_.size())) {
-    states_[ctx] = state;
-  }
-}
-
-ActivityRegistry::Totals ActivityRegistry::Snapshot() {
-  std::lock_guard<std::mutex> guard(mu_);
-  AccumulateLocked(std::chrono::steady_clock::now());
-  return totals_;
-}
-
-void ActivityRegistry::ResetEnergy() {
-  std::lock_guard<std::mutex> guard(mu_);
-  AccumulateLocked(std::chrono::steady_clock::now());
-  totals_ = Totals{};
-}
-
-ModelMeter::ModelMeter(std::shared_ptr<ActivityRegistry> registry)
-    : registry_(std::move(registry)) {}
-
-void ModelMeter::Start() { start_ = registry_->Snapshot(); }
+void ModelMeter::Start() { start_ = std::chrono::steady_clock::now(); }
 
 EnergySample ModelMeter::Stop() {
-  const ActivityRegistry::Totals end = registry_->Snapshot();
+  const double seconds = std::chrono::duration_cast<std::chrono::duration<double>>(
+                             std::chrono::steady_clock::now() - start_)
+                             .count();
   EnergySample sample;
-  sample.package_joules = end.package_joules - start_.package_joules;
-  sample.dram_joules = end.dram_joules - start_.dram_joules;
-  sample.seconds = end.seconds - start_.seconds;
+  sample.package_joules = watts_.package_w * seconds;
+  sample.dram_joules = watts_.dram_w * seconds;
+  sample.seconds = seconds;
   return sample;
 }
 
-std::unique_ptr<EnergyMeter> MakeDefaultMeter(std::shared_ptr<ActivityRegistry> registry) {
+std::unique_ptr<EnergyMeter> MakeDefaultMeter(const PowerModel& model, int busy_contexts) {
   if (RaplMeter::Available()) {
     return std::make_unique<RaplMeter>();
   }
@@ -74,10 +45,7 @@ std::unique_ptr<EnergyMeter> MakeDefaultMeter(std::shared_ptr<ActivityRegistry> 
     return true;
   }();
   (void)logged;
-  if (registry != nullptr) {
-    return std::make_unique<ModelMeter>(std::move(registry));
-  }
-  return nullptr;
+  return std::make_unique<ModelMeter>(model, busy_contexts);
 }
 
 }  // namespace lockin

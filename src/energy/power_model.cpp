@@ -4,49 +4,10 @@
 
 namespace lockin {
 
-const char* ActivityStateName(ActivityState state) {
-  switch (state) {
-    case ActivityState::kInactive:
-      return "inactive";
-    case ActivityState::kSleeping:
-      return "sleeping";
-    case ActivityState::kDeepSleep:
-      return "deep-sleep";
-    case ActivityState::kWorking:
-      return "working";
-    case ActivityState::kCritical:
-      return "critical";
-    case ActivityState::kSpinGlobal:
-      return "spin-global";
-    case ActivityState::kSpinLocal:
-      return "spin-local";
-    case ActivityState::kSpinPause:
-      return "spin-pause";
-    case ActivityState::kSpinMbar:
-      return "spin-mbar";
-    case ActivityState::kSpinDvfsMin:
-      return "spin-dvfs-min";
-    case ActivityState::kMwait:
-      return "mwait";
-    case ActivityState::kKernel:
-      return "kernel";
-  }
-  return "unknown";
-}
-
 PowerModel::PowerModel(Topology topology, PowerParams params)
     : topology_(std::move(topology)), params_(params) {
   for (int s = 0; s < kActivityStateCount; ++s) {
-    const auto state = static_cast<ActivityState>(s);
-    factor_lut_[s] = ActivityFactor(state);
-    active_lut_[s] = IsContextActive(state);
-  }
-  const auto& cpus = topology_.cpus();
-  core_key_lut_.reserve(cpus.size());
-  socket_lut_.reserve(cpus.size());
-  for (const CpuInfo& cpu : cpus) {
-    core_key_lut_.push_back(cpu.socket * topology_.cores_per_socket() + cpu.core);
-    socket_lut_.push_back(cpu.socket);
+    factor_lut_[s] = ActivityFactor(static_cast<ActivityState>(s));
   }
 }
 
@@ -80,20 +41,15 @@ double PowerModel::ActivityFactor(ActivityState state) const {
   return 0.0;
 }
 
-// Shared implementation: `vf_of(ctx)` supplies the per-context VF request.
-// Both public entry points funnel here so they run the same arithmetic in
-// the same order (bit-identical results). Scratch buffers are thread-local
-// so the hot uniform-VF path allocates nothing after first use.
-template <typename VfOf>
-PowerModel::Breakdown PowerModel::ComputeWatts(const std::vector<ActivityState>& states,
-                                               const VfOf& vf_of) const {
-  // SimMachine recomputes on every context-state change, so this runs
-  // millions of times per bench: LUTs replace per-context switch dispatch
-  // and the scratch is thread-local, but the arithmetic (values and
-  // summation order) is unchanged from the reference formulation above.
-  const int contexts = topology_.total_contexts();
-  const int n = std::min(contexts, static_cast<int>(core_key_lut_.size()));
+PowerModel::Breakdown PowerModel::ComponentWatts(const std::vector<ActivityState>& states,
+                                                 const std::vector<VfSetting>& vf) const {
+  const std::vector<CpuInfo>& cpus = topology_.cpus();
+  const int n = std::min(topology_.total_contexts(), static_cast<int>(cpus.size()));
   const int ns = static_cast<int>(states.size());
+  const int nvf = static_cast<int>(vf.size());
+  auto core_key_of = [&](int ctx) {
+    return cpus[ctx].socket * topology_.cores_per_socket() + cpus[ctx].core;
+  };
 
   // Hyper-threads of a core share the *higher* VF point (section 4.2), and
   // an inactive sibling counts as high: lowering one context's VF "will
@@ -101,26 +57,21 @@ PowerModel::Breakdown PowerModel::ComputeWatts(const std::vector<ActivityState>&
   // setting". A core runs at min VF only when every one of its contexts
   // requests min. Keyed by socket * cores_per_socket + core.
   const int cores_total = topology_.total_cores();
-  static thread_local std::vector<int> active_contexts_on_core;
-  static thread_local std::vector<VfSetting> core_vf;
-  static thread_local std::vector<char> socket_active;
-  static thread_local std::vector<int> seen_on_core;
-  active_contexts_on_core.assign(cores_total, 0);
-  core_vf.assign(cores_total, VfSetting::kMin);
-  socket_active.assign(topology_.sockets(), 0);
-  seen_on_core.assign(cores_total, 0);
+  std::vector<int> active_contexts_on_core(cores_total, 0);
+  std::vector<VfSetting> core_vf(cores_total, VfSetting::kMin);
+  std::vector<char> socket_active(topology_.sockets(), 0);
 
   for (int ctx = 0; ctx < n; ++ctx) {
     const ActivityState state = ctx < ns ? states[ctx] : ActivityState::kInactive;
-    const int core_key = core_key_lut_[ctx];
-    if (vf_of(state, ctx) == VfSetting::kMax) {
+    const int core_key = core_key_of(ctx);
+    if (VfRequest(state, ctx < nvf ? vf[ctx] : VfSetting::kMax) == VfSetting::kMax) {
       core_vf[core_key] = VfSetting::kMax;  // higher request (or idle) wins
     }
-    if (!active_lut_[static_cast<int>(state)]) {
+    if (!IsContextActive(state)) {
       continue;
     }
     active_contexts_on_core[core_key]++;
-    socket_active[socket_lut_[ctx]] = 1;
+    socket_active[cpus[ctx].socket] = 1;
   }
 
   Breakdown result;
@@ -144,15 +95,16 @@ PowerModel::Breakdown PowerModel::ComputeWatts(const std::vector<ActivityState>&
   // Per-context dynamic power (ContextWatts is the single source of the
   // formula). The first active context of a core pays the core wake-up
   // power; additional hyper-threads pay the (smaller) SMT power.
+  std::vector<char> seen_on_core(cores_total, 0);
   for (int ctx = 0; ctx < n; ++ctx) {
     const ActivityState state = ctx < ns ? states[ctx] : ActivityState::kInactive;
-    if (!active_lut_[static_cast<int>(state)]) {
+    if (!IsContextActive(state)) {
       result.package_w += ContextWatts(state, VfSetting::kMax, false).package_w;
       continue;
     }
-    const int core_key = core_key_lut_[ctx];
+    const int core_key = core_key_of(ctx);
     const bool first_on_core = seen_on_core[core_key] == 0;
-    seen_on_core[core_key]++;
+    seen_on_core[core_key] = 1;
 
     const ContextPower power = ContextWatts(state, core_vf[core_key], first_on_core);
     result.cores_w += power.cores_w;
@@ -161,22 +113,6 @@ PowerModel::Breakdown PowerModel::ComputeWatts(const std::vector<ActivityState>&
   }
 
   return result;
-}
-
-PowerModel::Breakdown PowerModel::ComponentWatts(const std::vector<ActivityState>& states,
-                                                 const std::vector<VfSetting>& vf) const {
-  return ComputeWatts(states, [&](ActivityState state, int ctx) {
-    if (state == ActivityState::kSpinDvfsMin) {
-      return VfSetting::kMin;
-    }
-    return ctx < static_cast<int>(vf.size()) ? vf[ctx] : VfSetting::kMax;
-  });
-}
-
-PowerModel::Breakdown PowerModel::ComponentWattsUniform(
-    const std::vector<ActivityState>& states, VfSetting vf) const {
-  return ComputeWatts(states,
-                      [&](ActivityState state, int /*ctx*/) { return VfRequest(state, vf); });
 }
 
 double PowerModel::TotalWatts(const std::vector<ActivityState>& states,

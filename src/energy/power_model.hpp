@@ -1,8 +1,8 @@
 // Analytic power model of the paper's Xeon testbed.
 //
-// The host running this reproduction has no RAPL interface, so the model
-// below substitutes for it (see DESIGN.md section 2). Every constant is
-// calibrated against a number reported in the paper:
+// Hosts without a readable RAPL interface get their energy from this model
+// (ModelMeter), and the simulator integrates it over simulated time. Every
+// constant is calibrated against a number reported in the paper:
 //
 //   * total idle power 55.5 W, split package ~30.5 W / DRAM 25 W (sec 3.1);
 //   * activating the first core of a socket costs 13.6 W package power at
@@ -119,15 +119,6 @@ class PowerModel {
   Breakdown ComponentWatts(const std::vector<ActivityState>& states,
                            const std::vector<VfSetting>& vf) const;
 
-  // Allocation-free fast path for the simulator: every context at the same
-  // VF point (kSpinDvfsMin still forces its context to min, as above).
-  // Bit-identical to ComponentWatts with a uniform vf vector -- both run
-  // the same arithmetic in the same order -- but reuses thread-local
-  // scratch instead of building per-call vectors, because SimMachine calls
-  // this on every context-state change.
-  Breakdown ComponentWattsUniform(const std::vector<ActivityState>& states,
-                                  VfSetting vf) const;
-
   // Dynamic activity factor for a state (0 for inactive/sleeping).
   double ActivityFactor(ActivityState state) const;
 
@@ -179,19 +170,12 @@ class PowerModel {
   }
 
  private:
-  template <typename VfOf>
-  Breakdown ComputeWatts(const std::vector<ActivityState>& states, const VfOf& vf_of) const;
-
   Topology topology_;
   PowerParams params_;
-  // Hot-path lookup tables (built once in the constructor): the per-state
-  // activity factor / active flag (same values ActivityFactor() returns)
-  // and each context's socket * cores_per_socket + core key, so the watts
-  // loops do no switch dispatch or CpuInfo chasing per context.
+  // ActivityFactor() per state, built once in the constructor: ContextWatts
+  // runs on every context-state change of SimMachine's power cache, so it
+  // does no switch dispatch.
   double factor_lut_[kActivityStateCount];
-  bool active_lut_[kActivityStateCount];
-  std::vector<int> core_key_lut_;
-  std::vector<int> socket_lut_;
 };
 
 }  // namespace lockin

@@ -46,10 +46,10 @@ struct AcquireShape {
 // handle tier otherwise. `config` supplies what the driver reads: lock name,
 // threads, run length (ops_per_thread when duration_ms == 0, as for
 // scenarios), seed (worker t seeds its RNG with seed*40503+t),
-// record_latency (one sample per acquire), meter, energy sampling, the
-// workers' trace rings, the watchdog and external_stop. The microbenchmark
-// ignores the scenario-only fields: the mix (read_percent, key_space),
-// shards, failpoints and lockdep. The result's scenario name and metrics
+// record_latency (one sample per acquire), meter, the workers' trace rings
+// (and with them the energy sampler), the watchdog and external_stop. The
+// microbenchmark ignores the scenario-only fields: key_space, shards,
+// failpoints and lockdep. The result's scenario name and metrics
 // stay empty. Unknown lock names raise
 // std::invalid_argument (the registry's throwing contract via
 // MakeLockOrThrow).

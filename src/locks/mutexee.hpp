@@ -57,8 +57,8 @@ struct MutexeeConfig {
   double futex_ratio_threshold = 0.30;
 
   // Ablation switch: disabling the unlock grace window makes MUTEXEE behave
-  // like MUTEX power-wise (the paper's sensitivity analysis); kept for the
-  // fig08 --no-grace experiment and unit tests.
+  // like MUTEX power-wise (the paper's sensitivity analysis); ablation_mutexee
+  // and unit tests turn it off.
   bool enable_unlock_grace = true;
 };
 

@@ -97,7 +97,7 @@ RespParseStatus RespParser::Next(RespCommand* out, std::string* error) {
                         /*allow_minus_one=*/false)) {
       return FailWith(error, "invalid array header");
     }
-    if (static_cast<std::size_t>(count) > limits_.max_args) {
+    if (static_cast<std::size_t>(count) > kRespMaxArgs) {
       return FailWith(error, "too many arguments");
     }
     cursor = header_end + 1;
@@ -125,13 +125,13 @@ RespParseStatus RespParser::Next(RespCommand* out, std::string* error) {
         return FailWith(error, "invalid bulk length");
       }
       // Rejected from the header alone: the payload is never buffered.
-      if (static_cast<std::size_t>(len) > limits_.max_bulk_bytes) {
+      if (static_cast<std::size_t>(len) > kRespMaxBulkBytes) {
         return FailWith(error, "bulk string too large");
       }
       const std::size_t payload_start = len_end + 1;
       // Payload + its CRLF (or LF) terminator.
       if (buffer_.size() < payload_start + static_cast<std::size_t>(len) + 1) {
-        if (buffer_.size() - consumed_ > limits_.max_command_bytes) {
+        if (buffer_.size() - consumed_ > kRespMaxCommandBytes) {
           return FailWith(error, "command too large");
         }
         return RespParseStatus::kNeedMore;
@@ -199,7 +199,7 @@ RespParseStatus RespReplyParser::Next(RespReply* out, std::string* error) {
   const char kind = buffer_[cursor];
   const std::size_t line_end = FindNewline(buffer_, cursor);
   if (line_end == std::string::npos) {
-    if (buffer_.size() - cursor > limits_.max_inline_bytes) {
+    if (buffer_.size() - cursor > kRespMaxReplyLineBytes) {
       return FailWith(error, "reply line too long");
     }
     return RespParseStatus::kNeedMore;
@@ -243,7 +243,7 @@ RespParseStatus RespReplyParser::Next(RespReply* out, std::string* error) {
         consumed_ = line_end + 1;
         return RespParseStatus::kCommand;
       }
-      if (static_cast<std::size_t>(len) > limits_.max_bulk_bytes) {
+      if (static_cast<std::size_t>(len) > kRespMaxBulkBytes) {
         return FailWith(error, "bulk reply too large");
       }
       const std::size_t payload_start = line_end + 1;

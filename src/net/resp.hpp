@@ -12,7 +12,7 @@
 // exactly when complete. Malformed or oversized input turns the parser
 // into a terminal error state *before* the offending payload is buffered
 // (a `$999999999` header is rejected from the header alone), so a hostile
-// peer cannot blow up allocation; RespLimits bounds every dimension.
+// peer cannot blow up allocation; the kResp* limits bound every dimension.
 #ifndef SRC_NET_RESP_HPP_
 #define SRC_NET_RESP_HPP_
 
@@ -38,18 +38,14 @@ enum class RespParseStatus : std::uint8_t {
 // Caps applied while parsing. Exceeding any of them is a protocol error
 // raised from the *header* (or from the running line length), never after
 // buffering the oversized payload.
-struct RespLimits {
-  std::size_t max_inline_bytes = 8 * 1024;        // one reply line (RespReplyParser)
-  std::size_t max_args = 64;                      // elements per RESP array
-  std::size_t max_bulk_bytes = 1 * 1024 * 1024;   // one argument's payload
-  std::size_t max_command_bytes = 4 * 1024 * 1024;  // whole buffered frame
-};
+inline constexpr std::size_t kRespMaxReplyLineBytes = 8 * 1024;     // one reply line
+inline constexpr std::size_t kRespMaxArgs = 64;                     // elements per RESP array
+inline constexpr std::size_t kRespMaxBulkBytes = 1 * 1024 * 1024;   // one argument's payload
+inline constexpr std::size_t kRespMaxCommandBytes = 4 * 1024 * 1024;  // whole buffered frame
 
 // Incremental request parser (server side).
 class RespParser {
  public:
-  explicit RespParser(RespLimits limits = {}) : limits_(limits) {}
-
   // Appends raw bytes read from the wire. Cheap; parsing happens in Next.
   void Feed(std::string_view data);
 
@@ -65,7 +61,6 @@ class RespParser {
  private:
   RespParseStatus FailWith(std::string* error, const std::string& message);
 
-  RespLimits limits_;
   std::string buffer_;
   std::size_t consumed_ = 0;  // parsed-and-delivered prefix of buffer_
   bool broken_ = false;
@@ -83,8 +78,6 @@ struct RespReply {
 // Incremental reply parser (client side: loadgen, tests).
 class RespReplyParser {
  public:
-  explicit RespReplyParser(RespLimits limits = {}) : limits_(limits) {}
-
   void Feed(std::string_view data);
   RespParseStatus Next(RespReply* out, std::string* error);
 
@@ -93,7 +86,6 @@ class RespReplyParser {
  private:
   RespParseStatus FailWith(std::string* error, const std::string& message);
 
-  RespLimits limits_;
   std::string buffer_;
   std::size_t consumed_ = 0;
   bool broken_ = false;

@@ -193,14 +193,13 @@ void LockServer::AdoptConnection(Worker& worker, int fd) {
   stats_->active.Set(
       static_cast<double>(active_conns_.fetch_add(1, std::memory_order_relaxed) + 1));
   client->conn.Start(
-      [this, &worker, client](std::string_view data) { OnData(worker, client, data); },
+      [this, client](std::string_view data) { OnData(client, data); },
       [this, &worker, client] { OnClose(worker, client); });
 }
 
 // --- Per-connection service --------------------------------------------------
 
-void LockServer::OnData(Worker& worker, Client* client, std::string_view data) {
-  (void)worker;
+void LockServer::OnData(Client* client, std::string_view data) {
   client->parser.Feed(data);
   client->reply.clear();
   RespCommand command;

@@ -76,7 +76,7 @@ class LockServer {
 
   void AcceptFd(int fd);
   void AdoptConnection(Worker& worker, int fd);
-  void OnData(Worker& worker, Client* client, std::string_view data);
+  void OnData(Client* client, std::string_view data);
   void OnClose(Worker& worker, Client* client);
 
   NetServerOptions options_;

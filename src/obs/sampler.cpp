@@ -4,11 +4,11 @@
 
 namespace lockin {
 
-EnergySampler::EnergySampler(EnergyMeter* meter, std::uint64_t interval_ms, TraceBuffer* sink)
-    : meter_(meter), sink_(sink), interval_ms_(interval_ms == 0 ? 1 : interval_ms) {
+EnergySampler::EnergySampler(EnergyMeter* meter, TraceBuffer* sink)
+    : meter_(meter), sink_(sink) {
   thread_ = std::thread([this] {
     while (!stop_.load(std::memory_order_acquire)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms_));
+      std::this_thread::sleep_for(std::chrono::milliseconds(kIntervalMs));
       Sample();
     }
   });
@@ -16,28 +16,22 @@ EnergySampler::EnergySampler(EnergyMeter* meter, std::uint64_t interval_ms, Trac
 
 void EnergySampler::Sample() {
   const EnergySample cumulative = meter_->Stop();
-  EnergyPoint point;
-  point.seconds = cumulative.seconds;
-  point.joules = cumulative.total_joules();
-  const double dt = point.seconds - last_seconds_;
-  point.watts = dt > 0 ? (point.joules - last_joules_) / dt : 0;
-  last_seconds_ = point.seconds;
-  last_joules_ = point.joules;
-  if (sink_ != nullptr) {
-    sink_->Push(ReadCycles(), TraceEventKind::kWattsSample,
-                static_cast<std::uint32_t>(point.watts * 1000.0));
-  }
-  series_.push_back(point);
+  const double joules = cumulative.total_joules();
+  const double dt = cumulative.seconds - last_seconds_;
+  const double watts = dt > 0 ? (joules - last_joules_) / dt : 0;
+  last_seconds_ = cumulative.seconds;
+  last_joules_ = joules;
+  sink_->Push(ReadCycles(), TraceEventKind::kWattsSample,
+              static_cast<std::uint32_t>(watts * 1000.0));
 }
 
-std::vector<EnergyPoint> EnergySampler::Finish() {
+void EnergySampler::Finish() {
   if (!finished_) {
     stop_.store(true, std::memory_order_release);
     thread_.join();
     Sample();  // final point covers the tail of the run
     finished_ = true;
   }
-  return series_;
 }
 
 EnergySampler::~EnergySampler() {

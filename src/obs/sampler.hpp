@@ -1,8 +1,8 @@
-// Periodic energy sampler: a background thread that snapshots an
-// EnergyMeter (RAPL where permitted, the calibrated model elsewhere) into a
-// time series while a workload runs, and optionally emits watts counter
-// events into a trace buffer so Perfetto shows a power track alongside the
-// lock/futex slices.
+// Periodic energy sampler: a background thread that reads an EnergyMeter
+// (RAPL where permitted, the calibrated model elsewhere) every kIntervalMs
+// while a traced run goes on, and pushes each window's average watts into a
+// trace buffer as a kWattsSample event, so Perfetto shows a power track
+// alongside the lock/futex slices.
 //
 // The sampler relies on this repo's meter contract: Stop() is a
 // non-destructive read of "energy since Start()" (both RaplMeter and
@@ -15,46 +15,37 @@
 #include <atomic>
 #include <cstdint>
 #include <thread>
-#include <vector>
 
 #include "src/energy/energy_meter.hpp"
 #include "src/obs/trace.hpp"
 
 namespace lockin {
 
-// One point of the sampled series (cumulative since meter Start()).
-struct EnergyPoint {
-  double seconds = 0;
-  double joules = 0;
-  double watts = 0;  // average watts over the window since the last point
-};
-
 class EnergySampler {
  public:
-  // Samples `meter` every `interval_ms`. `sink` may be null; when set, each
-  // sample also lands there as a kWattsSample event (arg = milliwatts).
-  // The meter must already be Start()ed and must outlive the sampler.
-  EnergySampler(EnergyMeter* meter, std::uint64_t interval_ms, TraceBuffer* sink = nullptr);
+  static constexpr std::uint64_t kIntervalMs = 5;
+
+  // Samples `meter` into `sink` (arg = milliwatts). The meter must already
+  // be Start()ed; both must outlive the sampler.
+  EnergySampler(EnergyMeter* meter, TraceBuffer* sink);
   ~EnergySampler();
 
   EnergySampler(const EnergySampler&) = delete;
   EnergySampler& operator=(const EnergySampler&) = delete;
 
-  // Stops the thread and returns the collected series (one final sample is
-  // taken on the way out, so even sub-interval runs get a point).
-  std::vector<EnergyPoint> Finish();
+  // Stops the thread and takes one final sample, so even a run shorter
+  // than one interval gets a point.
+  void Finish();
 
  private:
   void Sample();
 
   EnergyMeter* meter_;
   TraceBuffer* sink_;
-  std::uint64_t interval_ms_;
   std::atomic<bool> stop_{false};
   bool finished_ = false;
   double last_seconds_ = 0;
   double last_joules_ = 0;
-  std::vector<EnergyPoint> series_;
   std::thread thread_;
 };
 

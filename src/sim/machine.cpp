@@ -126,7 +126,8 @@ void SimMachine::ApplyContextChange(int ctx, ActivityState new_state) {
 }
 
 double SimMachine::PowerCacheDriftForTest() const {
-  const PowerModel::Breakdown full = power_model_.ComponentWattsUniform(ctx_states_, vf_);
+  const PowerModel::Breakdown full =
+      power_model_.ComponentWatts(ctx_states_, std::vector<VfSetting>(ctx_states_.size(), vf_));
   const double dp = watts_.package_w - full.package_w;
   const double dc = watts_.cores_w - full.cores_w;
   const double dd = watts_.dram_w - full.dram_w;
@@ -375,22 +376,6 @@ void SimMachine::NotifyWhenRunning(int tid, SimCallback fn) {
 SimMachine::EnergyTotals SimMachine::Energy() {
   AccumulateEnergy();
   return energy_;
-}
-
-void SimMachine::ResetEnergy() {
-  AccumulateEnergy();
-  energy_ = EnergyTotals{};
-}
-
-std::vector<double> SimMachine::StateSeconds() {
-  AccumulateEnergy();
-  std::vector<double> seconds(kActivityStateCount, 0.0);
-  for (int i = 0; i < kActivityStateCount; ++i) {
-    seconds[static_cast<std::size_t>(i)] =
-        static_cast<double>(state_cycles_[static_cast<std::size_t>(i)]) /
-        params_.cycles_per_second;
-  }
-  return seconds;
 }
 
 double SimMachine::ActiveShare(ActivityState state) {

@@ -10,8 +10,7 @@
 //
 // Energy: each context carries an ActivityState; the PowerModel is
 // integrated over the piecewise-constant machine state, exactly like RAPL
-// integrates real power. This is the simulated counterpart of
-// ActivityRegistry (src/energy/model_meter.hpp).
+// integrates real power.
 #ifndef SRC_SIM_MACHINE_HPP_
 #define SRC_SIM_MACHINE_HPP_
 
@@ -93,19 +92,18 @@ class SimMachine {
 
   // Integrates up to now() and returns the running totals.
   EnergyTotals Energy();
-  void ResetEnergy();
 
-  // Context-seconds spent in each activity state (integrated alongside the
-  // energy). Section 6.1 of the paper quantifies MUTEX's kernel time this
-  // way: "SQLite spends more than 40% of the CPU time on the raw spin lock
-  // function of the kernel ... MUTEXEE spends just 4%".
-  std::vector<double> StateSeconds();
-  // Share of *active* context time spent in `state` (0 when nothing ran).
+  // Share of *active* context time spent in `state` (0 when nothing ran),
+  // from the state residency integrated alongside the energy. Section 6.1
+  // of the paper quantifies MUTEX's kernel time this way: "SQLite spends
+  // more than 40% of the CPU time on the raw spin lock function of the
+  // kernel ... MUTEXEE spends just 4%".
   double ActiveShare(ActivityState state);
 
-  // Distance between the incrementally-maintained power breakdown and a
-  // full PowerModel recomputation (test hook: bounds the drift of the
-  // per-core delta updates; see the power-cache comment below).
+  // Distance between the incrementally-maintained power breakdown and
+  // PowerModel::ComponentWatts at the machine's VF point (test hook: bounds
+  // the drift of the per-core delta updates; see the power-cache comment
+  // below).
   double PowerCacheDriftForTest() const;
 
   double NowSeconds() const {
@@ -153,7 +151,7 @@ class SimMachine {
   // Instead the breakdown is maintained incrementally: a context change
   // re-derives only its own core's contribution (<= smt_per_core contexts)
   // and its socket's uncore term, and applies the delta to the running
-  // totals. Values match PowerModel::ComponentWattsUniform up to
+  // totals. Values match PowerModel::ComponentWatts up to
   // floating-point re-association (~1e-12 W over a full bench run, see
   // PowerCacheDriftForTest); the update sequence is deterministic, so runs
   // remain bit-for-bit repeatable.

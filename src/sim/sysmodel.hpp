@@ -23,8 +23,9 @@ struct SystemWorkload {
   std::string system;   // "HamsterDB", "Kyoto", ...
   std::string config;   // "WT", "CACHE", "64 CON", ...
   WorkloadConfig workload;
-  // Paper-reported normalized values (vs MUTEX) for EXPERIMENTS.md
-  // comparison; 0 when the paper does not report the cell.
+  // Paper-reported normalized values (vs MUTEX), printed beside the
+  // simulated ratios in fig13_15_systems; 0 when the paper does not report
+  // the cell.
   double paper_throughput_ticket = 0;
   double paper_throughput_mutexee = 0;
   double paper_tpp_ticket = 0;
@@ -53,8 +54,10 @@ struct SystemResult {
   double TppRatioMutexee() const { return Ratio(mutexee_result.tpp, mutex_result.tpp); }
   // The paper's Figure 15 reports the 99th percentile of *request* latency;
   // one request crosses several lock acquisitions, so the acquire-level
-  // percentile that corresponds to it sits deeper in the tail. We use the
-  // 99.9th acquire percentile (see EXPERIMENTS.md).
+  // percentile that corresponds to it sits deeper in the tail: a request of
+  // k independent acquisitions is below its p99 only when all k are below
+  // the acquisitions' 0.99^(1/k) quantile, about 1 - 0.01/k. We use the
+  // 99.9th acquire percentile, the k = 10 point.
   double TailRatioTicket() const {
     return Ratio(static_cast<double>(ticket_result.acquire_latency_cycles.P999()),
                  static_cast<double>(mutex_result.acquire_latency_cycles.P999()));

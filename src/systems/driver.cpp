@@ -11,6 +11,7 @@
 #include "src/analysis/lockdep.hpp"
 #include "src/energy/model_meter.hpp"
 #include "src/energy/power_model.hpp"
+#include "src/obs/sampler.hpp"
 #include "src/obs/trace.hpp"
 #include "src/platform/failpoint.hpp"
 #include "src/platform/topology.hpp"
@@ -117,23 +118,21 @@ DriverRun RunDriverPhase(const ScenarioConfig& config, const std::string& scenar
   }
 
   // kAuto follows the fallback chain (RAPL when readable, else the model).
-  // The model integrates the activity registry, in which the workers'
-  // contexts are busy for the whole run phase; RAPL ignores the registry.
-  // The registry dies with the run, so nothing marks the contexts idle again.
+  // The model charges the workers' contexts as busy for the whole run
+  // phase; RAPL reads the hardware counters. The sampler's one output is
+  // the trace's watts track, so only traced runs start it.
   std::unique_ptr<EnergyMeter> meter;
   if (config.meter != MeterChoice::kOff) {
-    auto activity = std::make_shared<ActivityRegistry>(
-        PowerModel(Topology::Detect(), PowerParams::PaperXeon()));
-    for (std::size_t t = 0; t < slots.size(); ++t) {
-      activity->SetState(static_cast<int>(t), ActivityState::kCritical);
-    }
-    meter = config.meter == MeterChoice::kModel ? std::make_unique<ModelMeter>(activity)
-                                                : MakeDefaultMeter(activity);
+    const PowerModel model(Topology::Detect(), PowerParams::PaperXeon());
+    const int busy_contexts = static_cast<int>(slots.size());
+    meter = config.meter == MeterChoice::kModel
+                ? std::make_unique<ModelMeter>(model, busy_contexts)
+                : MakeDefaultMeter(model, busy_contexts);
     meter->Start();
   }
   std::unique_ptr<EnergySampler> sampler;
-  if (meter != nullptr && config.energy_sample_ms > 0) {
-    sampler = std::make_unique<EnergySampler>(meter.get(), config.energy_sample_ms,
+  if (meter != nullptr && config.trace) {
+    sampler = std::make_unique<EnergySampler>(meter.get(),
                                               NewTraceBuffer(config, config.threads + 1));
   }
   std::atomic<bool> watchdog_stop{false};
@@ -176,7 +175,7 @@ DriverRun RunDriverPhase(const ScenarioConfig& config, const std::string& scenar
   DriverRun run;
   run.seconds = std::chrono::duration_cast<std::chrono::duration<double>>(t1 - t0).count();
   if (sampler != nullptr) {
-    run.energy_series = sampler->Finish();
+    sampler->Finish();
   }
   if (meter != nullptr) {
     run.energy = meter->Stop();
@@ -200,7 +199,6 @@ ScenarioResult CollectResult(const ScenarioConfig& config, const std::string& sc
       result.seconds > 0 ? static_cast<double>(result.total_ops) / result.seconds : 0;
   result.energy = run.energy;
   result.meter_name = std::move(run.meter_name);
-  result.energy_series = std::move(run.energy_series);
   return result;
 }
 

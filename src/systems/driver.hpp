@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "src/energy/energy_meter.hpp"
-#include "src/obs/sampler.hpp"
 #include "src/platform/cacheline.hpp"
 #include "src/platform/spin_hint.hpp"
 #include "src/stats/histogram.hpp"
@@ -82,9 +81,8 @@ static_assert(sizeof(WorkerSlot) % kCacheLineSize == 0,
 // What the run phase measured.
 struct DriverRun {
   double seconds = 0;
-  EnergySample energy;                     // zero when config.meter is kOff
-  std::string meter_name;                  // "rapl", "model", "" when off
-  std::vector<EnergyPoint> energy_series;  // non-empty when energy_sample_ms > 0
+  EnergySample energy;     // zero when config.meter is kOff
+  std::string meter_name;  // "rapl", "model", "" when off
 };
 
 struct DriverFlags {
@@ -145,11 +143,12 @@ void DriverLoop(const ScenarioConfig& config, WorkerSlot& slot, Body body,
 
 // The run phase around the workers: starts `worker` on one thread per slot
 // (pinned in the socket-first order when `pin_threads`), the energy meter
-// config.meter names, the energy sampler and the watchdog as `config` asks,
-// releases the workers together and stops them by op count or by duration.
-// Slot t runs as thread_index t. `scenario_name` labels watchdog reports.
-// This is the one place that tells the model meter which contexts are busy:
-// contexts 0..threads-1 run as kCritical from its Start() to its Stop().
+// config.meter names, the energy sampler (metered, traced runs) and the
+// watchdog as `config` asks, releases the workers together and stops them
+// by op count or by duration. Slot t runs as thread_index t.
+// `scenario_name` labels watchdog reports. This is the one place that
+// tells the model meter which contexts are busy: contexts 0..threads-1 run
+// as kCritical from its Start() to its Stop().
 DriverRun RunDriverPhase(const ScenarioConfig& config, const std::string& scenario_name,
                          std::vector<WorkerSlot>& slots, bool pin_threads,
                          const std::function<void(WorkerSlot&, const DriverFlags&)>& worker);
@@ -166,7 +165,7 @@ DriverRun RunDriver(const ScenarioConfig& config, const std::string& scenario_na
 
 // The result fields every driver caller reports the same way: scenario,
 // lock, threads, seconds, total_ops (the slots' op_index), ops_per_s, the
-// merged latency histogram, energy, meter name and energy series.
+// merged latency histogram, energy and meter name.
 ScenarioResult CollectResult(const ScenarioConfig& config, const std::string& scenario_name,
                              const std::vector<WorkerSlot>& slots, DriverRun run);
 

@@ -24,7 +24,6 @@ class CacheScenario final : public ScenarioWorkload {
   explicit CacheScenario(Params params) : params_(params) {}
 
   void Setup(const ScenarioConfig& config) override {
-    get_percent_ = config.read_percent >= 0 ? config.read_percent : params_.get_percent;
     key_space_ = config.key_space != 0 ? config.key_space : params_.key_space;
     cache_ = std::make_unique<MemCache>(
         config.MakeLockFactory(),
@@ -35,7 +34,7 @@ class CacheScenario final : public ScenarioWorkload {
 
   void Op(ThreadContext& ctx) override {
     AssignKey(&ctx.key, 'k', SkewedKey(&ctx.rng, key_space_));
-    if (static_cast<int>(ctx.rng.NextBelow(100)) < get_percent_) {
+    if (static_cast<int>(ctx.rng.NextBelow(100)) < params_.get_percent) {
       ++ctx.counters[0];
       if (cache_->Get(ctx.key, &ctx.value)) {
         ++ctx.counters[1];
@@ -54,7 +53,6 @@ class CacheScenario final : public ScenarioWorkload {
 
  private:
   Params params_;
-  int get_percent_ = 50;
   std::uint64_t key_space_ = 0;
   std::unique_ptr<MemCache> cache_;
 };

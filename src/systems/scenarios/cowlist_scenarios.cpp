@@ -24,8 +24,7 @@ class CowListScenario final : public ScenarioWorkload {
   explicit CowListScenario(Params params) : params_(params) {}
 
   void Setup(const ScenarioConfig& config) override {
-    const int read_percent =
-        config.read_percent >= 0 ? config.read_percent : params_.read_percent;
+    const int read_percent = params_.read_percent;
     list_size_ = config.key_space != 0 ? config.key_space : params_.list_size;
     get_below_ = read_percent * 3 / 4;
     sum_below_ = read_percent;

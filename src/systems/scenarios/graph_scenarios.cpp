@@ -25,8 +25,7 @@ class GraphScenario final : public ScenarioWorkload {
   explicit GraphScenario(Params params) : params_(params) {}
 
   void Setup(const ScenarioConfig& config) override {
-    const int read_percent =
-        config.read_percent >= 0 ? config.read_percent : params_.read_percent;
+    const int read_percent = params_.read_percent;
     nodes_ = config.key_space != 0 ? config.key_space : params_.nodes;
     link_read_below_ = read_percent * 3 / 4;
     node_read_below_ = read_percent;

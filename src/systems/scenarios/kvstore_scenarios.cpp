@@ -1,7 +1,7 @@
 // HamsterDB-shape scenarios over KvStore (paper Table 3: HamsterDB, WT /
 // WT/RD / RD configurations -- 4 worker threads hammering one DB lock).
 //
-// The generic read_percent knob is the share of read-only operations
+// read_percent is the share of read-only operations
 // (point Gets 5/6, short range scans 1/6); the write remainder splits
 // 3/4 Put, 1/4 Erase. The three registered configs set the paper's mixes.
 #include "src/systems/scenarios/scenario_defs.hpp"
@@ -21,8 +21,7 @@ class KvStoreScenario final : public ScenarioWorkload {
   explicit KvStoreScenario(Params params) : params_(params) {}
 
   void Setup(const ScenarioConfig& config) override {
-    const int read_percent =
-        config.read_percent >= 0 ? config.read_percent : params_.read_percent;
+    const int read_percent = params_.read_percent;
     key_space_ = config.key_space != 0 ? config.key_space : params_.key_space;
     get_below_ = read_percent * 5 / 6;
     scan_below_ = read_percent;

@@ -28,8 +28,7 @@ class MiniSqlScenario final : public ScenarioWorkload {
   explicit MiniSqlScenario(Params params) : params_(params) {}
 
   void Setup(const ScenarioConfig& config) override {
-    const int read_percent =
-        config.read_percent >= 0 ? config.read_percent : params_.read_percent;
+    const int read_percent = params_.read_percent;
     stock_below_ = read_percent;
     neworder_below_ =
         read_percent + (100 - read_percent) * params_.neworder_per_mille / 1000;

@@ -24,8 +24,7 @@ class NosqlScenario final : public ScenarioWorkload {
   explicit NosqlScenario(Params params) : params_(params) {}
 
   void Setup(const ScenarioConfig& config) override {
-    const int read_percent =
-        config.read_percent >= 0 ? config.read_percent : params_.read_percent;
+    const int read_percent = params_.read_percent;
     key_space_ = config.key_space != 0 ? config.key_space : params_.key_space;
     get_below_ = read_percent;
     const int writes = 100 - read_percent;

@@ -1,7 +1,8 @@
 // RocksDB-shape scenarios over WalStore (paper section 6: "RocksDB employs
 // a write queue ... and mostly relies on a conditional variable", which is
-// why the lock swap moves it the least). Writers group-commit through the
-// leader under the DB lock; reads take a short memtable lock.
+// why the lock swap moves it the least). Writers queue under the DB lock
+// and group-commit through a leader that writes with the DB lock released;
+// reads take a short memtable lock.
 //
 // Mix: reads are point Gets; the write remainder splits 90% Put, 10%
 // Delete. Every Put/Delete appends exactly one WAL record (the invariant
@@ -23,8 +24,7 @@ class WalStoreScenario final : public ScenarioWorkload {
   explicit WalStoreScenario(Params params) : params_(params) {}
 
   void Setup(const ScenarioConfig& config) override {
-    const int read_percent =
-        config.read_percent >= 0 ? config.read_percent : params_.read_percent;
+    const int read_percent = params_.read_percent;
     key_space_ = config.key_space != 0 ? config.key_space : params_.key_space;
     get_below_ = read_percent;
     put_below_ = read_percent + (100 - read_percent) * 9 / 10;

@@ -43,25 +43,33 @@ void WalStore::ApplyToMemtable(std::uint64_t key, std::string&& value, bool is_d
   });
 }
 
-void WalStore::RunBatchLocked() {
-  // Leader: drain the queue into one WAL append + memtable apply. Writes
-  // are applied in sequence order; the WAL tail is bounded (compaction is
-  // out of scope for the synchronization skeleton).
+void WalStore::RunBatch() {
+  // Leader: take every queued write as one group, then commit it with
+  // db_lock_ released, so writers that arrive meanwhile queue behind
+  // batch_running_ and form the next group. Groups are committed one at a
+  // time, in sequence order; the WAL tail is bounded (compaction is out of
+  // scope for the synchronization skeleton).
   batch_running_ = true;
-  std::vector<WriteRequest*> batch(queue_.begin(), queue_.end());
+  std::vector<WriteRequest*> group(queue_.begin(), queue_.end());
   queue_.clear();
+  // The leader uses the durable WalLog without db_lock_: wal_log_ is set
+  // once, in the constructor, and batch_running_ admits one leader at a
+  // time, so no other thread touches the log until this group is done.
+  WalLog* const wal_log = wal_log_.get();
+  db_lock_->unlock();
 
   // FailSafe: delay-only site inside the group-commit leader; stalling
-  // here (db lock held, followers parked on the condvar) widens the
-  // leader-election and queue-join races.
+  // here (db lock free, new writers queueing behind batch_running_) widens
+  // the group and the leader-election race at its end.
   (void)FailpointFired(FailpointId::kWalStoreBatch);
 
   // Durable mode: one crash-consistent record per op, appended before any
   // in-memory state is touched. A WAL failpoint crash propagates out with
   // nothing applied beyond what the file holds -- exactly what Recover()
-  // sees after a real mid-write kill.
-  if (wal_log_ != nullptr) {
-    for (WriteRequest* req : batch) {
+  // sees after a real mid-write kill -- and leaves the store dead:
+  // batch_running_ stays set, so no later writer returns.
+  if (wal_log != nullptr) {
+    for (WriteRequest* req : group) {
       std::string record;
       record += req->is_delete ? 'D' : 'P';
       record += ' ';
@@ -70,32 +78,34 @@ void WalStore::RunBatchLocked() {
         record += ' ';
         record += req->value;
       }
-      wal_log_->Append(record);
+      wal_log->Append(record);
     }
   }
 
-  // Simulate the WAL append outside the read path but under the DB lock
-  // (RocksDB's write thread does the same for the group).
+  // The simulated WAL entry for the group (RocksDB's write thread writes
+  // the group's WAL record outside the DB mutex too).
   std::string wal_entry;
-  for (WriteRequest* req : batch) {
+  for (WriteRequest* req : group) {
     wal_entry += std::to_string(req->sequence);
     wal_entry += req->is_delete ? ":D:" : ":P:";
     wal_entry += std::to_string(req->key);
     wal_entry += ';';
   }
+
+  // Apply in sequence order; each write takes only its key's shard lock,
+  // and readers never take db_lock_.
+  for (WriteRequest* req : group) {
+    ApplyToMemtable(req->key, std::move(req->value), req->is_delete);
+  }
+
+  db_lock_->lock();
   wal_.push_back(std::move(wal_entry));
   if (wal_.size() > 1024) {
     wal_.erase(wal_.begin(), wal_.begin() + 512);
   }
-  wal_records_ += batch.size();
+  wal_records_ += group.size();
   ++batches_;
-
-  // Apply in sequence order; each write takes only its key's shard lock
-  // (db_lock_ -> shard lock, readers never take db_lock_, so acyclic).
-  for (WriteRequest* req : batch) {
-    ApplyToMemtable(req->key, std::move(req->value), req->is_delete);
-  }
-  for (WriteRequest* req : batch) {
+  for (WriteRequest* req : group) {
     req->done = true;
   }
   batch_running_ = false;
@@ -120,12 +130,12 @@ void WalStore::Write(WriteRequest* req) {
   db_lock_->lock();
   req->sequence = next_sequence_++;
   queue_.push_back(req);
-  // Followers wait until a leader finishes their batch; whichever queued
-  // writer finds no batch running leads the next one (a queued, unfinished
-  // request keeps queue_ non-empty).
+  // Followers wait until a leader finishes their group; a writer that
+  // finds no group running -- on arrival or when woken with its request
+  // still queued -- leads the next one, which includes its own request.
   while (!req->done) {
     if (!batch_running_) {
-      RunBatchLocked();
+      RunBatch();
       break;
     }
     queue_cv_.Wait(*db_lock_);

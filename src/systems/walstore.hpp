@@ -5,9 +5,11 @@
 // (section 6): "RocksDB employs a write queue where threads enqueue their
 // operations and mostly relies on a conditional variable. Therefore,
 // altering MUTEX with another algorithm does not make a big difference."
-// Writers join a queue under the DB lock; the queue leader batches all
-// pending writes into the WAL and memtable while followers wait on the
-// condvar. Reads go to the memtable under a short lock.
+// Writers join a queue under the DB lock; the queue leader takes all
+// pending writes as one group and, with the DB lock released, writes them
+// to the WAL and memtable while followers wait on the condvar and new
+// writers queue up for the next group. Reads go to the memtable under a
+// short lock.
 //
 // The memtable is a ShardedMap, so with more than one shard reads spread
 // over per-shard locks instead of one read lock, and the batch leader
@@ -83,8 +85,9 @@ class WalStore {
   // Enqueues *req and returns once a batch (maybe its own) has applied it.
   void Write(WriteRequest* req);
 
-  // Applies all queued writes (leader path). Called with db_lock_ held.
-  void RunBatchLocked() LL_REQUIRES(*db_lock_);
+  // Commits all queued writes as one group (leader path). Called and
+  // returns with db_lock_ held; releases it while committing.
+  void RunBatch() LL_REQUIRES(*db_lock_);
 
   void ApplyToMemtable(std::uint64_t key, std::string&& value, bool is_delete);
 
@@ -100,8 +103,8 @@ class WalStore {
   RecoveryInfo recovery_info_;  // written once in the ctor, read-only after
 
   // Memtable shards guarded by their own short locks so reads do not cross
-  // the write queue. Lock order: db_lock_ -> memtable shard (leader apply);
-  // readers take only the shard lock, so the order is acyclic.
+  // the write queue. The group leader applies writes without db_lock_, and
+  // readers take only the shard lock, so no thread holds both.
   ShardedMap<Memtable> memtable_;
 };
 

@@ -33,7 +33,6 @@
 
 #include "src/energy/energy_meter.hpp"
 #include "src/locks/lock_api.hpp"
-#include "src/obs/sampler.hpp"
 #include "src/obs/trace.hpp"
 #include "src/platform/rng.hpp"
 #include "src/stats/histogram.hpp"
@@ -48,9 +47,8 @@ enum class MeterChoice {
   kOff,    // no meter; result.energy stays zero
 };
 
-// One scenario run: which lock, how many threads, how long, which mix.
-// Scenario-agnostic; each scenario maps the generic knobs onto its own
-// operation mix and key space (see the registry descriptions).
+// One scenario run: which lock, how many threads, how long. Each scenario
+// runs its registered operation mix (see the registry descriptions).
 struct ScenarioConfig {
   std::string lock_name = "MUTEX";
   int threads = 4;
@@ -64,9 +62,7 @@ struct ScenarioConfig {
   int ops_per_thread = 40000;
   std::uint64_t duration_ms = 0;
 
-  // Mix knobs. read_percent < 0 keeps the scenario's registered default
-  // mix; key_space = 0 keeps its default key space / data-set size.
-  int read_percent = -1;
+  // Key space / data-set size; 0 keeps the scenario's registered default.
   std::uint64_t key_space = 0;
 
   // Shard count of the system under test (src/systems/sharded.hpp). 0
@@ -92,13 +88,11 @@ struct ScenarioConfig {
   bool lockdep = false;
   // Energy accounting for the run phase, built by the driver
   // (RunDriverPhase). kAuto follows the meter fallback chain (RAPL ->
-  // model); the model integrates the run's worker contexts as active.
-  // result.energy/Tpp() report the outcome.
+  // model); the model charges the run's worker contexts as busy.
+  // result.energy/Tpp() report the outcome. A metered, traced run also
+  // samples the meter every EnergySampler::kIntervalMs onto a Perfetto
+  // counter track of watts.
   MeterChoice meter = MeterChoice::kAuto;
-  // When > 0, a background sampler thread snapshots the meter every
-  // energy_sample_ms into result.energy_series (and, when tracing, a
-  // Perfetto counter track of watts).
-  std::uint32_t energy_sample_ms = 0;
 
   // --- FailSafe robustness --------------------------------------------------
   // failpoints: a failpoint SPEC (src/platform/failpoint.hpp) armed for the
@@ -160,8 +154,7 @@ struct ScenarioResult {
   // deterministic, seed-stable part of the result, and energy is wall-clock
   // dependent by nature.
   EnergySample energy;
-  std::string meter_name;                  // "rapl", "model", "" when off
-  std::vector<EnergyPoint> energy_series;  // non-empty when energy_sample_ms > 0
+  std::string meter_name;  // "rapl", "model", "" when off
 
   double MopsPerS() const { return ops_per_s / 1e6; }
   // Throughput-per-power (ops/Joule), the paper's efficiency metric; 0

@@ -3,6 +3,8 @@
 // numbers (section 3.1) and orderings (sections 4.1-4.2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <thread>
 
 #include "src/energy/model_meter.hpp"
@@ -169,19 +171,36 @@ TEST(EnergySample, TotalsWattsAndTpp) {
   EXPECT_DOUBLE_EQ(sample.Tpp(1000), 100.0);
 }
 
-TEST(ActivityRegistryTest, IntegratesEnergyOverTime) {
-  auto registry = std::make_shared<ActivityRegistry>(
-      PowerModel(Topology(1, 4, 2), PowerParams::PaperXeon()));
-  ModelMeter meter(registry);
+// The model meter is one formula: ComponentWatts of the busy contexts in
+// kCritical (capped at the topology's 8 contexts here), for the elapsed time.
+TEST(ModelMeterTest, ChargesComponentWattsOfBusyContexts) {
+  const PowerModel model(Topology(1, 4, 2), PowerParams::PaperXeon());
+  for (const int busy : {0, 1, 3, 8, 12}) {
+    ModelMeter meter(model, busy);
+    meter.Start();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const EnergySample sample = meter.Stop();
+    ASSERT_GT(sample.seconds, 0.0) << busy;
+    const PowerModel::Breakdown expected =
+        model.ComponentWatts(States(std::min(busy, 8), ActivityState::kCritical, 8), {});
+    EXPECT_NEAR(sample.package_joules / sample.seconds, expected.package_w, 1e-9) << busy;
+    EXPECT_NEAR(sample.dram_joules / sample.seconds, expected.dram_w, 1e-9) << busy;
+  }
+}
+
+// The energy sampler reads Stop() while the run goes on.
+TEST(ModelMeterTest, StopIsARepeatableNondecreasingRead) {
+  ModelMeter meter(PowerModel(Topology(1, 4, 2), PowerParams::PaperXeon()), 2);
   meter.Start();
-  registry->SetState(0, ActivityState::kWorking);
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  registry->SetState(0, ActivityState::kInactive);
-  const EnergySample sample = meter.Stop();
-  EXPECT_GT(sample.seconds, 0.02);
-  EXPECT_GT(sample.total_joules(), 0.0);
-  // Average power must be at least idle and include the active core.
-  EXPECT_GT(sample.average_watts(), 55.0);
+  EnergySample previous = meter.Stop();
+  for (int i = 0; i < 5; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const EnergySample sample = meter.Stop();
+    EXPECT_GE(sample.seconds, previous.seconds);
+    EXPECT_GE(sample.total_joules(), previous.total_joules());
+    previous = sample;
+  }
+  EXPECT_GT(previous.total_joules(), 0.0);
 }
 
 TEST(RaplMeterTest, AvailabilityProbeDoesNotCrash) {
@@ -197,23 +216,13 @@ TEST(RaplMeterTest, AvailabilityProbeDoesNotCrash) {
 }
 
 TEST(MakeDefaultMeterTest, FallsBackToModel) {
-  auto registry = std::make_shared<ActivityRegistry>(
-      PowerModel(Topology(1, 4, 2), PowerParams::PaperXeon()));
-  auto meter = MakeDefaultMeter(registry);
+  auto meter = MakeDefaultMeter(PowerModel(Topology(1, 4, 2), PowerParams::PaperXeon()), 1);
   ASSERT_NE(meter, nullptr);
   // Either backend is acceptable; it must produce a sane sample.
   meter->Start();
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   const EnergySample sample = meter->Stop();
   EXPECT_GT(sample.seconds, 0.0);
-}
-
-TEST(ActivityStateNames, AllDistinct) {
-  std::set<std::string> names;
-  for (int i = 0; i < kActivityStateCount; ++i) {
-    names.insert(ActivityStateName(static_cast<ActivityState>(i)));
-  }
-  EXPECT_EQ(names.size(), static_cast<std::size_t>(kActivityStateCount));
 }
 
 }  // namespace

@@ -306,6 +306,24 @@ TEST(WalStoreRecovery, DurableStoreReplaysPutsAndDeletes) {
   std::remove(path.c_str());
 }
 
+// Group commit groups: every leader stalls 1 ms at the wal/batch site with
+// the DB lock released, so writers arriving meanwhile queue up and commit
+// as the next group -- fewer batches than records -- and every write still
+// lands in the WAL exactly once.
+TEST(WalStoreGroupCommit, StalledLeadersCommitGroups) {
+  ScenarioConfig config;
+  config.lock_name = "MUTEX";
+  config.threads = 4;
+  config.ops_per_thread = 300;
+  config.key_space = 512;
+  config.meter = MeterChoice::kOff;
+  config.failpoints = "wal/batch=always~1000000";
+  const ScenarioResult r = RunScenarioByName("walstore/append", config);
+  EXPECT_EQ(r.MetricOr("wal_records"),
+            r.MetricOr("preloaded") + r.MetricOr("puts") + r.MetricOr("deletes"));
+  EXPECT_LT(r.MetricOr("batches"), r.MetricOr("wal_records"));
+}
+
 // --- Stall watchdog ----------------------------------------------------------
 
 // Thread 0 wedges (sleeps inside its first op) long enough for the

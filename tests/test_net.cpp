@@ -40,8 +40,8 @@ std::string NumberedKey(const char* prefix, int i) {
 
 // Feeds `wire` one byte at a time and collects every parsed command --
 // incremental parsing must be byte-granularity agnostic.
-std::vector<RespCommand> ParseByteByByte(const std::string& wire, RespLimits limits = {}) {
-  RespParser parser(limits);
+std::vector<RespCommand> ParseByteByByte(const std::string& wire) {
+  RespParser parser;
   std::vector<RespCommand> commands;
   RespCommand command;
   std::string error;
@@ -172,33 +172,41 @@ TEST(RespParser, HeaderWithoutTerminatorErrorsOnceImplausible) {
 
 TEST(RespParser, LimitsEnforced) {
   {
-    RespLimits limits;
-    limits.max_args = 4;
-    RespParser parser(limits);
-    parser.Feed("*5\r\n");
+    RespParser parser;
+    parser.Feed("*" + std::to_string(kRespMaxArgs + 1) + "\r\n");
     RespCommand command;
     std::string error;
     EXPECT_EQ(parser.Next(&command, &error), RespParseStatus::kError);
     EXPECT_EQ(error, "too many arguments");
   }
   {
-    // Reply lines: the client-side parser caps an unterminated line.
-    RespLimits limits;
-    limits.max_inline_bytes = 16;
-    RespReplyParser parser(limits);
-    parser.Feed("+" + std::string(17, 'x'));  // no newline yet, already over budget
+    // Reply lines: the client-side parser caps an unterminated line. A
+    // line of exactly the cap still waits for its terminator.
+    RespReplyParser parser;
+    parser.Feed("+" + std::string(kRespMaxReplyLineBytes - 1, 'x'));
     RespReply reply;
     std::string error;
+    EXPECT_EQ(parser.Next(&reply, &error), RespParseStatus::kNeedMore);
+    parser.Feed("x");  // no newline yet, now one byte over budget
     EXPECT_EQ(parser.Next(&reply, &error), RespParseStatus::kError);
     EXPECT_EQ(error, "reply line too long");
   }
   {
     // Whole-frame cap: an incomplete bulk payload may not buffer without
-    // bound even when each header is individually legal.
-    RespLimits limits;
-    limits.max_command_bytes = 64;
-    RespParser parser(limits);
-    parser.Feed("*2\r\n$3\r\nSET\r\n$900\r\n" + std::string(60, 'x'));
+    // bound even when each header is individually legal. Four complete
+    // maximal arguments plus the start of a fifth exceed the frame cap.
+    const std::string bulk_header = "$" + std::to_string(kRespMaxBulkBytes) + "\r\n";
+    std::string frame = "*5\r\n";
+    for (int i = 0; i < 4; ++i) {
+      frame += bulk_header;
+      frame.append(kRespMaxBulkBytes, 'x');
+      frame += "\r\n";
+    }
+    frame += bulk_header;
+    frame.append(1024, 'x');
+    ASSERT_GT(frame.size(), kRespMaxCommandBytes);
+    RespParser parser;
+    parser.Feed(frame);
     RespCommand command;
     std::string error;
     EXPECT_EQ(parser.Next(&command, &error), RespParseStatus::kError);
@@ -544,7 +552,7 @@ TEST(NetServer, SlowReaderStopsBeingRead) {
 
   // Just under the 1 MiB bulk limit, so a few dozen GET replies are
   // several times what the loopback socket buffers hold.
-  std::string value(RespLimits{}.max_bulk_bytes - 64, '\0');
+  std::string value(kRespMaxBulkBytes - 64, '\0');
   for (std::size_t i = 0; i < value.size(); ++i) {
     value[i] = static_cast<char>('a' + i % 26);
   }

@@ -548,31 +548,32 @@ TEST(MetricsTest, WriteJsonIsStrictAndEscapes) {
 
 // --- Energy sampler + TPP ----------------------------------------------------
 
-std::shared_ptr<ActivityRegistry> TestRegistry() {
-  return std::make_shared<ActivityRegistry>(
-      PowerModel(Topology::Detect(), PowerParams::PaperXeon()));
-}
-
-TEST(EnergySamplerTest, CollectsMonotonicSeriesFromModelMeter) {
-  auto registry = TestRegistry();
-  ModelMeter meter(registry);
-  registry->SetState(0, ActivityState::kCritical);
+// The sampler's one output: each window's average watts on the trace's
+// counter track (arg = milliwatts). The model meter's power is constant,
+// so every window reads the meter's watts.
+TEST(EnergySamplerTest, WattsEventsCarryTheMeterWatts) {
+  const PowerModel model(Topology::Detect(), PowerParams::PaperXeon());
+  std::vector<ActivityState> states(static_cast<std::size_t>(model.topology().total_contexts()),
+                                    ActivityState::kInactive);
+  states[0] = ActivityState::kCritical;
+  const double milliwatts = model.ComponentWatts(states, {}).total() * 1000.0;
+  ModelMeter meter(model, 1);
   meter.Start();
   TraceBuffer ring(/*capacity=*/256, /*tid=*/9);
-  std::vector<EnergyPoint> series;
   {
-    EnergySampler sampler(&meter, /*interval_ms=*/1, &ring);
-    std::this_thread::sleep_for(std::chrono::milliseconds(15));
-    series = sampler.Finish();
+    EnergySampler sampler(&meter, &ring);
+    std::this_thread::sleep_for(std::chrono::milliseconds(3 * EnergySampler::kIntervalMs));
+    sampler.Finish();
   }
-  registry->SetState(0, ActivityState::kInactive);
-  ASSERT_GE(series.size(), 2u);  // several interval samples plus the final one
-  for (std::size_t i = 1; i < series.size(); ++i) {
-    EXPECT_GE(series[i].joules, series[i - 1].joules);  // cumulative, nondecreasing
-    EXPECT_GE(series[i].seconds, series[i - 1].seconds);
+  std::vector<TraceEvent> events;
+  ring.Drain(&events);
+  ASSERT_FALSE(events.empty());  // at least the final sample
+  for (const TraceEvent& event : events) {
+    EXPECT_EQ(event.kind, static_cast<std::uint16_t>(TraceEventKind::kWattsSample));
+    // The event truncates to whole milliwatts; the window's joules over its
+    // seconds may round either way first.
+    EXPECT_NEAR(static_cast<double>(event.arg), milliwatts, 1.5);
   }
-  EXPECT_GT(series.back().joules, 0.0);
-  EXPECT_GT(ring.size(), 0u);  // watts landed on the trace counter track
 }
 
 TEST(ScenarioEnergyTest, ModelMeteredRunReportsTpp) {
@@ -604,7 +605,7 @@ TEST(ScenarioEnergyTest, MeterOffLeavesEnergyZero) {
 
 TEST(ScenarioEnergyTest, DefaultMeterChainAlwaysYieldsAMeter) {
   // On any host: RAPL if readable, else the model. Never silently meterless.
-  auto meter = MakeDefaultMeter(TestRegistry());
+  auto meter = MakeDefaultMeter(PowerModel(Topology::Detect(), PowerParams::PaperXeon()), 1);
   ASSERT_NE(meter, nullptr);
   EXPECT_TRUE(meter->Name() == "rapl" || meter->Name() == "model");
   // PowercapPresent must not throw/crash regardless of host permissions.
@@ -645,6 +646,31 @@ TEST(ScenarioTraceTest, TracedRunLandsLockEventsInSession) {
   EXPECT_TRUE(parser.Valid());
   TraceSession::Instance().Reset();
   EXPECT_EQ(TraceSession::Instance().buffer_count(), 0u);
+}
+
+// The driver samples the meter only on metered, traced runs; the watts
+// track lands on the sampler's trace tid (threads + 1).
+TEST(ScenarioTraceTest, MeteredTracedRunCarriesAWattsTrack) {
+  for (const MeterChoice meter : {MeterChoice::kModel, MeterChoice::kOff}) {
+    TraceSession::Instance().Reset();
+    ScenarioConfig config;
+    config.lock_name = "MUTEX";
+    config.threads = 2;
+    config.ops_per_thread = 500;
+    config.trace = true;
+    config.trace_buffer_events = 1u << 12;
+    config.meter = meter;
+    RunScenarioByName("kvstore/WT", config);
+    std::size_t watts_events = 0;
+    for (const TraceEvent& event : TraceSession::Instance().Collect()) {
+      if (event.kind == static_cast<std::uint16_t>(TraceEventKind::kWattsSample)) {
+        EXPECT_EQ(event.tid, config.threads + 1);
+        ++watts_events;
+      }
+    }
+    EXPECT_EQ(watts_events > 0, meter == MeterChoice::kModel);
+  }
+  TraceSession::Instance().Reset();
 }
 
 TEST(RwScenarioTest, ReadHeavyReportsReaderWriterCounters) {

@@ -79,7 +79,7 @@ TEST(PowerModelProperty, ActivityNeverDecreasesPower) {
         states[static_cast<std::size_t>(i)] = state;
       }
       const double watts = model.TotalWatts(states);
-      EXPECT_GE(watts + 1e-9, prev) << ActivityStateName(state) << " at " << threads;
+      EXPECT_GE(watts + 1e-9, prev) << "state " << static_cast<int>(state) << " at " << threads;
       prev = watts;
     }
   }

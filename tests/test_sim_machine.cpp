@@ -165,14 +165,6 @@ TEST(SimMachine, EnergyTracksActivity) {
   EXPECT_LT(energy.average_watts(), 68.0);
 }
 
-TEST(SimMachine, ResetEnergyZeroes) {
-  Fixture f;
-  f.engine.RunUntil(1'000'000);
-  f.machine.ResetEnergy();
-  const SimMachine::EnergyTotals energy = f.machine.Energy();
-  EXPECT_NEAR(energy.seconds, 0.0, 1e-9);
-}
-
 TEST(SimMachine, ActiveContextsCountsRunners) {
   Fixture f;
   EXPECT_EQ(f.machine.ActiveContexts(), 0);
@@ -217,7 +209,7 @@ TEST(SimMachine, IncrementalPowerMatchesFullRecompute) {
   }
 }
 
-TEST(SimMachine, StateSecondsTracksResidencyExactly) {
+TEST(SimMachine, ActiveShareTracksResidencyExactly) {
   Fixture f;
   const int tid = f.machine.AddThread();
   f.machine.Start(tid);
@@ -225,10 +217,10 @@ TEST(SimMachine, StateSecondsTracksResidencyExactly) {
     f.machine.RunFor(tid, 3000, ActivityState::kKernel, nullptr);
   });
   f.engine.RunAll();
-  const std::vector<double> seconds = f.machine.StateSeconds();
-  const double cps = SimParams::PaperXeon().cycles_per_second;
-  EXPECT_DOUBLE_EQ(seconds[static_cast<int>(ActivityState::kWorking)], 1000.0 / cps);
-  EXPECT_DOUBLE_EQ(seconds[static_cast<int>(ActivityState::kKernel)], 3000.0 / cps);
+  // 1000 of 4000 active context-cycles working, 3000 in the kernel.
+  EXPECT_DOUBLE_EQ(f.machine.ActiveShare(ActivityState::kWorking), 0.25);
+  EXPECT_DOUBLE_EQ(f.machine.ActiveShare(ActivityState::kKernel), 0.75);
+  EXPECT_DOUBLE_EQ(f.machine.ActiveShare(ActivityState::kSleeping), 0.0);
 }
 
 }  // namespace
