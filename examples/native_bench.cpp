@@ -4,8 +4,14 @@
 // exposes it, the calibrated model otherwise).
 //
 //   $ ./native_bench [threads] [cs_cycles] [duration_ms]
+//
+// Each argument must be all decimal digits, with threads in 1..4096 and
+// duration_ms at least 1; anything else prints usage and exits 2.
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "src/energy/rapl_meter.hpp"
@@ -13,23 +19,44 @@
 #include "src/locks/static_dispatch.hpp"
 #include "src/platform/topology.hpp"
 
+namespace {
+
+// The whole argument as a decimal number in [min, max]: digits only.
+bool ParseDecimal(const char* text, std::uint64_t min, std::uint64_t max, std::uint64_t* out) {
+  if (*text == '\0' || text[std::strspn(text, "0123456789")] != '\0') {
+    return false;
+  }
+  errno = 0;
+  *out = std::strtoull(text, nullptr, 10);
+  return errno != ERANGE && *out >= min && *out <= max;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace lockin;
-  const int threads = argc > 1 ? std::atoi(argv[1]) : 4;
-  const std::uint64_t cs = argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 1000;
-  const std::uint64_t ms = argc > 3 ? static_cast<std::uint64_t>(std::atoll(argv[3])) : 200;
+  std::uint64_t threads = 4;
+  std::uint64_t cs = 1000;
+  std::uint64_t ms = 200;
+  if ((argc > 1 && !ParseDecimal(argv[1], 1, 4096, &threads)) ||
+      (argc > 2 && !ParseDecimal(argv[2], 0, UINT64_MAX, &cs)) ||
+      (argc > 3 && !ParseDecimal(argv[3], 1, UINT64_MAX, &ms))) {
+    std::fprintf(stderr,
+                 "usage: %s [threads 1..4096] [cs_cycles] [duration_ms >= 1]\n", argv[0]);
+    return 2;
+  }
 
   std::printf("host: %s | RAPL: %s\n", Topology::Detect().ToString().c_str(),
               RaplMeter::Available() ? "yes" : "no (model)");
-  std::printf("threads=%d cs=%llu cycles, %llu ms per lock\n\n", threads,
-              (unsigned long long)cs, (unsigned long long)ms);
+  std::printf("threads=%llu cs=%llu cycles, %llu ms per lock\n\n",
+              (unsigned long long)threads, (unsigned long long)cs, (unsigned long long)ms);
 
   std::printf("%-10s %-6s %14s %10s %12s %10s %12s\n", "lock", "tier", "tput(acq/s)", "watts",
               "TPP(acq/J)", "p95(cyc)", "p99.99(cyc)");
   for (const std::string& name : RegisteredLockNames()) {
     ScenarioConfig config;
     config.lock_name = name;
-    config.threads = threads;
+    config.threads = static_cast<int>(threads);
     config.duration_ms = ms;
     AcquireShape shape;
     shape.cs_cycles = cs;

@@ -19,15 +19,6 @@
 //   --json            machine-readable output (one JSON object per run)
 //   --quick           short run (CI smoke)
 //
-// Sharding flags (src/systems/sharded.hpp):
-//   --shards N        override the scenario's default shard count (0 keeps
-//                     the registered paper shape: 1 for the single-lock
-//                     systems, 16 cache, 32 graph, 8 nosql/hash)
-//   --thread-sweep LIST  run each scenario x lock at every thread count in
-//                     the comma-separated LIST (e.g. 1,2,4,8) and, with
-//                     --json, emit the whole scaling curve set as ONE JSON
-//                     document ({"thread_sweep": ..., "curves": [...]})
-//
 // LockScope observability flags:
 //   --trace FILE      capture lock/futex/epoch events and write a Chrome
 //                     trace-event JSON (load in ui.perfetto.dev); single
@@ -94,8 +85,6 @@ struct RunnerOptions {
   double seconds = 0;
   std::uint64_t seed = 1;
   std::uint64_t key_space = 0;
-  long shards = 0;  // 0 = scenario default
-  std::vector<int> thread_sweep;
   std::string trace_path;
   bool metrics = false;
   bool lockdep = false;
@@ -110,7 +99,6 @@ void PrintUsage(const char* prog, std::FILE* out) {
                "usage: %s --list | --scenario NAME | --all [options]\n"
                "  --lock NAME|all  --threads N  --ops N  --seconds S  --seed N\n"
                "  --key-space N  --json  --quick\n"
-               "  --shards N  --thread-sweep 1,2,4,8\n"
                "  --trace FILE  --metrics  --lockdep  --meter auto|model|off\n"
                "  --failpoints SPEC  --chaos  --watchdog-ms N\n",
                prog);
@@ -176,25 +164,6 @@ RunnerOptions ParseArgs(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--key-space") == 0) {
       options.key_space = static_cast<std::uint64_t>(int_of(i, "--key-space", 1, 1000000000));
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      options.shards = int_of(i, "--shards", 0, 4096);
-    } else if (std::strcmp(argv[i], "--thread-sweep") == 0) {
-      // Comma-separated thread counts, e.g. "1,2,4,8".
-      const char* value = value_of(i, "--thread-sweep");
-      const char* cursor = value;
-      while (*cursor != '\0') {
-        char* end = nullptr;
-        const long parsed = std::strtol(cursor, &end, 10);
-        if (end == cursor || parsed < 1 || parsed > 4096 ||
-            (*end != '\0' && *end != ',')) {
-          Fail(argv[0], std::string("invalid --thread-sweep value: ") + value);
-        }
-        options.thread_sweep.push_back(static_cast<int>(parsed));
-        cursor = *end == ',' ? end + 1 : end;
-      }
-      if (options.thread_sweep.empty()) {
-        Fail(argv[0], "--thread-sweep requires at least one thread count");
-      }
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       options.trace_path = value_of(i, "--trace");
     } else if (std::strcmp(argv[i], "--metrics") == 0) {
@@ -234,16 +203,11 @@ void ListScenarios(bool json) {
   }
 }
 
-void EmitJson(const ScenarioResult& r, bool record_latency, const RunnerOptions& options) {
+void EmitJson(const ScenarioResult& r, bool record_latency) {
   std::printf("{\"scenario\": \"%s\", \"lock\": \"%s\", \"threads\": %d, "
               "\"seconds\": %.6f, \"total_ops\": %llu, \"ops_per_s\": %.1f",
               r.scenario.c_str(), r.lock_name.c_str(), r.threads, r.seconds,
               static_cast<unsigned long long>(r.total_ops), r.ops_per_s);
-  // Shard-count label: printed only when an override is requested on the
-  // command line, so default runs keep byte-identical output.
-  if (options.shards > 0) {
-    std::printf(", \"shards\": %ld", options.shards);
-  }
   if (record_latency) {
     // Cycles stay the JSON unit (bit-stable across hosts whose TSC
     // calibration drifts); the human-readable table converts to ns.
@@ -350,7 +314,6 @@ int main(int argc, char** argv) {
   }
   config.seed = options.seed;
   config.key_space = options.key_space;
-  config.shards = static_cast<std::uint32_t>(options.shards);
   config.trace = !options.trace_path.empty();
   config.lockdep = options.lockdep;
   config.meter = options.meter == "off"     ? MeterChoice::kOff
@@ -373,16 +336,8 @@ int main(int argc, char** argv) {
   config.watchdog_ms = static_cast<std::uint32_t>(options.watchdog_ms);
   config.external_stop = &g_stop;
 
-  // One run per thread count: a plain run uses --threads, a sweep runs the
-  // whole list (the scaling-curve mode).
-  std::vector<int> thread_counts = options.thread_sweep;
-  if (thread_counts.empty()) {
-    thread_counts.push_back(options.threads);
-  }
-
-  if (config.trace && scenario_names.size() * lock_names.size() * thread_counts.size() != 1) {
-    Fail(argv[0], "--trace captures one run; pick a single --scenario and --lock "
-                  "(and no --thread-sweep)");
+  if (config.trace && scenario_names.size() * lock_names.size() != 1) {
+    Fail(argv[0], "--trace captures one run; pick a single --scenario and --lock");
   }
 
   // Before an aborting watchdog kills the process, flush whatever
@@ -404,12 +359,6 @@ int main(int argc, char** argv) {
   // (src/platform/cycles.hpp); --json keeps raw cycles.
   TextTable table({"scenario", "lock", "threads", "Mops/s", "p50_ns", "p99_ns", "joules",
                    "TPP(op/J)", "metrics"});
-  // Sweep mode + --json emits all scaling curves as one document; the
-  // string below accumulates it so an interrupted sweep still flushes a
-  // well-formed prefix of curves.
-  const bool sweep_json = options.json && !options.thread_sweep.empty();
-  std::string sweep_points;
-  std::string sweep_curves;
   for (const std::string& scenario : scenario_names) {
     if (g_stop.load(std::memory_order_relaxed)) {
       break;  // interrupted: flush what completed, skip the rest
@@ -419,63 +368,27 @@ int main(int argc, char** argv) {
         break;
       }
       config.lock_name = lock;
-      sweep_points.clear();
-      for (const int threads : thread_counts) {
-        if (g_stop.load(std::memory_order_relaxed)) {
-          break;
-        }
-        config.threads = threads;
-        ScenarioResult result;
-        try {
-          result = RunScenarioByName(scenario, config);
-        } catch (const std::exception& error) {
-          std::fprintf(stderr, "%s: %s under %s failed: %s\n", argv[0], scenario.c_str(),
-                       lock.c_str(), error.what());
-          return 1;
-        }
-        if (sweep_json) {
-          char point[160];
-          std::snprintf(point, sizeof point,
-                        "{\"threads\": %d, \"seconds\": %.6f, \"total_ops\": %llu, "
-                        "\"ops_per_s\": %.1f}",
-                        result.threads, result.seconds,
-                        static_cast<unsigned long long>(result.total_ops), result.ops_per_s);
-          if (!sweep_points.empty()) {
-            sweep_points += ", ";
-          }
-          sweep_points += point;
-        } else if (options.json) {
-          EmitJson(result, config.record_latency, options);
-        } else {
-          table.AddRow({scenario, lock, std::to_string(result.threads),
-                        FormatDouble(result.MopsPerS(), 3),
-                        FormatDouble(CyclesToNs(result.op_latency_cycles.P50()), 0),
-                        FormatDouble(CyclesToNs(result.op_latency_cycles.P99()), 0),
-                        FormatDouble(result.energy.total_joules(), 3),
-                        FormatDouble(result.Tpp(), 0), MetricsToString(result)});
-        }
+      ScenarioResult result;
+      try {
+        result = RunScenarioByName(scenario, config);
+      } catch (const std::exception& error) {
+        std::fprintf(stderr, "%s: %s under %s failed: %s\n", argv[0], scenario.c_str(),
+                     lock.c_str(), error.what());
+        return 1;
       }
-      if (sweep_json && !sweep_points.empty()) {
-        if (!sweep_curves.empty()) {
-          sweep_curves += ",\n    ";
-        }
-        sweep_curves += "{\"scenario\": \"" + scenario + "\", \"lock\": \"" + lock +
-                        "\", \"points\": [" + sweep_points + "]}";
+      if (options.json) {
+        EmitJson(result, config.record_latency);
+      } else {
+        table.AddRow({scenario, lock, std::to_string(result.threads),
+                      FormatDouble(result.MopsPerS(), 3),
+                      FormatDouble(CyclesToNs(result.op_latency_cycles.P50()), 0),
+                      FormatDouble(CyclesToNs(result.op_latency_cycles.P99()), 0),
+                      FormatDouble(result.energy.total_joules(), 3),
+                      FormatDouble(result.Tpp(), 0), MetricsToString(result)});
       }
     }
   }
-  if (sweep_json) {
-    std::string sweep_list;
-    for (const int threads : thread_counts) {
-      if (!sweep_list.empty()) {
-        sweep_list += ", ";
-      }
-      sweep_list += std::to_string(threads);
-    }
-    std::printf("{\"thread_sweep\": [%s], \"shards\": %ld,\n"
-                "  \"curves\": [\n    %s\n  ]}\n",
-                sweep_list.c_str(), options.shards, sweep_curves.c_str());
-  } else if (!options.json) {
+  if (!options.json) {
     table.Print(std::cout);
   }
 

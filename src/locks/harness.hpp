@@ -48,9 +48,8 @@ struct AcquireShape {
 // scenarios), seed (worker t seeds its RNG with seed*40503+t),
 // record_latency (one sample per acquire), meter, the workers' trace rings
 // (and with them the energy sampler), the watchdog and external_stop. The
-// microbenchmark ignores the scenario-only fields: key_space, shards,
-// failpoints and lockdep. The result's scenario name and metrics
-// stay empty. Unknown lock names raise
+// microbenchmark ignores the scenario-only fields: key_space, failpoints
+// and lockdep. The result's scenario name and metrics stay empty. Unknown lock names raise
 // std::invalid_argument (the registry's throwing contract via
 // MakeLockOrThrow).
 ScenarioResult RunNativeBench(const ScenarioConfig& config, const AcquireShape& shape);

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <fstream>
+#include <map>
 #include <sstream>
+#include <utility>
 
 namespace lockin {
 namespace {
@@ -43,28 +45,34 @@ Topology Topology::Detect() {
   const int ncpu = n > 0 ? static_cast<int>(n) : 1;
 
   std::vector<CpuInfo> cpus;
-  int max_socket = 0;
-  bool sysfs_ok = true;
   for (int cpu = 0; cpu < ncpu; ++cpu) {
     std::ostringstream base;
     base << "/sys/devices/system/cpu/cpu" << cpu << "/topology/";
     const int socket = ReadIntFile(base.str() + "physical_package_id", -1);
     const int core = ReadIntFile(base.str() + "core_id", -1);
     if (socket < 0 || core < 0) {
-      sysfs_ok = false;
-      break;
+      return Topology(1, ncpu, 1);
     }
-    max_socket = std::max(max_socket, socket);
     cpus.push_back(CpuInfo{cpu, socket, core, 0});
   }
+  return FromCpus(std::move(cpus));
+}
 
-  if (!sysfs_ok || cpus.empty()) {
-    return Topology(1, ncpu, 1);
+Topology Topology::FromCpus(std::vector<CpuInfo> cpus) {
+  int max_socket = 0;
+  for (const CpuInfo& c : cpus) {
+    max_socket = std::max(max_socket, c.socket);
+  }
+  std::vector<std::map<int, int>> dense_core(static_cast<std::size_t>(max_socket) + 1);
+  int cores_per_socket = 1;
+  for (CpuInfo& c : cpus) {
+    std::map<int, int>& ids = dense_core[static_cast<std::size_t>(c.socket)];
+    c.core = ids.emplace(c.core, static_cast<int>(ids.size())).first->second;
+    cores_per_socket = std::max(cores_per_socket, static_cast<int>(ids.size()));
   }
 
   // Assign SMT indices: CPUs sharing (socket, core) are hyper-threads.
-  std::vector<CpuInfo> sorted = cpus;
-  std::sort(sorted.begin(), sorted.end(), [](const CpuInfo& a, const CpuInfo& b) {
+  std::sort(cpus.begin(), cpus.end(), [](const CpuInfo& a, const CpuInfo& b) {
     if (a.socket != b.socket) {
       return a.socket < b.socket;
     }
@@ -74,34 +82,15 @@ Topology Topology::Detect() {
     return a.os_cpu < b.os_cpu;
   });
   int smt_max = 1;
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    int smt = 0;
-    for (std::size_t j = i; j > 0; --j) {
-      if (sorted[j - 1].socket == sorted[i].socket && sorted[j - 1].core == sorted[i].core) {
-        ++smt;
-      } else {
-        break;
-      }
-    }
-    sorted[i].smt_index = smt;
-    smt_max = std::max(smt_max, smt + 1);
+  for (std::size_t i = 0; i < cpus.size(); ++i) {
+    const bool sibling =
+        i > 0 && cpus[i - 1].socket == cpus[i].socket && cpus[i - 1].core == cpus[i].core;
+    cpus[i].smt_index = sibling ? cpus[i - 1].smt_index + 1 : 0;
+    smt_max = std::max(smt_max, cpus[i].smt_index + 1);
   }
 
-  // Count distinct cores on socket 0 to derive cores_per_socket.
-  int cores_socket0 = 0;
-  int last_core = -1;
-  for (const CpuInfo& c : sorted) {
-    if (c.socket == 0 && c.smt_index == 0 && c.core != last_core) {
-      ++cores_socket0;
-      last_core = c.core;
-    }
-  }
-  if (cores_socket0 == 0) {
-    cores_socket0 = ncpu;
-  }
-
-  Topology topo(max_socket + 1, cores_socket0, smt_max);
-  topo.cpus_ = sorted;
+  Topology topo(max_socket + 1, cores_per_socket, smt_max);
+  topo.cpus_ = std::move(cpus);
   return topo;
 }
 

@@ -31,6 +31,14 @@ class Topology {
   // a flat single-socket topology when sysfs is unavailable.
   static Topology Detect();
 
+  // Assembles a topology from CPUs in sysfs order, each carrying its
+  // os_cpu, socket and sysfs core_id. Core ids are renumbered densely
+  // within each socket, in the order they first appear, so cores numbered
+  // 0-4 and 8-12 become 0-9: the power model and the simulator key cores
+  // as socket * cores_per_socket + core. cores_per_socket is the largest
+  // socket's count; smt_index is assigned here.
+  static Topology FromCpus(std::vector<CpuInfo> cpus);
+
   // The paper's Xeon testbed: 2 sockets x 10 cores x 2 hyper-threads.
   static Topology PaperXeon() { return Topology(2, 10, 2); }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <deque>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -613,7 +614,9 @@ std::unique_ptr<SimLock> MakeSimLock(const std::string& name, SimMachine* machin
     config.uncontested_cycles = 132;  // queue-node management (Table 2: ~12 Macq/s)
     return std::make_unique<SimSpinLock>(machine, config);
   }
-  return nullptr;
+  throw std::invalid_argument("unknown simulated lock: '" + name +
+                              "'; simulated locks: MUTEX TAS TTAS TICKET MCS CLH TAS-BO "
+                              "COHORT MUTEXEE MUTEXEE-TO ADAPTIVE");
 }
 
 }  // namespace lockin

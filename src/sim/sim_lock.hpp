@@ -295,7 +295,9 @@ struct SimLockOptions {
 };
 
 // Names: MUTEX, TAS, TTAS, TICKET, MCS, CLH, TAS-BO, COHORT, MUTEXEE,
-// MUTEXEE-TO, ADAPTIVE.
+// MUTEXEE-TO, ADAPTIVE. Any other name (PTHREAD, a native-only lock,
+// included) raises std::invalid_argument listing these, the contract of
+// MakeLockOrThrow.
 std::unique_ptr<SimLock> MakeSimLock(const std::string& name, SimMachine* machine,
                                      const SimLockOptions& options = {});
 

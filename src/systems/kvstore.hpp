@@ -4,29 +4,23 @@
 // synchronization skeleton of the paper's HamsterDB target (4 worker
 // threads hammering one DB lock; Table 3). Operation mix knobs reproduce
 // the WT / WT/RD / RD configurations.
-//
-// The environment is a ShardedMap of B+-tree partitions. The default
-// (shards = 1) keeps the paper's one-DB-lock shape exactly; more shards
-// hash-partition the trees, whose scaling `scenario_runner --shards N
-// --thread-sweep 1,2,4,8` measures.
 #ifndef SRC_SYSTEMS_KVSTORE_HPP_
 #define SRC_SYSTEMS_KVSTORE_HPP_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
+#include "src/platform/cacheline.hpp"
 #include "src/platform/thread_annotations.hpp"
 #include "src/systems/btree.hpp"
 #include "src/systems/common.hpp"
-#include "src/systems/sharded.hpp"
 
 namespace lockin {
 
 class KvStore {
  public:
-  // shards = 1 preserves the paper shape.
-  explicit KvStore(const LockFactory& make_lock, std::size_t shards = 1)
-      : shards_(make_lock, shards) {}
+  explicit KvStore(const LockFactory& make_lock) : lock_(make_lock()) {}
 
   KvStore(const KvStore&) = delete;
   KvStore& operator=(const KvStore&) = delete;
@@ -38,18 +32,18 @@ class KvStore {
 
   bool Erase(std::uint64_t key);
 
-  // Range count in [first, last] (a short scan transaction). With multiple
-  // shards the range is counted per partition (keys are hash-scattered, so
-  // every shard can hold part of the range).
+  // Range count in [first, last] (a short scan transaction).
   std::size_t CountRange(std::uint64_t first, std::uint64_t last);
 
   std::size_t Size();
 
-  // Structural check (tests): takes each shard lock, verifies its tree.
+  // Structural check (tests): takes the DB lock, verifies the tree.
   bool CheckInvariants();
 
  private:
-  ShardedMap<BPlusTree> shards_;
+  std::unique_ptr<LockHandle> lock_;
+  // Own line pair: arriving threads read `lock_` while the holder writes the tree header.
+  alignas(kContendedPad) BPlusTree tree_ LL_GUARDED_BY(*lock_);
 };
 
 }  // namespace lockin

@@ -6,25 +6,19 @@
 // shared engine state (page cache, schema) with short-critical-section
 // mutexes; connection counts beyond the hardware oversubscribe the machine,
 // which is what breaks fair spinlocks in Figures 13-14.
-//
-// The page-cache (stock) lock is the non-transactional path that shards --
-// Config::pager_shards partitions stock by warehouse so NEW-ORDER read
-// phases and STOCK-LEVEL scans on different warehouses stop colliding.
-// The single writer lock stays: that is SQLite's transactional shape and
-// the paper's contention point, deliberately untouched.
 #ifndef SRC_SYSTEMS_MINISQL_HPP_
 #define SRC_SYSTEMS_MINISQL_HPP_
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "src/platform/cacheline.hpp"
 #include "src/platform/rng.hpp"
 #include "src/platform/thread_annotations.hpp"
 #include "src/systems/common.hpp"
-#include "src/systems/sharded.hpp"
 
 namespace lockin {
 
@@ -34,9 +28,6 @@ class MiniSql {
     int warehouses = 10;
     int districts_per_warehouse = 10;
     int items = 1000;
-    // Page-cache sharding (stock rows, keyed by warehouse). 1 = the
-    // original single pager lock.
-    std::size_t pager_shards = 1;
   };
 
   MiniSql(const LockFactory& make_lock, Config config);
@@ -74,25 +65,24 @@ class MiniSql {
     int item_id;
     int quantity;
   };
-  // One pager shard holds the stock vectors of the warehouses that hash to
-  // it: warehouse -> [items] quantities.
-  using StockShard = std::unordered_map<int, std::vector<int>>;
-
   int DistrictKey(int warehouse, int district) const {
     return warehouse * config_.districts_per_warehouse + district;
   }
 
   Config config_;
   // Engine-wide locks, mirroring SQLite: one writer lock serializing all
-  // mutations, plus the (now shardable) page-cache locks crossed by reads.
+  // mutations, plus the page-cache lock crossed by reads.
   std::unique_ptr<LockHandle> write_lock_;
+  std::unique_ptr<LockHandle> pager_lock_;
 
   std::vector<Warehouse> warehouses_ LL_GUARDED_BY(*write_lock_);
-  // Stock is page-cache state: read under a pager-shard lock by NEW-ORDER's
-  // read phase and STOCK-LEVEL, and updated by writers holding the shard
-  // lock *inside* their write transaction (lock order: write -> pager-shard,
-  // acyclic because readers never take the write lock).
-  ShardedMap<StockShard> pager_;
+  // Stock is page-cache state, warehouse -> [items] quantities: read under
+  // the pager lock by NEW-ORDER's read phase and STOCK-LEVEL, and updated
+  // by writers holding the pager lock *inside* their write transaction
+  // (lock order: write -> pager, acyclic because readers never take the
+  // write lock). Own line pair: readers read `pager_lock_` while the holder
+  // writes the stock.
+  alignas(kContendedPad) std::vector<std::vector<int>> stock_ LL_GUARDED_BY(*pager_lock_);
   std::map<std::uint64_t, double> customers_ LL_GUARDED_BY(*write_lock_);  // balances
   std::vector<OrderLine> order_lines_ LL_GUARDED_BY(*write_lock_);
   std::uint64_t order_counter_ LL_GUARDED_BY(*write_lock_) = 0;

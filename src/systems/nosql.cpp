@@ -39,33 +39,31 @@ std::size_t HashDb::Count() {
 // --- TreeDb ----------------------------------------------------------------
 
 void TreeDb::Set(std::uint64_t key, std::string value) {
-  shards_.WithShard(ShardedMap<BPlusTree>::MixHash(key),
-                    [&](BPlusTree& tree) { tree.Put(key, std::move(value)); });
+  HandleGuard guard(*lock_);
+  tree_.Put(key, std::move(value));
 }
 
 bool TreeDb::Get(std::uint64_t key, std::string* out) {
-  return shards_.WithShard(ShardedMap<BPlusTree>::MixHash(key),
-                           [&](const BPlusTree& tree) { return tree.Get(key, out); });
+  HandleGuard guard(*lock_);
+  return tree_.Get(key, out);
 }
 
 bool TreeDb::Remove(std::uint64_t key) {
-  return shards_.WithShard(ShardedMap<BPlusTree>::MixHash(key),
-                           [&](BPlusTree& tree) { return tree.Erase(key); });
+  HandleGuard guard(*lock_);
+  return tree_.Erase(key);
 }
 
 void TreeDb::Append(std::uint64_t key, const std::string& suffix) {
-  shards_.WithShard(ShardedMap<BPlusTree>::MixHash(key), [&](BPlusTree& tree) {
-    std::string value;
-    tree.Get(key, &value);
-    value += suffix;
-    tree.Put(key, std::move(value));
-  });
+  HandleGuard guard(*lock_);
+  std::string value;
+  tree_.Get(key, &value);
+  value += suffix;
+  tree_.Put(key, std::move(value));
 }
 
 std::size_t TreeDb::Count() {
-  std::size_t total = 0;
-  shards_.ForEachShard([&total](BPlusTree& tree) { total += tree.size(); });
-  return total;
+  HandleGuard guard(*lock_);
+  return tree_.size();
 }
 
 }  // namespace lockin

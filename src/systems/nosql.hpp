@@ -6,18 +6,20 @@
 // locks with *short* critical sections, which is why swapping MUTEX out
 // produces the paper's largest wins (1.5-1.85x, Figures 13-14).
 //
-// Two classes serve the three backends, all on the same ShardedMap router.
-// CACHE and HT share one hash-map class and differ only in shard count:
-// CACHE is one shard (whole-DB locking, the paper shape), HT keeps its 8
-// bucket regions as 8 shards. B-TREE defaults to one shard. The shard
-// count is the one scale input.
+// Two classes serve the three backends. CACHE and HT share one hash-map
+// class on the ShardedMap router and differ only in shard count: CACHE is
+// one shard (whole-DB locking, the paper shape), HT keeps its 8 bucket
+// regions as 8 shards. B-TREE is one B+-tree behind one lock.
 #ifndef SRC_SYSTEMS_NOSQL_HPP_
 #define SRC_SYSTEMS_NOSQL_HPP_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 
+#include "src/platform/cacheline.hpp"
+#include "src/platform/thread_annotations.hpp"
 #include "src/systems/btree.hpp"
 #include "src/systems/common.hpp"
 #include "src/systems/sharded.hpp"
@@ -55,12 +57,11 @@ class HashDb final : public NosqlDb {
   ShardedMap<Map> shards_;
 };
 
-// B-TREE: B+-tree partitions behind whole-DB locking by default (Kyoto's
-// TreeDB serializes through one mutex protecting its page cache).
+// B-TREE: one B+-tree behind whole-DB locking (Kyoto's TreeDB serializes
+// through one mutex protecting its page cache).
 class TreeDb final : public NosqlDb {
  public:
-  explicit TreeDb(const LockFactory& make_lock, std::size_t shards = 1)
-      : shards_(make_lock, shards) {}
+  explicit TreeDb(const LockFactory& make_lock) : lock_(make_lock()) {}
 
   void Set(std::uint64_t key, std::string value) override;
   bool Get(std::uint64_t key, std::string* out) override;
@@ -69,7 +70,9 @@ class TreeDb final : public NosqlDb {
   std::size_t Count() override;
 
  private:
-  ShardedMap<BPlusTree> shards_;
+  std::unique_ptr<LockHandle> lock_;
+  // Own line pair: arriving threads read `lock_` while the holder writes the tree header.
+  alignas(kContendedPad) BPlusTree tree_ LL_GUARDED_BY(*lock_);
 };
 
 }  // namespace lockin

@@ -27,7 +27,7 @@ class CacheScenario final : public ScenarioWorkload {
     key_space_ = config.key_space != 0 ? config.key_space : params_.key_space;
     cache_ = std::make_unique<MemCache>(
         config.MakeLockFactory(),
-        MemCache::Config{ShardCount(config, params_.shards), params_.capacity});
+        MemCache::Config{params_.shards, params_.capacity});
   }
 
   std::vector<std::string> CounterNames() const override { return {"gets", "get_hits", "sets"}; }

@@ -26,8 +26,7 @@ class KvStoreScenario final : public ScenarioWorkload {
     get_below_ = read_percent * 5 / 6;
     scan_below_ = read_percent;
     put_below_ = read_percent + (100 - read_percent) * 3 / 4;
-    store_ = std::make_unique<KvStore>(config.MakeLockFactory(),
-                                       ShardCount(config, /*default_shards=*/1));
+    store_ = std::make_unique<KvStore>(config.MakeLockFactory());
     // Preload every other key.
     preloaded_ = 0;
     for (std::uint64_t key = 0; key < key_space_; key += 2) {

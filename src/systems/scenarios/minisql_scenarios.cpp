@@ -32,12 +32,9 @@ class MiniSqlScenario final : public ScenarioWorkload {
     stock_below_ = read_percent;
     neworder_below_ =
         read_percent + (100 - read_percent) * params_.neworder_per_mille / 1000;
-    // The shard count shards the pager (stock) path only; the writer lock
-    // is SQLite's transactional shape and stays single.
     db_ = std::make_unique<MiniSql>(
         config.MakeLockFactory(),
-        MiniSql::Config{params_.warehouses, params_.districts, params_.items,
-                        ShardCount(config, /*default_shards=*/1)});
+        MiniSql::Config{params_.warehouses, params_.districts, params_.items});
     // Per-thread NEW-ORDER item scratch, sized once here so Op never touches
     // a vector header (each slot's heap buffer is private to its thread).
     item_scratch_.assign(static_cast<std::size_t>(config.threads), ItemScratch{});

@@ -16,7 +16,7 @@ class NosqlScenario final : public ScenarioWorkload {
  public:
   struct Params {
     bool tree = false;  // TreeDb (B-TREE); otherwise HashDb (CACHE, HT)
-    std::size_t shards = 1;
+    std::size_t shards = 1;  // HashDb regions
     int read_percent = 50;
     std::uint64_t key_space = 10000;
   };
@@ -30,11 +30,10 @@ class NosqlScenario final : public ScenarioWorkload {
     const int writes = 100 - read_percent;
     set_below_ = read_percent + writes * 6 / 10;
     append_below_ = read_percent + writes * 9 / 10;
-    const std::size_t shards = ShardCount(config, params_.shards);
     if (params_.tree) {
-      db_ = std::make_unique<TreeDb>(config.MakeLockFactory(), shards);
+      db_ = std::make_unique<TreeDb>(config.MakeLockFactory());
     } else {
-      db_ = std::make_unique<HashDb>(config.MakeLockFactory(), shards);
+      db_ = std::make_unique<HashDb>(config.MakeLockFactory(), params_.shards);
     }
     preloaded_ = 0;
     for (std::uint64_t key = 0; key < key_space_; key += 2) {
@@ -98,7 +97,7 @@ void RegisterNosqlScenarios(ScenarioRegistry& registry) {
   };
   add("nosql/cache", "CACHE backend: one hash map behind a whole-DB lock, 50/50 mix",
       /*tree=*/false, /*shards=*/1);
-  // HT keeps Kyoto's 8 bucket regions as its default shard count.
+  // HT keeps Kyoto's 8 bucket regions as 8 shards.
   add("nosql/hash", "HT backend: bucket-region locks (8 regions), 50/50 mix", /*tree=*/false,
       /*shards=*/8);
   add("nosql/btree", "B-TREE backend: B+-tree behind one lock, 50/50 mix", /*tree=*/true,

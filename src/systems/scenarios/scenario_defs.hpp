@@ -25,12 +25,6 @@ void RegisterWalStoreScenarios(ScenarioRegistry& registry);
 void RegisterCowListScenarios(ScenarioRegistry& registry);
 void RegisterRwLockScenarios(ScenarioRegistry& registry);
 
-// The shard count a scenario builds its system with: config.shards, or
-// the scenario's registered default (the paper shape) when it is 0.
-inline std::size_t ShardCount(const ScenarioConfig& config, std::size_t default_shards) {
-  return config.shards != 0 ? config.shards : default_shards;
-}
-
 // Formats "<prefix><n>" into *out without a std::to_string temporary; with
 // a warm capacity this performs no allocation (the hot-path idiom the cache
 // driver established).

@@ -4,8 +4,10 @@
 // headers, each holding one registry LockHandle and one Table partition.
 // Callers hash a key exactly once, route with IndexFor (hash % shards --
 // the mapping MemCache's tests pin), and run a closure under the shard's
-// lock. A shard count is the only input; shards = 1 puts the whole table
-// behind one lock.
+// lock. A shard count is the only input. Only the shapes that really
+// stripe use it: MemCache (16 stripes), GraphStore (32 row shards) and
+// HashDb (Kyoto's 8 HT regions, or 1 for its CACHE backend); a system
+// with one lock holds it directly and marks its table LL_GUARDED_BY it.
 //
 // The Table member is deliberately *not* LL_GUARDED_BY-annotated: each
 // shard's table is guarded by its own lock, a per-element capability the
@@ -47,10 +49,10 @@ class ShardedMap {
   // once and reuse the value for routing and in-shard probing.
   std::size_t IndexFor(std::uint64_t hash) const { return hash % shard_count_; }
 
-  // splitmix64 finalizer for systems whose keys are small dense integers
-  // (KvStore, NosqlDb): without mixing, sequential keys would stripe
-  // adjacent keys across shards but leave structured workloads (e.g.
-  // every-other-key preloads) lumpy under non-power-of-two shard counts.
+  // splitmix64 finalizer for small dense integer keys (HashDb's): without
+  // mixing, sequential keys would stripe adjacent keys across shards but
+  // leave structured workloads (e.g. every-other-key preloads) lumpy under
+  // non-power-of-two shard counts.
   static std::uint64_t MixHash(std::uint64_t key) {
     key += 0x9e3779b97f4a7c15ULL;
     key = (key ^ (key >> 30)) * 0xbf58476d1ce4e5b9ULL;

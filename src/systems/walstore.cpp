@@ -7,8 +7,8 @@
 
 namespace lockin {
 
-WalStore::WalStore(const LockFactory& make_lock, const std::string& wal_path, std::size_t shards)
-    : db_lock_(make_lock()), memtable_(make_lock, shards) {
+WalStore::WalStore(const LockFactory& make_lock, const std::string& wal_path)
+    : db_lock_(make_lock()), memtable_lock_(make_lock()) {
   auto log = std::make_unique<WalLog>(wal_path);
   std::vector<std::string> records;
   const WalLog::RecoverResult recovered = log->Recover(&records);
@@ -34,13 +34,12 @@ WalStore::WalStore(const LockFactory& make_lock, const std::string& wal_path, st
 }
 
 void WalStore::ApplyToMemtable(std::uint64_t key, std::string&& value, bool is_delete) {
-  memtable_.WithShard(ShardedMap<Memtable>::MixHash(key), [&](Memtable& memtable) {
-    if (is_delete) {
-      memtable.erase(key);
-    } else {
-      memtable[key] = std::move(value);
-    }
-  });
+  HandleGuard guard(*memtable_lock_);
+  if (is_delete) {
+    memtable_.erase(key);
+  } else {
+    memtable_[key] = std::move(value);
+  }
 }
 
 void WalStore::RunBatch() {
@@ -92,8 +91,8 @@ void WalStore::RunBatch() {
     wal_entry += ';';
   }
 
-  // Apply in sequence order; each write takes only its key's shard lock,
-  // and readers never take db_lock_.
+  // Apply in sequence order; each write takes only the memtable lock, and
+  // readers never take db_lock_.
   for (WriteRequest* req : group) {
     ApplyToMemtable(req->key, std::move(req->value), req->is_delete);
   }
@@ -144,22 +143,20 @@ void WalStore::Write(WriteRequest* req) {
 }
 
 bool WalStore::Get(std::uint64_t key, std::string* out) {
-  return memtable_.WithShard(ShardedMap<Memtable>::MixHash(key), [&](const Memtable& memtable) {
-    const auto it = memtable.find(key);
-    if (it == memtable.end()) {
-      return false;
-    }
-    if (out != nullptr) {
-      *out = it->second;
-    }
-    return true;
-  });
+  HandleGuard guard(*memtable_lock_);
+  const auto it = memtable_.find(key);
+  if (it == memtable_.end()) {
+    return false;
+  }
+  if (out != nullptr) {
+    *out = it->second;
+  }
+  return true;
 }
 
 std::size_t WalStore::MemtableSize() {
-  std::size_t total = 0;
-  memtable_.ForEachShard([&total](Memtable& memtable) { total += memtable.size(); });
-  return total;
+  HandleGuard guard(*memtable_lock_);
+  return memtable_.size();
 }
 
 }  // namespace lockin

@@ -9,11 +9,7 @@
 // pending writes as one group and, with the DB lock released, writes them
 // to the WAL and memtable while followers wait on the condvar and new
 // writers queue up for the next group. Reads go to the memtable under a
-// short lock.
-//
-// The memtable is a ShardedMap, so with more than one shard reads spread
-// over per-shard locks instead of one read lock, and the batch leader
-// applies each write to its key's shard.
+// short lock of its own.
 #ifndef SRC_SYSTEMS_WALSTORE_HPP_
 #define SRC_SYSTEMS_WALSTORE_HPP_
 
@@ -24,18 +20,17 @@
 #include <vector>
 
 #include "src/locks/condvar.hpp"
+#include "src/platform/cacheline.hpp"
 #include "src/platform/thread_annotations.hpp"
 #include "src/systems/common.hpp"
-#include "src/systems/sharded.hpp"
 #include "src/systems/wal_log.hpp"
 
 namespace lockin {
 
 class WalStore {
  public:
-  // shards = 1 preserves the paper shape.
-  explicit WalStore(const LockFactory& make_lock, std::size_t shards = 1)
-      : db_lock_(make_lock()), memtable_(make_lock, shards) {}
+  explicit WalStore(const LockFactory& make_lock)
+      : db_lock_(make_lock()), memtable_lock_(make_lock()) {}
 
   // Durable mode (FailSafe): every batched write is additionally appended
   // to a crash-consistent WalLog at `wal_path`, one CRC-checked record per
@@ -44,7 +39,7 @@ class WalStore {
   // Appends can throw WalCrashInjected when the WAL failpoints are armed
   // -- the store is then considered dead, like a killed process; reopen a
   // fresh WalStore on the same path to recover.
-  WalStore(const LockFactory& make_lock, const std::string& wal_path, std::size_t shards = 1);
+  WalStore(const LockFactory& make_lock, const std::string& wal_path);
 
   struct RecoveryInfo {
     std::uint64_t records = 0;        // valid records replayed
@@ -102,10 +97,12 @@ class WalStore {
   std::unique_ptr<WalLog> wal_log_ LL_GUARDED_BY(*db_lock_);  // durable mode only
   RecoveryInfo recovery_info_;  // written once in the ctor, read-only after
 
-  // Memtable shards guarded by their own short locks so reads do not cross
-  // the write queue. The group leader applies writes without db_lock_, and
-  // readers take only the shard lock, so no thread holds both.
-  ShardedMap<Memtable> memtable_;
+  // The memtable has its own short lock so reads do not cross the write
+  // queue. The group leader applies writes without db_lock_, and readers
+  // take only the memtable lock, so no thread holds both.
+  std::unique_ptr<LockHandle> memtable_lock_;
+  // Own line pair: readers read `memtable_lock_` while the holder writes the map header.
+  alignas(kContendedPad) Memtable memtable_ LL_GUARDED_BY(*memtable_lock_);
 };
 
 }  // namespace lockin

@@ -50,9 +50,8 @@ ScenarioResult RunScenario(ScenarioWorkload& workload, const ScenarioConfig& con
   // No-op (and leaves any env-armed profile in place) when the spec is empty.
   ScopedFailpoints failpoint_scope(config.failpoints, config.seed);
 
-  // LockScope: the driver thread's trace ring (tid = threads; setup/run
-  // phase markers). Setup runs with it installed so preload-time lock
-  // activity is visible too.
+  // LockScope: the driver thread's trace ring (tid = threads), which holds
+  // the setup/run phase markers.
   TraceBuffer* driver_trace = nullptr;
   if (config.trace) {
     driver_trace = TraceSession::Instance().NewBuffer(static_cast<std::uint16_t>(config.threads),
@@ -66,8 +65,14 @@ ScenarioResult RunScenario(ScenarioWorkload& workload, const ScenarioConfig& con
   // acquire/release feeds the acquisition graph.
   ScopedLockdep lockdep_scope(config.lockdep || LockdepIsEnabled());
 
+  // Setup runs untraced: a preload's lock events (10,000 keys for
+  // kvstore/WT) would fill the ring and drop the markers that follow.
+  // Lockdep still sees them, since TraceEmit feeds it before the sink.
   TraceEmit(TraceEventKind::kPhaseBegin, 0);
-  workload.Setup(config);
+  {
+    const ScopedTraceSink untraced_setup(nullptr);
+    workload.Setup(config);
+  }
   TraceEmit(TraceEventKind::kPhaseEnd, 0);
 
   std::vector<WorkerSlot> slots;

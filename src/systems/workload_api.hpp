@@ -65,12 +65,6 @@ struct ScenarioConfig {
   // Key space / data-set size; 0 keeps the scenario's registered default.
   std::uint64_t key_space = 0;
 
-  // Shard count of the system under test (src/systems/sharded.hpp). 0
-  // keeps the scenario's registered default (1 for the single-lock paper
-  // shapes, 16 for cache, 32 for graph, 8 for nosql/hash). Scenarios whose
-  // system under test is not shardable (rwkv, cowlist) ignore it.
-  std::uint32_t shards = 0;
-
   std::uint64_t seed = 1;
   bool record_latency = true;  // batched per-op rdtsc histogram
 

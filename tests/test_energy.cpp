@@ -39,6 +39,27 @@ TEST(PowerModel, FirstCoreActivationCost) {
   EXPECT_NEAR(one - idle, 13.6, 0.1);
 }
 
+// Hosts often number cores sparsely (0-4 and 8-12 on a ten-core Xeon); the
+// model keys cores as socket * cores_per_socket + core, so the ids must
+// come out dense.
+TEST(PowerModel, SparseCoreIdsMatchTheDenseLayout) {
+  std::vector<CpuInfo> cpus;
+  for (int socket = 0; socket < 2; ++socket) {
+    for (const int core : {0, 1, 2, 3, 4, 8, 9, 10, 11, 12}) {
+      cpus.push_back(CpuInfo{static_cast<int>(cpus.size()), socket, core, 0});
+    }
+  }
+  const Topology sparse = Topology::FromCpus(cpus);
+  ASSERT_EQ(sparse.cores_per_socket(), 10);
+  for (const CpuInfo& cpu : sparse.cpus()) {
+    EXPECT_LT(cpu.core, sparse.cores_per_socket()) << cpu.os_cpu;
+  }
+  const PowerParams params = PowerParams::PaperXeon();
+  const std::vector<ActivityState> busy = States(20, ActivityState::kCritical, 20);
+  EXPECT_DOUBLE_EQ(PowerModel(sparse, params).ComponentWatts(busy, {}).total(),
+                   PowerModel(Topology(2, 10, 1), params).ComponentWatts(busy, {}).total());
+}
+
 TEST(PowerModel, SecondCoreCheaperThanFirst) {
   // "The second core costs 2.3 and 5.6 Watts" (min/max VF).
   const PowerModel model = XeonModel();

@@ -648,6 +648,35 @@ TEST(ScenarioTraceTest, TracedRunLandsLockEventsInSession) {
   EXPECT_EQ(TraceSession::Instance().buffer_count(), 0u);
 }
 
+// Setup runs untraced, so kvstore/WT's 10,000-key preload cannot fill the
+// driver ring and drop the phase markers: both phases keep their begin and
+// end events on the driver's tid, and nothing is dropped.
+TEST(ScenarioTraceTest, PreloadLeavesBothPhaseSpansWhole) {
+  TraceSession::Instance().Reset();
+  ScenarioConfig config;
+  config.lock_name = "MUTEX";
+  config.threads = 2;
+  config.ops_per_thread = 1000;
+  config.trace = true;
+  config.meter = MeterChoice::kOff;
+  RunScenarioByName("kvstore/WT", config);
+  EXPECT_EQ(TraceSession::Instance().dropped(), 0u);
+  int markers[2][2] = {};  // [phase][begin, end]
+  for (const TraceEvent& event : TraceSession::Instance().Collect()) {
+    const bool begin = event.kind == static_cast<std::uint16_t>(TraceEventKind::kPhaseBegin);
+    if ((begin || event.kind == static_cast<std::uint16_t>(TraceEventKind::kPhaseEnd)) &&
+        event.arg < 2) {
+      EXPECT_EQ(event.tid, config.threads);
+      ++markers[event.arg][begin ? 0 : 1];
+    }
+  }
+  for (const auto& phase : markers) {
+    EXPECT_EQ(phase[0], 1);
+    EXPECT_EQ(phase[1], 1);
+  }
+  TraceSession::Instance().Reset();
+}
+
 // The driver samples the meter only on metered, traced runs; the watts
 // track lands on the sampler's trace tid (threads + 1).
 TEST(ScenarioTraceTest, MeteredTracedRunCarriesAWattsTrack) {

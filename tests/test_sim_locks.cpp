@@ -3,6 +3,8 @@
 // rely on.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/sim/workload.hpp"
 
 namespace lockin {
@@ -92,6 +94,19 @@ INSTANTIATE_TEST_SUITE_P(AllSimLocks, SimLockParamTest,
                            }
                            return name;
                          });
+
+// MakeLockOrThrow's contract: an unknown name, or a native-only one such as
+// PTHREAD, throws instead of handing the driver a null lock.
+TEST(SimLockFactory, UnknownNamesThrow) {
+  WorkloadConfig config;
+  config.threads = 2;
+  config.duration_cycles = 100'000;
+  for (const char* name : {"NOPE", "PTHREAD"}) {
+    EXPECT_THROW(RunLockWorkload(name, config), std::invalid_argument) << name;
+    EXPECT_THROW(RunPhasedLockWorkload(name, config, {WorkloadPhase{}}), std::invalid_argument)
+        << name;
+  }
+}
 
 // --- Paper orderings ---------------------------------------------------------
 
