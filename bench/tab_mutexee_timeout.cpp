@@ -19,9 +19,6 @@ int main(int argc, char** argv) {
   config.non_cs_cycles = 100;
   config.duration_cycles = options.quick ? 28'000'000 : 140'000'000;
 
-  WorkloadEnv timeout_env;
-  timeout_env.lock_options.mutexee.sleep_timeout_ns = 4'000'000;  // 4 ms
-
   struct Row {
     const char* name;
     WorkloadResult result;
@@ -32,7 +29,7 @@ int main(int argc, char** argv) {
   Row rows[] = {
       {"MUTEX", RunLockWorkload("MUTEX", config), 317, 4.0, 2.0},
       {"MUTEXEE", RunLockWorkload("MUTEXEE", config), 855, 10.9, 206.5},
-      {"MUTEXEE timeout", RunLockWorkload("MUTEXEE-TO", config, timeout_env), 474, 6.5, 12.0},
+      {"MUTEXEE timeout", RunLockWorkload("MUTEXEE-TO", config), 474, 6.5, 12.0},
   };
 
   TextTable table({"lock", "tput_Kacq/s", "paper", "TPP_Kacq/J", "paper", "max_lat_Mcyc",

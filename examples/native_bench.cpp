@@ -61,12 +61,6 @@ int main(int argc, char** argv) {
     AcquireShape shape;
     shape.cs_cycles = cs;
     shape.lock_options.spin.yield_after = 512;  // survive oversubscribed hosts
-    if (name == "MUTEXEE-TO") {
-      // Without a timeout MUTEXEE-TO is byte-for-byte MUTEXEE; give the row
-      // its distinguishing behavior (8 ms bounds the sleepers' tail within
-      // the default 200 ms run).
-      shape.lock_options.mutexee.sleep_timeout_ns = 8'000'000;
-    }
     const ScenarioResult r = RunNativeBench(config, shape);
     std::printf("%-10s %-6s %14.0f %10.1f %12.0f %10llu %12llu\n", name.c_str(),
                 IsStaticallyDispatchable(name) ? "static" : "handle", r.ops_per_s, r.AvgWatts(),

@@ -11,8 +11,7 @@ AdaptiveLock::AdaptiveLock(AdaptiveLockConfig config)
 AdaptiveLock::AdaptiveLock(AdaptiveLockConfig config, std::unique_ptr<AdaptivePolicy> policy)
     : config_(std::move(config)),
       policy_(policy ? std::move(policy) : std::make_unique<EwmaThresholdPolicy>()),
-      ttas_(config_.spin),
-      mutexee_(config_.mutexee) {
+      ttas_(config_.spin) {
   if (config_.epoch_acquires == 0) {
     config_.epoch_acquires = 1;
   }

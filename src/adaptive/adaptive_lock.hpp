@@ -47,9 +47,10 @@ struct AdaptiveLockConfig {
   // of comparisons, so even 64 is cheap.
   std::uint64_t epoch_acquires = 256;
 
-  // Backend construction parameters (the futex-mutex backend has none).
-  SpinConfig spin;        // TTAS backend (yield_after matters on small hosts)
-  MutexeeConfig mutexee;  // MUTEXEE backend; budgets are retuned online
+  // TTAS backend construction parameters (yield_after matters on small
+  // hosts). The futex-mutex backend has none, and the MUTEXEE backend
+  // starts from MutexeeConfig{}: its budgets are retuned online.
+  SpinConfig spin;
 };
 
 class LL_CAPABILITY("mutex") AdaptiveLock {

@@ -11,7 +11,6 @@
 #include "src/energy/power_model.hpp"
 #include "src/energy/rapl_meter.hpp"
 #include "src/futex/futex.hpp"
-#include "src/locks/backoff.hpp"
 #include "src/locks/clh.hpp"
 #include "src/locks/condvar.hpp"
 #include "src/locks/futex_lock.hpp"

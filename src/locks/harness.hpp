@@ -36,8 +36,8 @@ struct AcquireShape {
   int locks = 1;  // each op picks one at random when there are several
   std::uint64_t cs_cycles = 1000;
   std::uint64_t non_cs_cycles = 100;
-  // The only input that shapes how the locks are built: spin yield
-  // threshold, MUTEXEE budgets.
+  // The only input that shapes how the locks are built: the spin yield
+  // threshold.
   LockBuildOptions lock_options;
 };
 

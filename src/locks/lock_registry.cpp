@@ -23,11 +23,9 @@ std::unique_ptr<LockHandle> MakeLock(const std::string& name, const LockBuildOpt
   }
   if (name == "ADAPTIVE") {
     AdaptiveLockConfig config;
-    // Registry-wide knobs reach the backends: the spin config keeps TTAS
-    // yielding on oversubscribed hosts, and the MUTEXEE config carries
-    // budget / ablation choices made for the static MUTEXEE.
+    // The spin config reaches the TTAS backend, which keeps it yielding on
+    // oversubscribed hosts.
     config.spin = options.spin;
-    config.mutexee = MutexeeConfigFrom(options);
     return std::make_unique<LockAdapter<AdaptiveLock>>("ADAPTIVE", config);
   }
   return nullptr;
@@ -48,8 +46,8 @@ std::unique_ptr<LockHandle> MakeLockOrThrow(const std::string& name,
 }
 
 std::vector<std::string> RegisteredLockNames() {
-  return {"MUTEX",   "PTHREAD", "TAS",     "TTAS",       "TICKET",   "MCS",
-          "CLH",     "TAS-BO",  "COHORT",  "MUTEXEE",    "MUTEXEE-TO", "ADAPTIVE"};
+  return {"MUTEX", "PTHREAD", "TAS",     "TTAS",       "TICKET",
+          "MCS",   "CLH",     "MUTEXEE", "MUTEXEE-TO", "ADAPTIVE"};
 }
 
 }  // namespace lockin

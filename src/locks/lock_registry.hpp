@@ -11,22 +11,23 @@
 #include <string>
 #include <vector>
 
+// FutexWaitResult: perfbench/src/scenario_workloads.cpp decodes the
+// kFutexSleepEnd arg with it and reaches this header, not futex.hpp.
+#include "src/futex/futex.hpp"
 #include "src/locks/lock_api.hpp"
-#include "src/locks/mutexee.hpp"
 #include "src/locks/spinlocks.hpp"
 
 namespace lockin {
 
 // Options applied at construction where the algorithm supports them.
 struct LockBuildOptions {
-  SpinConfig spin;        // spinlock yield policy
-  MutexeeConfig mutexee;  // MUTEXEE budgets, timeout, ablation switches
+  SpinConfig spin;  // spinlock yield policy (TAS, TTAS, TICKET, MCS, CLH, ADAPTIVE)
 };
 
 // Creates a lock by paper name. Recognized names: "MUTEX" (FutexLock),
 // "PTHREAD" (glibc), "TAS", "TTAS", "TICKET", "MCS", "CLH", "MUTEXEE",
-// "MUTEXEE-TO" (MUTEXEE with the options' timeout), "ADAPTIVE" (the
-// energy-aware adaptive runtime, src/adaptive/).
+// "MUTEXEE-TO" (MUTEXEE with MutexeeLock::kToSleepTimeoutNs), "ADAPTIVE"
+// (the energy-aware adaptive runtime, src/adaptive/).
 //
 // Unknown-name contract: MakeLock returns nullptr (callers that probe names
 // need no exception handling); MakeLockOrThrow raises std::invalid_argument

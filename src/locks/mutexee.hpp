@@ -70,6 +70,10 @@ class LL_CAPABILITY("mutex") MutexeeLock {
   // reads it too). Spin phases pause with mfence (section 4.2).
   static constexpr std::uint32_t kAdaptPeriod = 512;
 
+  // The sleep timeout of the registry's "MUTEXEE-TO": the 4 ms of the
+  // paper's "MUTEXEE timeout" row (section 5.1, bench/tab_mutexee_timeout).
+  static constexpr std::uint64_t kToSleepTimeoutNs = 4'000'000;
+
   struct Stats {
     std::uint64_t acquires = 0;
     std::uint64_t spin_handovers = 0;   // acquired while busy-waiting

@@ -23,7 +23,6 @@
 #include <string>
 #include <utility>
 
-#include "src/locks/backoff.hpp"
 #include "src/locks/clh.hpp"
 #include "src/locks/futex_lock.hpp"
 #include "src/locks/lock_api.hpp"
@@ -40,14 +39,6 @@ template <typename L>
 struct LockTypeTag {
   using type = L;
 };
-
-// "MUTEXEE": the options' budgets with the sleep timeout forced off (the
-// paper's default MUTEXEE never times out; "MUTEXEE-TO" is the timeout row).
-inline MutexeeConfig MutexeeConfigFrom(const LockBuildOptions& options) {
-  MutexeeConfig config = options.mutexee;
-  config.sleep_timeout_ns = 0;
-  return config;
-}
 
 // Calls `visitor(LockTypeTag<L>{}, ctor_args...)` with the constructor
 // arguments the registry would use for the same name (locks hold atomics
@@ -88,19 +79,13 @@ bool WithConcreteLock(const std::string& name, const LockBuildOptions& options,
     return true;
   }
   if (name == "MUTEXEE") {
-    visitor(LockTypeTag<MutexeeLock>{}, MutexeeConfigFrom(options));
+    visitor(LockTypeTag<MutexeeLock>{}, MutexeeConfig{});
     return true;
   }
   if (name == "MUTEXEE-TO") {
-    visitor(LockTypeTag<MutexeeLock>{}, options.mutexee);
-    return true;
-  }
-  if (name == "TAS-BO") {
-    visitor(LockTypeTag<BackoffTasLock>{}, options.spin);
-    return true;
-  }
-  if (name == "COHORT") {
-    visitor(LockTypeTag<CohortLock>{}, options.spin);
+    MutexeeConfig config;
+    config.sleep_timeout_ns = MutexeeLock::kToSleepTimeoutNs;
+    visitor(LockTypeTag<MutexeeLock>{}, config);
     return true;
   }
   return false;

@@ -2,8 +2,9 @@
 //
 // Every latency below is a number the paper reports for its 2-socket Ivy
 // Bridge Xeon E5-2680 v2 (sections 3-5); the power constants live in
-// src/energy/power_model.hpp. Centralising them makes the substitution
-// auditable: change a constant here and every figure reproduction follows.
+// src/energy/power_model.hpp. The simulated machine, futex or locks read
+// each one, so the substitution is auditable: change a constant here and
+// every figure reproduction follows.
 #ifndef SRC_SIM_PARAMS_HPP_
 #define SRC_SIM_PARAMS_HPP_
 
@@ -20,11 +21,6 @@ struct SimParams {
   // "'Waking up' a locally-spinning thread takes two cache-line transfers
   // (i.e., 280 cycles)" => one hop ~140 cycles.
   std::uint64_t line_transfer_cycles = 140;
-  // "The waiting duration must be proportional to the maximum coherence
-  // latency of the processor (e.g., 384 cycles on Xeon)."
-  std::uint64_t max_coherence_cycles = 384;
-  // Uncontested atomic acquire/release cost.
-  std::uint64_t uncontested_acquire_cycles = 30;
   // Extra invalidation-burst cost per local-spinning waiter when a TTAS or
   // TICKET lock is released ("burst of requests on a single cache line when
   // the lock is released", section 5.2).
@@ -59,22 +55,10 @@ struct SimParams {
   std::uint64_t futex_sleep_bucket_cycles = 2000;
   std::uint64_t futex_wake_bucket_cycles = 800;
 
-  // --- monitor/mwait (section 4.2) -----------------------------------------
-  // "The overloaded file operation takes roughly 700 cycles."
-  std::uint64_t mwait_enter_cycles = 700;
-  // "The best case wake-up latency from mwait ... is 1600 cycles."
-  std::uint64_t mwait_wake_cycles = 1600;
-
-  // --- DVFS (section 4.2) ---------------------------------------------------
-  // "The VF-switch operation is slow: we measure that it takes 5300 cycles."
-  std::uint64_t dvfs_switch_cycles = 5300;
-
   // --- Scheduler ------------------------------------------------------------
   // Time-slice when runnable threads exceed hardware contexts. Linux CFS
   // grants a few ms; 2.8M cycles ~= 1 ms on the paper's Xeon.
   std::uint64_t scheduler_quantum_cycles = 2800000;
-  // Direct cost of a context switch.
-  std::uint64_t context_switch_cycles = 3000;
 
   static SimParams PaperXeon() { return SimParams{}; }
 };

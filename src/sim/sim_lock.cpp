@@ -52,15 +52,6 @@ std::uint64_t SimSpinLock::HandoverDelay() const {
       // atomics, so the handover itself degrades with the waiter count.
       return base + (p.burst_per_waiter_cycles + p.tas_release_per_waiter_cycles) *
                         waiters_.size();
-    case SimSpinLockConfig::Handover::kBackoff:
-      // Backed-off waiters probe rarely: the storm is gone, but the winner
-      // pays half an average backoff window of re-probe latency.
-      return base + p.burst_per_waiter_cycles * waiters_.size() / 4 + 400;
-    case SimSpinLockConfig::Handover::kCohort:
-      // Most handovers stay within the socket (one intra-socket transfer);
-      // cohort-budget expiries cross sockets. Modeled as the blended cost.
-      return p.line_transfer_cycles + p.burst_per_waiter_cycles * waiters_.size() / 8 +
-             p.max_coherence_cycles / 16;
   }
   return base;
 }
@@ -568,6 +559,8 @@ std::unique_ptr<SimLock> MakeSimLock(const std::string& name, SimMachine* machin
     config.name = name;
     if (name == "MUTEXEE") {
       config.base.sleep_timeout_ns = 0;
+    } else if (config.base.sleep_timeout_ns == 0) {
+      config.base.sleep_timeout_ns = MutexeeLock::kToSleepTimeoutNs;
     }
     return std::make_unique<SimMutexee>(machine, config);
   }
@@ -594,19 +587,6 @@ std::unique_ptr<SimLock> MakeSimLock(const std::string& name, SimMachine* machin
     config.spin_state = ActivityState::kSpinMbar;
     return std::make_unique<SimSpinLock>(machine, config);
   }
-  if (name == "TAS-BO") {
-    config.discipline = SimSpinLockConfig::Discipline::kRandom;
-    config.handover = SimSpinLockConfig::Handover::kBackoff;
-    config.spin_state = ActivityState::kSpinMbar;  // waiters mostly paused
-    return std::make_unique<SimSpinLock>(machine, config);
-  }
-  if (name == "COHORT") {
-    config.discipline = SimSpinLockConfig::Discipline::kFifo;
-    config.handover = SimSpinLockConfig::Handover::kCohort;
-    config.spin_state = ActivityState::kSpinMbar;
-    config.uncontested_cycles = 110;  // two-level acquire path
-    return std::make_unique<SimSpinLock>(machine, config);
-  }
   if (name == "MCS" || name == "CLH") {
     config.discipline = SimSpinLockConfig::Discipline::kFifo;
     config.handover = SimSpinLockConfig::Handover::kQueue;
@@ -615,8 +595,8 @@ std::unique_ptr<SimLock> MakeSimLock(const std::string& name, SimMachine* machin
     return std::make_unique<SimSpinLock>(machine, config);
   }
   throw std::invalid_argument("unknown simulated lock: '" + name +
-                              "'; simulated locks: MUTEX TAS TTAS TICKET MCS CLH TAS-BO "
-                              "COHORT MUTEXEE MUTEXEE-TO ADAPTIVE");
+                              "'; simulated locks: MUTEX TAS TTAS TICKET MCS CLH MUTEXEE "
+                              "MUTEXEE-TO ADAPTIVE");
 }
 
 }  // namespace lockin

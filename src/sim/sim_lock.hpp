@@ -89,11 +89,9 @@ class SimLock {
 struct SimSpinLockConfig {
   enum class Discipline { kFifo, kRandom };
   enum class Handover {
-    kQueue,      // constant-cost private-line handover (MCS, CLH)
-    kBroadcast,  // invalidation burst over all waiters (TTAS, TICKET)
-    kAtomicStorm,// TAS: burst + expensive release under contention
-    kBackoff,    // TAS-BO: backoff drains the storm; adds re-probe latency
-    kCohort      // COHORT: intra-socket handover most of the time
+    kQueue,       // constant-cost private-line handover (MCS, CLH)
+    kBroadcast,   // invalidation burst over all waiters (TTAS, TICKET)
+    kAtomicStorm  // TAS: burst + expensive release under contention
   };
   Discipline discipline = Discipline::kFifo;
   Handover handover = Handover::kBroadcast;
@@ -290,14 +288,15 @@ class SimAdaptiveLock final : public SimLock {
 // Factory: paper lock names -> simulated locks.
 // ---------------------------------------------------------------------------
 struct SimLockOptions {
-  MutexeeConfig mutexee;  // budgets / timeout for MUTEXEE variants
+  // Budgets for MUTEXEE variants; "MUTEXEE" ignores the sleep timeout and
+  // "MUTEXEE-TO" uses MutexeeLock::kToSleepTimeoutNs when it is 0.
+  MutexeeConfig mutexee;
   std::uint64_t rng_seed = 42;
 };
 
-// Names: MUTEX, TAS, TTAS, TICKET, MCS, CLH, TAS-BO, COHORT, MUTEXEE,
-// MUTEXEE-TO, ADAPTIVE. Any other name (PTHREAD, a native-only lock,
-// included) raises std::invalid_argument listing these, the contract of
-// MakeLockOrThrow.
+// Names: MUTEX, TAS, TTAS, TICKET, MCS, CLH, MUTEXEE, MUTEXEE-TO, ADAPTIVE.
+// Any other name (PTHREAD, a native-only lock, included) raises
+// std::invalid_argument listing these, the contract of MakeLockOrThrow.
 std::unique_ptr<SimLock> MakeSimLock(const std::string& name, SimMachine* machine,
                                      const SimLockOptions& options = {});
 

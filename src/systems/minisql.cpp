@@ -14,20 +14,7 @@ MiniSql::MiniSql(const LockFactory& make_lock, Config config)
 
 std::uint64_t MiniSql::NewOrder(int warehouse, int district, const std::vector<int>& item_ids,
                                 Xoshiro256* rng) {
-  // Read phase under the pager lock (page-cache accesses).
-  {
-    HandleGuard pager(*pager_lock_);
-    const std::vector<int>& stock = stock_[static_cast<std::size_t>(warehouse)];
-    int in_stock = 0;
-    for (int item : item_ids) {
-      if (stock[static_cast<std::size_t>(item)] > 0) {
-        ++in_stock;
-      }
-    }
-    (void)in_stock;
-  }
-
-  // Write transaction under the single writer lock.
+  // One write transaction under the single writer lock.
   HandleGuard writer(*write_lock_);
   District& d = warehouses_[static_cast<std::size_t>(warehouse)]
                     .districts[static_cast<std::size_t>(district)];
@@ -45,11 +32,10 @@ std::uint64_t MiniSql::NewOrder(int warehouse, int district, const std::vector<i
     quantities.push_back(quantity);
     order_lines_.push_back(OrderLine{order_id, item, quantity});
   }
-  // Stock lives in the page cache: the writer re-enters the pager lock for
-  // the updates (write -> pager nesting; the read phase above released its
-  // pager guard before the write lock was taken, so the order is acyclic).
-  // Without this, the NEW-ORDER stock writes race the pager-lock-only
-  // readers in StockLevel and the read phase.
+  // Stock lives in the page cache: the writer takes the pager lock for the
+  // reads and updates (write -> pager nesting, acyclic because StockLevel
+  // takes only the pager lock). Without it, the NEW-ORDER stock writes race
+  // StockLevel's pager-lock-only reads.
   {
     HandleGuard pager(*pager_lock_);
     std::vector<int>& stock = stock_[static_cast<std::size_t>(warehouse)];

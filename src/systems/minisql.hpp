@@ -35,8 +35,8 @@ class MiniSql {
   MiniSql(const MiniSql&) = delete;
   MiniSql& operator=(const MiniSql&) = delete;
 
-  // TPC-C-style NEW-ORDER: reads item rows, bumps the district's next order
-  // id, inserts order lines. Returns the order id.
+  // TPC-C-style NEW-ORDER: bumps the district's next order id, inserts
+  // order lines and updates the ordered items' stock. Returns the order id.
   std::uint64_t NewOrder(int warehouse, int district, const std::vector<int>& item_ids,
                          Xoshiro256* rng);
 
@@ -77,8 +77,8 @@ class MiniSql {
 
   std::vector<Warehouse> warehouses_ LL_GUARDED_BY(*write_lock_);
   // Stock is page-cache state, warehouse -> [items] quantities: read under
-  // the pager lock by NEW-ORDER's read phase and STOCK-LEVEL, and updated
-  // by writers holding the pager lock *inside* their write transaction
+  // the pager lock by STOCK-LEVEL, and read and updated by NEW-ORDER
+  // holding the pager lock *inside* its write transaction
   // (lock order: write -> pager, acyclic because readers never take the
   // write lock). Own line pair: readers read `pager_lock_` while the holder
   // writes the stock.

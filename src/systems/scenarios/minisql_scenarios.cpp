@@ -1,6 +1,7 @@
 // SQLite-shape scenarios over MiniSql (paper Table 3: SQLite running TPC-C
 // with 8-64 concurrent connections). One writer lock serializes all
-// mutations; a pager lock is crossed by reads too -- connection counts
+// mutations; the pager lock is taken by STOCK-LEVEL reads and, nested in
+// the writer lock, by NEW-ORDER's stock updates -- connection counts
 // beyond the hardware are what break fair spinlocks in Figures 13-14.
 //
 // read_percent is the STOCK-LEVEL (read-only) share; the transactional

@@ -282,7 +282,6 @@ TEST(AdaptiveRegistryTest, RegistryKnobsReachTheBackends) {
   const AdaptiveLock& adaptive =
       static_cast<LockAdapter<AdaptiveLock>*>(lock.get())->impl();
   EXPECT_EQ(adaptive.config().spin.yield_after, 77u);
-  EXPECT_EQ(adaptive.config().mutexee.sleep_timeout_ns, 0u);
 }
 
 TEST(AdaptiveRegistryTest, NativeHarnessRunsAdaptive) {

@@ -262,7 +262,7 @@ TEST_P(NativeLockFuzz, RandomizedHoldTimesPreserveExclusion) {
 
 INSTANTIATE_TEST_SUITE_P(AllLocks, NativeLockFuzz,
                          ::testing::Values("MUTEX", "TAS", "TTAS", "TICKET", "MCS", "CLH",
-                                           "TAS-BO", "COHORT", "MUTEXEE"),
+                                           "MUTEXEE"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& c : name) {

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
+#include "src/locks/lock_registry.hpp"
 #include "src/sim/workload.hpp"
 
 namespace lockin {
@@ -84,7 +86,7 @@ TEST_P(SimLockParamTest, WorkloadConservesAcquires) {
 
 INSTANTIATE_TEST_SUITE_P(AllSimLocks, SimLockParamTest,
                          ::testing::Values("MUTEX", "TAS", "TTAS", "TICKET", "MCS", "CLH",
-                                           "TAS-BO", "COHORT", "MUTEXEE"),
+                                           "MUTEXEE"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& c : name) {
@@ -105,6 +107,22 @@ TEST(SimLockFactory, UnknownNamesThrow) {
     EXPECT_THROW(RunLockWorkload(name, config), std::invalid_argument) << name;
     EXPECT_THROW(RunPhasedLockWorkload(name, config, {WorkloadPhase{}}), std::invalid_argument)
         << name;
+  }
+}
+
+// The native registry and the simulator name the same locks: every
+// registered name simulates except PTHREAD, the glibc lock, which is
+// native-only.
+TEST(SimLockFactory, SimulatesEveryRegisteredLockButPthread) {
+  WorkloadConfig config;
+  config.threads = 2;
+  config.duration_cycles = 1'000'000;
+  for (const std::string& name : RegisteredLockNames()) {
+    if (name == "PTHREAD") {
+      EXPECT_THROW(RunLockWorkload(name, config), std::invalid_argument);
+    } else {
+      EXPECT_GT(RunLockWorkload(name, config).total_acquires, 0u) << name;
+    }
   }
 }
 
@@ -225,19 +243,24 @@ TEST(SimLockOrdering, TimeoutBoundsTailLatency) {
   EXPECT_LT(with_timeout.throughput_per_s, without.throughput_per_s);
 }
 
-TEST(SimLockOrdering, BackoffRescuesTas) {
-  // Anderson '90: exponential backoff drains the TAS atomic storm.
-  const double tas = RunSweep("TAS", 30, 1000).throughput_per_s;
-  const double tas_bo = RunSweep("TAS-BO", 30, 1000).throughput_per_s;
-  EXPECT_GT(tas_bo, tas * 1.1);
-}
-
-TEST(SimLockOrdering, CohortBeatsTicketUnderContention) {
-  // Dice et al. '12: socket-local handovers are cheaper than the ticket
-  // lock's cross-socket invalidation bursts.
-  const double ticket = RunSweep("TICKET", 30, 1000).throughput_per_s;
-  const double cohort = RunSweep("COHORT", 30, 1000).throughput_per_s;
-  EXPECT_GT(cohort, ticket);
+TEST(SimLockOrdering, MutexeeToDefaultsToTheSection51Timeout) {
+  // Without a caller's timeout, MUTEXEE-TO sleeps with the native lock's
+  // 4 ms (MutexeeLock::kToSleepTimeoutNs) and so differs from MUTEXEE.
+  WorkloadConfig config;
+  config.threads = 20;
+  config.cs_cycles = 2000;
+  config.non_cs_cycles = 100;
+  config.duration_cycles = 28'000'000;
+  WorkloadEnv four_ms;
+  four_ms.lock_options.mutexee.sleep_timeout_ns = MutexeeLock::kToSleepTimeoutNs;
+  const WorkloadResult by_default = RunLockWorkload("MUTEXEE-TO", config);
+  const WorkloadResult explicit_timeout = RunLockWorkload("MUTEXEE-TO", config, four_ms);
+  const WorkloadResult plain = RunLockWorkload("MUTEXEE", config);
+  EXPECT_GT(by_default.futex_stats.timeouts, 0u);
+  EXPECT_EQ(plain.futex_stats.timeouts, 0u);
+  EXPECT_EQ(by_default.futex_stats.timeouts, explicit_timeout.futex_stats.timeouts);
+  EXPECT_EQ(by_default.total_acquires, explicit_timeout.total_acquires);
+  EXPECT_EQ(by_default.acquire_latency_cycles.max(), explicit_timeout.acquire_latency_cycles.max());
 }
 
 TEST(SimLockOrdering, GraceWindowAblation) {

@@ -3,8 +3,10 @@
 // refuse the names that only exist behind the type-erased interface.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "src/locks/static_dispatch.hpp"
 
@@ -51,31 +53,33 @@ TEST(StaticDispatch, ConstructedLocksSatisfyLockable) {
   }
 }
 
-// The MUTEXEE / MUTEXEE-TO split: the plain name forces the sleep timeout
-// off regardless of the options; the -TO name honors it. Both tiers must
-// agree (the shared *ConfigFrom helpers are the single source of truth).
+// The MUTEXEE / MUTEXEE-TO split: with default options the plain name
+// never times out and the -TO name sleeps with section 5.1's 4 ms. The
+// registry builds its LockAdapters through the same table.
 TEST(StaticDispatch, MutexeeTimeoutPlumbingMatchesRegistry) {
-  LockBuildOptions options;
-  options.mutexee.sleep_timeout_ns = 5'000'000;
-
-  WithConcreteLock("MUTEXEE", options, [&](auto tag, auto&&... args) {
-    using L = typename decltype(tag)::type;
-    L lock(args...);
-    if constexpr (std::is_same_v<L, MutexeeLock>) {
-      EXPECT_EQ(lock.config().sleep_timeout_ns, 0u);
-    } else {
-      FAIL() << "MUTEXEE must dispatch to MutexeeLock";
-    }
-  });
-  WithConcreteLock("MUTEXEE-TO", options, [&](auto tag, auto&&... args) {
-    using L = typename decltype(tag)::type;
-    L lock(args...);
-    if constexpr (std::is_same_v<L, MutexeeLock>) {
-      EXPECT_EQ(lock.config().sleep_timeout_ns, 5'000'000u);
-    } else {
-      FAIL() << "MUTEXEE-TO must dispatch to MutexeeLock";
-    }
-  });
+  EXPECT_EQ(MutexeeLock::kToSleepTimeoutNs, 4'000'000u);
+  const struct {
+    const char* name;
+    std::uint64_t sleep_timeout_ns;
+  } cases[] = {{"MUTEXEE", 0}, {"MUTEXEE-TO", MutexeeLock::kToSleepTimeoutNs}};
+  for (const auto& c : cases) {
+    const bool dispatched =
+        WithConcreteLock(c.name, LockBuildOptions{}, [&](auto tag, auto&&... args) {
+          using L = typename decltype(tag)::type;
+          L lock(args...);
+          if constexpr (std::is_same_v<L, MutexeeLock>) {
+            EXPECT_EQ(lock.config().sleep_timeout_ns, c.sleep_timeout_ns) << c.name;
+          } else {
+            FAIL() << c.name << " must dispatch to MutexeeLock";
+          }
+        });
+    EXPECT_TRUE(dispatched) << c.name;
+    const std::unique_ptr<LockHandle> handle = MakeLock(c.name);
+    ASSERT_NE(handle, nullptr) << c.name;
+    EXPECT_EQ(static_cast<LockAdapter<MutexeeLock>*>(handle.get())->impl().config().sleep_timeout_ns,
+              c.sleep_timeout_ns)
+        << c.name;
+  }
 }
 
 TEST(StaticDispatch, RegistryBuildsConcreteNamesThroughSameTable) {
