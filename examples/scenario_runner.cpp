@@ -23,8 +23,6 @@
 //   --trace FILE      capture lock/futex/epoch events and write a Chrome
 //                     trace-event JSON (load in ui.perfetto.dev); single
 //                     scenario x lock only
-//   --metrics         print the process MetricsRegistry as flat JSON after
-//                     the runs
 //   --lockdep         arm the LockLint lock-order detector for the runs and
 //                     print any reported violations (exit 1 if any)
 //   --meter MODE      energy meter: auto (RAPL else model; default),
@@ -38,8 +36,8 @@
 //   --watchdog-ms N   stall watchdog: a worker making no progress for N ms
 //                     dumps held locks + failpoints and aborts (exit 3)
 //
-// SIGINT/SIGTERM stop the runs cleanly: partial results, traces and metrics
-// are still written, and the process exits with 128 + signal.
+// SIGINT/SIGTERM stop the runs cleanly: partial results and traces are
+// still written, and the process exits with 128 + signal.
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -53,7 +51,6 @@
 
 #include "src/locks/lock_registry.hpp"
 #include "src/obs/export.hpp"
-#include "src/obs/metrics.hpp"
 #include "src/platform/cycles.hpp"
 #include "src/platform/failpoint.hpp"
 #include "src/stats/table.hpp"
@@ -86,7 +83,6 @@ struct RunnerOptions {
   std::uint64_t seed = 1;
   std::uint64_t key_space = 0;
   std::string trace_path;
-  bool metrics = false;
   bool lockdep = false;
   std::string meter = "auto";
   std::string failpoints;
@@ -99,7 +95,7 @@ void PrintUsage(const char* prog, std::FILE* out) {
                "usage: %s --list | --scenario NAME | --all [options]\n"
                "  --lock NAME|all  --threads N  --ops N  --seconds S  --seed N\n"
                "  --key-space N  --json  --quick\n"
-               "  --trace FILE  --metrics  --lockdep  --meter auto|model|off\n"
+               "  --trace FILE  --lockdep  --meter auto|model|off\n"
                "  --failpoints SPEC  --chaos  --watchdog-ms N\n",
                prog);
 }
@@ -166,8 +162,6 @@ RunnerOptions ParseArgs(int argc, char** argv) {
       options.key_space = static_cast<std::uint64_t>(int_of(i, "--key-space", 1, 1000000000));
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       options.trace_path = value_of(i, "--trace");
-    } else if (std::strcmp(argv[i], "--metrics") == 0) {
-      options.metrics = true;
     } else if (std::strcmp(argv[i], "--lockdep") == 0) {
       options.lockdep = true;
     } else if (std::strcmp(argv[i], "--meter") == 0) {
@@ -340,17 +334,14 @@ int main(int argc, char** argv) {
     Fail(argv[0], "--trace captures one run; pick a single --scenario and --lock");
   }
 
-  // Before an aborting watchdog kills the process, flush whatever
-  // observability outputs were requested (best-effort: workers may still be
-  // appending to their trace rings while we collect).
+  // Before an aborting watchdog kills the process, flush the requested
+  // trace (best-effort: workers may still be appending to their trace rings
+  // while we collect).
   const std::string trace_process_name =
       "scenario_runner " + scenario_names.front() + " / " + lock_names.front();
   config.on_stall = [&options, &trace_process_name] {
     if (!options.trace_path.empty()) {
       WriteTraceFile(options.trace_path, trace_process_name);
-    }
-    if (options.metrics) {
-      MetricsRegistry::Instance().WriteJson(std::cout);
     }
     std::fflush(nullptr);
   };
@@ -398,9 +389,6 @@ int main(int argc, char** argv) {
                    options.trace_path.c_str());
       return 1;
     }
-  }
-  if (options.metrics) {
-    MetricsRegistry::Instance().WriteJson(std::cout);
   }
   if (options.lockdep) {
     const std::vector<LockdepReport> reports = LockdepReports();

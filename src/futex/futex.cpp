@@ -38,8 +38,8 @@ FutexWaitResult WaitResultFromErrno(long rc) {
 }  // namespace
 
 // LockScope hooks live on the raw functions: every sleeping primitive in
-// the library (FutexLock, Mutexee, RwLock, CondVar, the Counted wrappers)
-// funnels through these three, so instrumenting them covers the kernel
+// the library (FutexLock, Mutexee, CondVar, the Counted wrappers) funnels
+// through these three, so instrumenting them covers the kernel
 // round-trips everywhere. The emit is one thread-local load + branch next
 // to a syscall, i.e. noise; with no sink installed it is the branch alone.
 FutexWaitResult FutexWait(std::atomic<std::uint32_t>* addr, std::uint32_t expected) {

@@ -19,7 +19,6 @@
 #include "src/locks/mcs.hpp"
 #include "src/locks/mutexee.hpp"
 #include "src/locks/pthread_adapter.hpp"
-#include "src/locks/rwlock.hpp"
 #include "src/locks/spinlocks.hpp"
 #include "src/locks/tuner.hpp"
 #include "src/platform/cacheline.hpp"

@@ -25,37 +25,15 @@ class CondVar {
   CondVar(const CondVar&) = delete;
   CondVar& operator=(const CondVar&) = delete;
 
-  // Releases `lock`, waits for a signal, reacquires. Spurious wake-ups are
-  // possible (as with pthreads); always wait in a predicate loop.
+  // Releases `lock`, waits for a broadcast, reacquires. Any Lockable works,
+  // a LockHandle included. Spurious wake-ups are possible (as with
+  // pthreads); always wait in a predicate loop.
   template <Lockable L>
   void Wait(L& lock) LL_REQUIRES(lock) {
     const std::uint32_t seq = sequence_.load(std::memory_order_relaxed);
     lock.unlock();
     FutexWait(&sequence_, seq);
     lock.lock();
-  }
-
-  // Type-erased variant for LockHandle users.
-  void Wait(LockHandle& lock) LL_REQUIRES(lock) {
-    const std::uint32_t seq = sequence_.load(std::memory_order_relaxed);
-    lock.unlock();
-    FutexWait(&sequence_, seq);
-    lock.lock();
-  }
-
-  // Timed wait; returns false on timeout.
-  template <Lockable L>
-  bool WaitFor(L& lock, std::uint64_t timeout_ns) LL_REQUIRES(lock) {
-    const std::uint32_t seq = sequence_.load(std::memory_order_relaxed);
-    lock.unlock();
-    const FutexWaitResult result = FutexWaitTimeout(&sequence_, seq, timeout_ns);
-    lock.lock();
-    return result != FutexWaitResult::kTimedOut;
-  }
-
-  void Signal() {
-    sequence_.fetch_add(1, std::memory_order_release);
-    FutexWake(&sequence_, 1);
   }
 
   void Broadcast() {

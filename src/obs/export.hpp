@@ -4,10 +4,7 @@
 // Perfetto (ui.perfetto.dev) and chrome://tracing: lock waits/holds and
 // futex sleeps become duration slices per thread track, adaptive epoch
 // switches and wake calls become instants, and the periodic sampler's
-// watts samples become a counter track. The same writer serves native runs
-// (rdtsc timestamps) and simulator runs (sim-cycle timestamps); only the
-// cycles_per_us conversion differs, so one scenario traced in both worlds
-// yields diffable timelines.
+// watts samples become a counter track.
 #ifndef SRC_OBS_EXPORT_HPP_
 #define SRC_OBS_EXPORT_HPP_
 
@@ -20,9 +17,8 @@
 namespace lockin {
 
 struct ChromeTraceOptions {
-  // Timestamp conversion: trace-event "ts" is microseconds. Native callers
-  // pass CyclesPerNs() * 1000; simulator callers pass the simulated clock
-  // rate (e.g. 2800 for the paper's 2.8 GHz Xeon).
+  // Timestamp conversion: trace-event "ts" is microseconds, so callers pass
+  // the calibrated rdtsc rate, CyclesPerNs() * 1000.
   double cycles_per_us = 1000.0;
   std::string process_name = "lockin";
 };

@@ -39,11 +39,6 @@ LatencyHistogram MetricHistogram::Snapshot() const {
   return merged;
 }
 
-MetricsRegistry& MetricsRegistry::Instance() {
-  static MetricsRegistry* registry = new MetricsRegistry();
-  return *registry;
-}
-
 MetricCounter& MetricsRegistry::Counter(const std::string& name) {
   std::lock_guard<std::mutex> guard(mu_);
   for (auto& entry : counters_) {
@@ -78,26 +73,6 @@ MetricHistogram& MetricsRegistry::Histogram(const std::string& name) {
   histograms_.emplace_back();
   histograms_.back().first = name;
   return histograms_.back().second;
-}
-
-std::vector<MetricsRegistry::Sample> MetricsRegistry::Snapshot() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  std::vector<Sample> samples;
-  samples.reserve(counters_.size() + gauges_.size() + histograms_.size() * 4);
-  for (const auto& entry : counters_) {
-    samples.push_back({entry.first, "counter", static_cast<double>(entry.second.Value())});
-  }
-  for (const auto& entry : gauges_) {
-    samples.push_back({entry.first, "gauge", entry.second.Value()});
-  }
-  for (const auto& entry : histograms_) {
-    const LatencyHistogram merged = entry.second.Snapshot();
-    samples.push_back({entry.first, "histogram_count", static_cast<double>(merged.count())});
-    samples.push_back({entry.first, "histogram_p50", static_cast<double>(merged.P50())});
-    samples.push_back({entry.first, "histogram_p99", static_cast<double>(merged.P99())});
-    samples.push_back({entry.first, "histogram_max", static_cast<double>(merged.max())});
-  }
-  return samples;
 }
 
 namespace {

@@ -1,13 +1,14 @@
 // LockScope metrics: named counters, gauges and histograms with cheap
-// thread-local shards and a consistent snapshot API.
+// thread-local shards, read through Value(), MetricHistogram::Snapshot()
+// and MetricsRegistry::WriteJson().
 //
 // Increment cost is one relaxed fetch_add on a cache-line-private shard
-// selected once per thread, so systems can count per-operation events
-// (reader/writer acquires, evictions, futex sleeps) without introducing a
-// shared hot line. Snapshots sum the shards: any snapshot taken while
-// writers are running is a valid cut -- never above the true total at read
-// time, monotonically non-decreasing across snapshots, and exact once the
-// writers have quiesced (tests/test_obs.cpp pins all three properties).
+// selected once per thread, so a server can count per-request events
+// (requests, errors, service times) without introducing a shared hot line.
+// Reads sum the shards: any read taken while writers are running is a
+// valid cut -- never above the true total at read time, monotonically
+// non-decreasing across reads, and exact once the writers have quiesced
+// (tests/test_obs.cpp pins all three properties).
 #ifndef SRC_OBS_METRICS_HPP_
 #define SRC_OBS_METRICS_HPP_
 
@@ -17,7 +18,6 @@
 #include <mutex>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "src/platform/cacheline.hpp"
 #include "src/stats/histogram.hpp"
@@ -79,31 +79,15 @@ class MetricHistogram {
   Shard shards_[obs_internal::kMetricShards];
 };
 
-// Name -> metric registry. Lookup creates on first use and returns a stable
-// reference (metrics live in deques, so registration never moves them).
-// Lookup takes a mutex -- callers cache the reference and pay only the
-// sharded increment per event.
+// Name -> metric registry, one per owner (each LockServer holds its own).
+// Lookup creates on first use and returns a stable reference (metrics live
+// in deques, so registration never moves them). Lookup takes a mutex --
+// callers cache the reference and pay only the sharded increment per event.
 class MetricsRegistry {
  public:
-  // The process-wide registry the scenario layer and CLIs share.
-  static MetricsRegistry& Instance();
-
-  // Standalone registries are allowed too (isolated tests, embedding);
-  // Instance() is a convenience, not an enforced singleton.
-  MetricsRegistry() = default;
-
   MetricCounter& Counter(const std::string& name);
   MetricGauge& Gauge(const std::string& name);
   MetricHistogram& Histogram(const std::string& name);
-
-  struct Sample {
-    std::string name;
-    std::string type;  // "counter" | "gauge" | "histogram_*"
-    double value = 0;
-  };
-  // Point-in-time view of every registered metric, in registration order.
-  // Histograms expand to count/p50/p99/max samples.
-  std::vector<Sample> Snapshot() const;
 
   // Flat metrics JSON: {"counters": {...}, "gauges": {...},
   // "histograms": {name: {count, p50, p99, max}}}.

@@ -12,10 +12,8 @@
 //   * capacity is bounded and fixed at construction; when the ring is full
 //     new events are *dropped and counted* (never overwriting older events,
 //     so a partial trace is always a valid prefix);
-//   * the same TraceEvent format carries native rdtsc timestamps and
-//     simulator cycle timestamps (src/sim/engine.hpp stamps with sim
-//     now()), so native and simulated runs export through one Chrome-trace
-//     writer (src/obs/export.hpp) and produce diffable timelines.
+//   * events carry rdtsc timestamps, which the Chrome-trace writer
+//     (src/obs/export.hpp) converts to microseconds.
 //
 // Cost when off: the static lock tier has no emit sites at all; an
 // untraced LockHandle pays one member test per lock()/unlock(); slow paths
@@ -57,7 +55,7 @@ enum class TraceEventKind : std::uint16_t {
 
 // One trace record. 16 bytes, POD, cache-friendly: four events per line.
 struct TraceEvent {
-  std::uint64_t timestamp = 0;  // rdtsc cycles (native) or sim cycles
+  std::uint64_t timestamp = 0;  // rdtsc cycles
   std::uint16_t kind = 0;       // TraceEventKind
   std::uint16_t tid = 0;        // logical thread index within the run
   std::uint32_t arg = 0;        // kind-specific payload (site id, count, ...)
@@ -79,18 +77,11 @@ class TraceBuffer {
   TraceBuffer(const TraceBuffer&) = delete;
   TraceBuffer& operator=(const TraceBuffer&) = delete;
 
-  // Producer side. Emit stamps with rdtsc; Push takes an explicit timestamp
-  // (the simulator passes sim time). A full ring drops the event and counts
-  // it -- earlier events are never overwritten.
+  // Producer side. Emit stamps with rdtsc; Push takes an explicit rdtsc
+  // timestamp (the energy sampler stamps the end of its window). A full ring
+  // drops the event and counts it -- earlier events are never overwritten.
   void Emit(TraceEventKind kind, std::uint32_t arg) { Push(ReadCycles(), kind, arg); }
   void Push(std::uint64_t timestamp, TraceEventKind kind, std::uint32_t arg) {
-    PushAs(timestamp, kind, tid_, arg);
-  }
-  // The simulator runs many logical threads on one engine thread and stamps
-  // events into a single ring; PushAs lets it label each event with the
-  // simulated thread instead of the buffer's own tid.
-  void PushAs(std::uint64_t timestamp, TraceEventKind kind, std::uint16_t tid,
-              std::uint32_t arg) {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
     if (head - tail_.load(std::memory_order_acquire) == capacity_) {
       drops_.fetch_add(1, std::memory_order_relaxed);
@@ -99,7 +90,7 @@ class TraceBuffer {
     TraceEvent& slot = ring_[head & mask_];
     slot.timestamp = timestamp;
     slot.kind = static_cast<std::uint16_t>(kind);
-    slot.tid = tid;
+    slot.tid = tid_;
     slot.arg = arg;
     head_.store(head + 1, std::memory_order_release);
   }

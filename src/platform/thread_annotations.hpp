@@ -48,46 +48,30 @@
 #define LL_CAPABILITY(x) LL_THREAD_ANNOTATION(capability(x))
 
 // Marks an RAII class whose constructor acquires and destructor releases a
-// capability (HandleGuard, LockGuard, SharedGuard).
+// capability (HandleGuard, LockGuard).
 #define LL_SCOPED_CAPABILITY LL_THREAD_ANNOTATION(scoped_lockable)
 
 // --- Data annotations --------------------------------------------------------
 
-// Reads and writes of the member require holding the named capability
-// (writes exclusively, reads at least shared).
+// Reads and writes of the member require holding the named capability.
 #define LL_GUARDED_BY(x) LL_THREAD_ANNOTATION(guarded_by(x))
-
-// Same, but for the data *pointed to* by a pointer/smart-pointer member.
-#define LL_PT_GUARDED_BY(x) LL_THREAD_ANNOTATION(pt_guarded_by(x))
 
 // --- Function annotations ----------------------------------------------------
 
 // The function acquires the capability (itself when no argument) and holds
-// it on return. Shared variant for reader sides.
+// it on return.
 #define LL_ACQUIRE(...) LL_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define LL_ACQUIRE_SHARED(...) LL_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 
 // The function releases the capability. The no-argument form on a scoped
 // capability's destructor releases whatever the scope holds.
 #define LL_RELEASE(...) LL_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define LL_RELEASE_SHARED(...) LL_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 
 // try_lock-shaped functions: acquires only when returning `value`.
 #define LL_TRY_ACQUIRE(...) LL_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-#define LL_TRY_ACQUIRE_SHARED(...) \
-  LL_THREAD_ANNOTATION(try_acquire_shared_capability(__VA_ARGS__))
 
-// The caller must hold the capability (exclusively / at least shared) for
-// the duration of the call. This is how "called with lock_ held" helper
-// contracts become machine-checked.
+// The caller must hold the capability for the duration of the call. This
+// is how "called with lock_ held" helper contracts become machine-checked.
 #define LL_REQUIRES(...) LL_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define LL_REQUIRES_SHARED(...) LL_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
-
-// The caller must NOT hold the capability (non-reentrant acquire paths).
-#define LL_EXCLUDES(...) LL_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-// The function returns a reference/pointer to the named capability.
-#define LL_RETURN_CAPABILITY(x) LL_THREAD_ANNOTATION(lock_returned(x))
 
 // Escape hatch: disables the analysis inside the function body while the
 // declaration's acquire/release annotations keep applying at call sites.

@@ -26,7 +26,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/obs/trace.hpp"
 #include "src/sim/callback.hpp"
 
 namespace lockin {
@@ -80,19 +79,6 @@ class SimEngine {
     std::uint64_t tombstones = 0;
   };
   PoolStats pool_stats() const;
-
-  // --- LockScope tracing -----------------------------------------------------
-  // The engine is single-threaded, so one ring serves the whole simulation;
-  // events are stamped with sim now() (cycles of the simulated clock) and
-  // labelled with the *simulated* thread id via PushAs. With no buffer
-  // attached (the default) EmitTrace is a null check.
-  void AttachTrace(TraceBuffer* buffer) { trace_ = buffer; }
-  TraceBuffer* trace_buffer() const { return trace_; }
-  void EmitTrace(TraceEventKind kind, std::uint16_t tid, std::uint32_t arg) {
-    if (trace_ != nullptr) {
-      trace_->PushAs(now_, kind, tid, arg);
-    }
-  }
 
  private:
   // Slot index and generation packed into an EventId. 24 bits of slot
@@ -152,7 +138,6 @@ class SimEngine {
   std::vector<HeapEntry> heap_;
   std::vector<std::unique_ptr<EventSlot[]>> slabs_;
   std::uint32_t free_head_ = kNoFreeSlot;
-  TraceBuffer* trace_ = nullptr;
 };
 
 }  // namespace lockin

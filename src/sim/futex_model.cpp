@@ -38,8 +38,6 @@ std::uint64_t SimFutex::TurnaroundTail(SimTime slept_at) {
 
 void SimFutex::Sleep(int tid, std::uint64_t timeout_cycles, WakeCallback on_wake) {
   stats_.sleep_calls++;
-  machine_->engine().EmitTrace(TraceEventKind::kFutexSleepBegin,
-                               static_cast<std::uint16_t>(tid), 0);
   const SimParams& p = machine_->params();
   const std::uint64_t kernel_cycles =
       BucketDelay(p.futex_sleep_bucket_cycles) + p.futex_sleep_cycles;
@@ -51,10 +49,6 @@ void SimFutex::Sleep(int tid, std::uint64_t timeout_cycles, WakeCallback on_wake
                        // A wake raced with the sleep call: EAGAIN, no block.
                        --pending_misses_;
                        stats_.sleep_misses++;
-                       machine_->engine().EmitTrace(TraceEventKind::kFutexSleepEnd,
-                                                    static_cast<std::uint16_t>(tid),
-                                                    static_cast<std::uint32_t>(
-                                                        WakeReason::kSleepMiss));
                        on_wake(WakeReason::kSleepMiss);
                        return;
                      }
@@ -94,8 +88,6 @@ void SimFutex::DeliverWake(Sleeper sleeper, WakeReason reason, std::uint64_t ext
   }
   const std::uint64_t tail = TurnaroundTail(sleeper.slept_at) + extra_delay;
   const int tid = sleeper.tid;
-  machine_->engine().EmitTrace(TraceEventKind::kFutexSleepEnd, static_cast<std::uint16_t>(tid),
-                               static_cast<std::uint32_t>(reason));
   machine_->NotifyWhenRunning(tid, [on_wake = std::move(sleeper.on_wake), reason]() mutable {
     on_wake(reason);
   });
@@ -125,8 +117,6 @@ void SimFutex::Wake(int tid, int count, SimCallback on_done) {
       DeliverWake(std::move(sleeper), WakeReason::kSignalled);
       --remaining;
     }
-    machine_->engine().EmitTrace(TraceEventKind::kFutexWake, static_cast<std::uint16_t>(tid),
-                                 static_cast<std::uint32_t>(count - remaining));
     SimCallback done = wake_done_.Take(tid);
     done();
   });

@@ -280,7 +280,12 @@ void SimMutexee::RecordWindow(bool futex_handover) {
 void SimMutexee::TakeOwnership(int tid, int kind) {
   held_ = true;
   stats_.acquires++;
-  switch (kind) {
+  const auto slot = static_cast<std::size_t>(tid);
+  const bool after_timeout = slot < timed_out_.size() && timed_out_[slot];
+  if (after_timeout) {
+    timed_out_[slot] = false;
+  }
+  switch (after_timeout ? 2 : kind) {
     case 0:
       stats_.spin_handovers++;
       break;
@@ -361,6 +366,11 @@ void SimMutexee::BecomePersistentSpinner(int tid) {
     TakeOwnership(tid, /*kind=*/2);
     return;
   }
+  const auto slot = static_cast<std::size_t>(tid);
+  if (slot >= timed_out_.size()) {
+    timed_out_.resize(slot + 1);
+  }
+  timed_out_[slot] = true;
   spinners_.push_back(tid);
   machine_->RunFor(tid, SimMachine::kInfiniteWork, ActivityState::kSpinMbar, nullptr);
 }
@@ -510,11 +520,6 @@ void SimAdaptiveLock::MaybeFinishSwitch() {
   current_ = next_;
   switching_ = false;
   ++switches_;
-  // LockScope: same kEpochSwitch record the native AdaptiveLock emits,
-  // stamped with sim time (the switch is a lock-wide instant, not tied to
-  // one simulated thread; it lands on track 0).
-  machine_->engine().EmitTrace(TraceEventKind::kEpochSwitch, 0,
-                               static_cast<std::uint32_t>(current_));
   std::vector<Parked> parked = std::move(parked_);
   parked_.clear();
   for (Parked& p : parked) {

@@ -26,6 +26,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/adaptive/lock_stats.hpp"
 #include "src/adaptive/policy.hpp"
@@ -197,7 +198,10 @@ class SimMutexee final : public SimLock {
  private:
   void EnterSleepLoop(int tid);
   void BecomePersistentSpinner(int tid);
-  void TakeOwnership(int tid, int kind);  // 0 spin, 1 futex, 2 timeout
+  // kind: 0 spin, 1 futex, 2 timeout. A tid marked in timed_out_ counts
+  // as 2 whatever handed it the lock; RecordWindow still counts only kind 1
+  // as a futex handover.
+  void TakeOwnership(int tid, int kind);
   void RecordWindow(bool futex_handover);
 
   SimMutexeeConfig config_;
@@ -205,6 +209,10 @@ class SimMutexee final : public SimLock {
   Xoshiro256 rng_;
   bool held_ = false;
   std::deque<int> spinners_;
+  // Tids whose futex sleep timed out while the lock was held. They spin
+  // until a release hands them the lock, and, as in the native
+  // MutexeeLock::lock, that acquire is a timeout handover.
+  std::vector<bool> timed_out_;
   SlotVector<SimCallback> pending_;       // tid -> on_acquired
   SlotVector<SimCallback> release_cont_;  // tid -> on_released (grace window)
   std::vector<std::size_t> running_scratch_;

@@ -23,7 +23,6 @@ void RegisterGraphScenarios(ScenarioRegistry& registry);
 void RegisterMiniSqlScenarios(ScenarioRegistry& registry);
 void RegisterWalStoreScenarios(ScenarioRegistry& registry);
 void RegisterCowListScenarios(ScenarioRegistry& registry);
-void RegisterRwLockScenarios(ScenarioRegistry& registry);
 
 // Formats "<prefix><n>" into *out without a std::to_string temporary; with
 // a warm capacity this performs no allocation (the hot-path idiom the cache

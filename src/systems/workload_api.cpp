@@ -118,7 +118,6 @@ ScenarioRegistry& ScenarioRegistry::Instance() {
     RegisterMiniSqlScenarios(*r);
     RegisterWalStoreScenarios(*r);
     RegisterCowListScenarios(*r);
-    RegisterRwLockScenarios(*r);
     return r;
   }();
   return *registry;

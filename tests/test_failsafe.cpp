@@ -458,8 +458,6 @@ TEST(ChaosSweep, EveryScenarioSurvivesDefaultChaosUnderMutex) {
                 r.MetricOr("preloaded") + r.MetricOr("adds") - r.MetricOr("removes_hit"))
           << info.name;
       EXPECT_LE(r.MetricOr("get_hits"), r.MetricOr("gets")) << info.name;
-    } else if (info.system == "RwKv") {
-      EXPECT_LE(r.MetricOr("get_hits"), r.MetricOr("gets")) << info.name;
     }
   }
   // The RAII scope inside the driver disarmed everything on the way out.

@@ -42,7 +42,7 @@ TEST(ScenarioRegistry, ListsEverySystem) {
     EXPECT_NE(info.name.find('/'), std::string::npos) << info.name;
   }
   const std::set<std::string> expected = {"KvStore", "MemCache", "NosqlDb", "GraphStore",
-                                          "MiniSql", "WalStore", "CowList", "RwKv"};
+                                          "MiniSql", "WalStore", "CowList"};
   EXPECT_EQ(systems, expected);
 }
 

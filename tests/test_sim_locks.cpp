@@ -263,6 +263,24 @@ TEST(SimLockOrdering, MutexeeToDefaultsToTheSection51Timeout) {
   EXPECT_EQ(by_default.acquire_latency_cycles.max(), explicit_timeout.acquire_latency_cycles.max());
 }
 
+TEST(SimLockOrdering, MutexeeToCountsEveryAcquireAfterATimeout) {
+  // As native MutexeeLock::lock does, an acquire after a timed-out futex
+  // sleep is a timeout handover, even when the lock was held at the timeout
+  // and a later release handed it over to the then-spinning waiter.
+  WorkloadConfig config;
+  config.threads = 20;
+  config.cs_cycles = 2000;
+  config.non_cs_cycles = 100;
+  config.duration_cycles = 140'000'000;
+  const WorkloadResult r = RunLockWorkload("MUTEXEE-TO", config);
+  const std::uint64_t timeouts = r.futex_stats.timeouts;
+  const std::uint64_t handovers = r.lock_stats.timeout_handovers;
+  EXPECT_GT(handovers, 0u);
+  EXPECT_LE(handovers, timeouts);
+  // Waiters that timed out may still be spinning at the cutoff.
+  EXPECT_LE(timeouts - handovers, static_cast<std::uint64_t>(config.threads));
+}
+
 TEST(SimLockOrdering, GraceWindowAblation) {
   // Disabling MUTEXEE's unlock grace window reintroduces futex wakes (the
   // paper's sensitivity analysis: power back to MUTEX-like levels).
