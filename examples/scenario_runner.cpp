@@ -22,7 +22,9 @@
 // LockScope observability flags:
 //   --trace FILE      capture lock/futex/epoch events and write a Chrome
 //                     trace-event JSON (load in ui.perfetto.dev); single
-//                     scenario x lock only
+//                     scenario x lock only. Fixed-op runs size each ring
+//                     from --ops; --seconds runs keep 16,384 events per
+//                     ring and print how many they dropped
 //   --lockdep         arm the LockLint lock-order detector for the runs and
 //                     print any reported violations (exit 1 if any)
 //   --meter MODE      energy meter: auto (RAPL else model; default),
@@ -38,6 +40,7 @@
 //
 // SIGINT/SIGTERM stop the runs cleanly: partial results and traces are
 // still written, and the process exits with 128 + signal.
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -64,6 +67,14 @@ using namespace lockin;
 // workers poll g_stop via ScenarioConfig::external_stop.
 std::atomic<bool> g_stop{false};
 std::atomic<int> g_signal{0};
+
+// Trace ring sizing for fixed-op runs. No registered scenario puts more
+// than 15 events per op into one worker's ring (walstore/append, whose
+// group-commit leader applies other writers' records, at 8 threads on a
+// 4-CPU host); twice that leaves headroom. The cap, 16 MiB per thread, is
+// the benchmark's ring size.
+constexpr std::uint64_t kTraceEventsPerOp = 32;
+constexpr std::uint64_t kMaxTraceRingEvents = 1u << 20;
 
 void HandleStopSignal(int sig) {
   g_stop.store(true, std::memory_order_relaxed);
@@ -309,6 +320,13 @@ int main(int argc, char** argv) {
   config.seed = options.seed;
   config.key_space = options.key_space;
   config.trace = !options.trace_path.empty();
+  if (config.trace && config.duration_ms == 0) {
+    // A fixed-op run knows its length, so its rings can hold every event
+    // (TraceBuffer rounds the capacity up to a power of two).
+    config.trace_buffer_events = static_cast<std::uint32_t>(std::clamp<std::uint64_t>(
+        static_cast<std::uint64_t>(config.ops_per_thread) * kTraceEventsPerOp,
+        TraceBuffer::kDefaultCapacity, kMaxTraceRingEvents));
+  }
   config.lockdep = options.lockdep;
   config.meter = options.meter == "off"     ? MeterChoice::kOff
                  : options.meter == "model" ? MeterChoice::kModel

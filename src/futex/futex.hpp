@@ -42,14 +42,6 @@ struct FutexStats {
   std::atomic<std::uint64_t> wake_calls{0};     // FUTEX_WAKE invocations
   std::atomic<std::uint64_t> threads_woken{0};  // total threads actually woken
   std::atomic<std::uint64_t> timeouts{0};       // timed waits that expired
-
-  void Reset() {
-    sleeps.store(0, std::memory_order_relaxed);
-    sleep_misses.store(0, std::memory_order_relaxed);
-    wake_calls.store(0, std::memory_order_relaxed);
-    threads_woken.store(0, std::memory_order_relaxed);
-    timeouts.store(0, std::memory_order_relaxed);
-  }
 };
 
 // Futex wrappers that account into a FutexStats block.

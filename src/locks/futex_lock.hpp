@@ -56,7 +56,6 @@ class LL_CAPABILITY("mutex") FutexLock {
   }
 
   const FutexStats& futex_stats() const { return stats_; }
-  void ResetStats() { stats_.Reset(); }
 
  private:
   // Sleep phase: advertise waiters by moving to state 2, then futex-wait.

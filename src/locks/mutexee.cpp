@@ -23,28 +23,14 @@ bool MutexeeLock::SpinAcquire(std::uint64_t budget) {
   }
 }
 
-void MutexeeLock::lock() {
-  // Uncontested fast path: one CAS, no cycle reads.
-  std::uint32_t free_state = 0;
-  if (state_.compare_exchange_weak(free_state, 1, std::memory_order_acquire,
-                                   std::memory_order_relaxed)) {
-    acquires_.fetch_add(1, std::memory_order_relaxed);
-    spin_handovers_.fetch_add(1, std::memory_order_relaxed);
-    window_acquires_.fetch_add(1, std::memory_order_relaxed);
-    MaybeAdapt();
-    return;
-  }
-
+void MutexeeLock::LockSlow() {
   const Mode mode = mode_.load(std::memory_order_relaxed);
   const std::uint64_t spin_budget = mode == Mode::kSpin
                                         ? spin_lock_budget_.load(std::memory_order_relaxed)
                                         : config_.mutex_mode_lock_cycles;
 
   if (SpinAcquire(spin_budget)) {
-    acquires_.fetch_add(1, std::memory_order_relaxed);
-    spin_handovers_.fetch_add(1, std::memory_order_relaxed);
-    window_acquires_.fetch_add(1, std::memory_order_relaxed);
-    MaybeAdapt();
+    CountAcquire();
     return;
   }
 
@@ -82,10 +68,10 @@ void MutexeeLock::lock() {
       break;
     }
   }
+  sleepers_.fetch_sub(1, std::memory_order_relaxed);
   if (woke_by_timeout) {
     // Timeout protocol: spin until acquired, never sleep again (bounds the
     // tail latency at ~the timeout; Figure 10).
-    sleepers_.fetch_sub(1, std::memory_order_relaxed);
     for (;;) {
       std::uint32_t current = state_.load(std::memory_order_relaxed);
       if (current == 0 && state_.compare_exchange_weak(current, 2, std::memory_order_acquire,
@@ -94,35 +80,16 @@ void MutexeeLock::lock() {
       }
       SpinPause(PauseKind::kMfence);
     }
-    timeout_handovers_.fetch_add(1, std::memory_order_relaxed);
+    timeout_handovers_.store(timeout_handovers_.load(std::memory_order_relaxed) + 1,
+                             std::memory_order_relaxed);
   } else {
-    sleepers_.fetch_sub(1, std::memory_order_relaxed);
-    futex_handovers_.fetch_add(1, std::memory_order_relaxed);
-    window_futex_.fetch_add(1, std::memory_order_relaxed);
+    futex_handovers_.store(futex_handovers_.load(std::memory_order_relaxed) + 1,
+                           std::memory_order_relaxed);
   }
-  acquires_.fetch_add(1, std::memory_order_relaxed);
-  window_acquires_.fetch_add(1, std::memory_order_relaxed);
-  MaybeAdapt();
+  CountAcquire();
 }
 
-bool MutexeeLock::try_lock() {
-  std::uint32_t expected = 0;
-  if (state_.compare_exchange_strong(expected, 1, std::memory_order_acquire,
-                                     std::memory_order_relaxed)) {
-    acquires_.fetch_add(1, std::memory_order_relaxed);
-    spin_handovers_.fetch_add(1, std::memory_order_relaxed);
-    window_acquires_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
-}
-
-void MutexeeLock::unlock() {
-  // seq_cst pair: see the sleep phase in lock().
-  const std::uint32_t prior = state_.exchange(0, std::memory_order_seq_cst);
-  if (sleepers_.load(std::memory_order_seq_cst) == 0) {
-    return;  // nobody to wake; fully user-space handover
-  }
+void MutexeeLock::UnlockSlow(std::uint32_t prior) {
   if (prior != 2 && sleepers_.load(std::memory_order_relaxed) == 0) {
     return;
   }
@@ -151,48 +118,41 @@ void MutexeeLock::unlock() {
   FutexWakeCounted(&state_, 1, &futex_stats_);
 }
 
-void MutexeeLock::MaybeAdapt() {
-  const std::uint64_t window = window_acquires_.load(std::memory_order_relaxed);
-  if (window < kAdaptPeriod) {
-    return;
-  }
-  // One thread wins the reset race; losers skip this round.
-  std::uint64_t expected = window;
-  if (!window_acquires_.compare_exchange_strong(expected, 0, std::memory_order_relaxed,
-                                                std::memory_order_relaxed)) {
-    return;
-  }
-  const std::uint64_t futex_count = window_futex_.exchange(0, std::memory_order_relaxed);
-  const double ratio = static_cast<double>(futex_count) / static_cast<double>(window);
+void MutexeeLock::Adapt() {
+  // The closed total grows before the window empties, and GetStats() reads
+  // the window first: where stores and loads keep their order (x86), a
+  // read racing this close counts the window twice rather than losing it.
+  const std::uint64_t futex = futex_handovers_.load(std::memory_order_relaxed);
+  const std::uint64_t window_futex =
+      futex - closed_futex_handovers_.load(std::memory_order_relaxed);
+  closed_acquires_.store(closed_acquires_.load(std::memory_order_relaxed) + kAdaptPeriod,
+                         std::memory_order_relaxed);
+  closed_futex_handovers_.store(futex, std::memory_order_relaxed);
+  window_acquires_.store(0, std::memory_order_relaxed);
+
+  const double ratio = static_cast<double>(window_futex) / static_cast<double>(kAdaptPeriod);
   const Mode desired = ratio > config_.futex_ratio_threshold ? Mode::kMutex : Mode::kSpin;
-  const Mode current = mode_.load(std::memory_order_relaxed);
-  if (desired != current) {
+  if (desired != mode_.load(std::memory_order_relaxed)) {
     mode_.store(desired, std::memory_order_relaxed);
-    mode_switches_.fetch_add(1, std::memory_order_relaxed);
+    mode_switches_.store(mode_switches_.load(std::memory_order_relaxed) + 1,
+                         std::memory_order_relaxed);
   }
 }
 
 MutexeeLock::Stats MutexeeLock::GetStats() const {
   Stats s;
-  s.acquires = acquires_.load(std::memory_order_relaxed);
-  s.spin_handovers = spin_handovers_.load(std::memory_order_relaxed);
+  s.acquires = window_acquires_.load(std::memory_order_relaxed);
+  s.acquires += closed_acquires_.load(std::memory_order_relaxed);
   s.futex_handovers = futex_handovers_.load(std::memory_order_relaxed);
   s.timeout_handovers = timeout_handovers_.load(std::memory_order_relaxed);
+  // Every acquire that did not follow a sleep was a spin handover. Read
+  // while holders run, the handover counts may be ahead of the window
+  // count; clamp rather than wrap.
+  const std::uint64_t slept = s.futex_handovers + s.timeout_handovers;
+  s.spin_handovers = s.acquires > slept ? s.acquires - slept : 0;
   s.wake_skips = wake_skips_.load(std::memory_order_relaxed);
   s.mode_switches = mode_switches_.load(std::memory_order_relaxed);
   return s;
-}
-
-void MutexeeLock::ResetStats() {
-  acquires_.store(0, std::memory_order_relaxed);
-  spin_handovers_.store(0, std::memory_order_relaxed);
-  futex_handovers_.store(0, std::memory_order_relaxed);
-  timeout_handovers_.store(0, std::memory_order_relaxed);
-  wake_skips_.store(0, std::memory_order_relaxed);
-  mode_switches_.store(0, std::memory_order_relaxed);
-  window_acquires_.store(0, std::memory_order_relaxed);
-  window_futex_.store(0, std::memory_order_relaxed);
-  futex_stats_.Reset();
 }
 
 }  // namespace lockin

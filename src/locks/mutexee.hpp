@@ -95,14 +95,43 @@ class LL_CAPABILITY("mutex") MutexeeLock {
         spin_lock_budget_(config.spin_mode_lock_cycles),
         spin_grace_budget_(config.spin_mode_grace_cycles) {}
 
-  void lock() LL_ACQUIRE();
-  bool try_lock() LL_TRY_ACQUIRE(true);
-  void unlock() LL_RELEASE();
+  // Fast paths are inline, as FutexLock's are: lock() and try_lock() are
+  // one CAS plus the holder's window count, unlock() is one exchange plus
+  // the sleepers_ load. The spin, sleep, grace/wake and adaptation paths
+  // stay out of line in mutexee.cpp.
+  void lock() LL_ACQUIRE() {
+    std::uint32_t expected = 0;
+    if (state_.compare_exchange_strong(expected, 1, std::memory_order_acquire,
+                                       std::memory_order_relaxed)) {
+      CountAcquire();
+      return;
+    }
+    LockSlow();
+  }
+
+  bool try_lock() LL_TRY_ACQUIRE(true) {
+    std::uint32_t expected = 0;
+    if (!state_.compare_exchange_strong(expected, 1, std::memory_order_acquire,
+                                        std::memory_order_relaxed)) {
+      return false;
+    }
+    CountAcquire();
+    return true;
+  }
+
+  void unlock() LL_RELEASE() {
+    // seq_cst pair: see the sleep phase in LockSlow().
+    const std::uint32_t prior = state_.exchange(0, std::memory_order_seq_cst);
+    if (sleepers_.load(std::memory_order_seq_cst) != 0) {
+      UnlockSlow(prior);
+    }
+  }
 
   // Retunes the spin-mode budgets online (the adaptive runtime derives new
   // budgets per contention regime; see src/adaptive/policy.hpp). Safe to
   // call concurrently with lock/unlock: budgets are atomics read once per
-  // acquire/release. Mutex-mode budgets stay at their configured values.
+  // slow-path acquire or release. Mutex-mode budgets stay at their
+  // configured values.
   void Retune(std::uint64_t spin_lock_cycles, std::uint64_t spin_grace_cycles) {
     spin_lock_budget_.store(spin_lock_cycles, std::memory_order_relaxed);
     spin_grace_budget_.store(spin_grace_cycles, std::memory_order_relaxed);
@@ -115,18 +144,37 @@ class LL_CAPABILITY("mutex") MutexeeLock {
   }
 
   Mode mode() const { return mode_.load(std::memory_order_relaxed); }
+  // Safe while other threads hold the lock: a read taken mid-update may be
+  // off by up to kAdaptPeriod acquires, but spin_handovers never exceeds
+  // acquires.
   Stats GetStats() const;
   const FutexStats& futex_stats() const { return futex_stats_; }
-  void ResetStats();
 
   const MutexeeConfig& config() const { return config_; }
 
  private:
+  // Spin phase, then sleep phase (the inline CAS failed).
+  void LockSlow();
+  // Grace window, then a futex wake unless a spinner took the lock.
+  void UnlockSlow(std::uint32_t prior);
+
   // Spins up to `budget` cycles trying to move state 0 -> locked. Returns
   // true on acquisition.
   bool SpinAcquire(std::uint64_t budget);
 
-  void MaybeAdapt();
+  // Holder only: counts one acquire in the open window. The acquire that
+  // fills the window closes it in Adapt() instead.
+  void CountAcquire() {
+    const std::uint64_t open = window_acquires_.load(std::memory_order_relaxed) + 1;
+    if (open == kAdaptPeriod) {
+      Adapt();
+      return;
+    }
+    window_acquires_.store(open, std::memory_order_relaxed);
+  }
+
+  // Holder only: closes a full window and picks the mode for the next one.
+  void Adapt();
 
   MutexeeConfig config_{};
 
@@ -136,20 +184,24 @@ class LL_CAPABILITY("mutex") MutexeeLock {
 
   // 0 = free, 1 = locked, no advertised sleepers, 2 = locked, sleepers.
   alignas(kCacheLineSize) std::atomic<std::uint32_t> state_{0};
+  // Read by every unlocker and by slow-path lockers.
   alignas(kCacheLineSize) std::atomic<std::uint32_t> sleepers_{0};
-
   std::atomic<Mode> mode_{Mode::kSpin};
 
-  // Statistics; relaxed counters off the critical path.
-  std::atomic<std::uint64_t> acquires_{0};
-  std::atomic<std::uint64_t> spin_handovers_{0};
-  std::atomic<std::uint64_t> futex_handovers_{0};
-  std::atomic<std::uint64_t> timeout_handovers_{0};
-  std::atomic<std::uint64_t> wake_skips_{0};
+  // Statistics, holder-owned: only the thread that holds the lock writes
+  // them, with a relaxed load and store and never an RMW, and the lock's
+  // own acquire/release orders each holder's writes before the next
+  // holder's. They sit on a line that no unlocker or sleeper writes, so
+  // counting pulls no second contended line into the critical section.
+  alignas(kCacheLineSize) std::atomic<std::uint64_t> window_acquires_{0};  // open window
+  std::atomic<std::uint64_t> closed_acquires_{0};  // acquires in closed windows
+  std::atomic<std::uint64_t> closed_futex_handovers_{0};  // futex handovers in them
+  std::atomic<std::uint64_t> futex_handovers_{0};    // acquired after a futex sleep
+  std::atomic<std::uint64_t> timeout_handovers_{0};  // acquired after a timeout wake
   std::atomic<std::uint64_t> mode_switches_{0};
-  // Window counters for adaptation.
-  std::atomic<std::uint64_t> window_acquires_{0};
-  std::atomic<std::uint64_t> window_futex_{0};
+
+  // Written outside the lock: by unlockers (skips, wakes) and sleepers.
+  alignas(kCacheLineSize) std::atomic<std::uint64_t> wake_skips_{0};
   FutexStats futex_stats_;
 };
 

@@ -2,6 +2,7 @@
 // untimed and woken by Broadcast.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -79,6 +80,39 @@ TEST(CondVar, NoLostWakeupStress) {
   producer.join();
   consumer.join();
   EXPECT_EQ(consumed, kRounds);
+}
+
+// Stress case (the `stress` ctest label reruns every *Stress* test): a
+// token ring of twice as many threads as CPUs on a registry MUTEXEE handle.
+// Thread i may take a turn only when turn % threads == i, so every turn is
+// a handover to one chosen thread that is most likely asleep in Wait; the
+// holder yields before passing the token. A lost wake-up hangs the ring
+// until the ctest TIMEOUT fails the binary.
+TEST(CondVarStress, OversubscribedTokenRingPassesEveryTurn) {
+  const std::unique_ptr<LockHandle> lock = MakeLockOrThrow("MUTEXEE");
+  CondVar cv;
+  const int threads = 2 * static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  constexpr int kTurnsPerThread = 100;
+  int turn = 0;
+  std::vector<std::thread> ring;
+  for (int id = 0; id < threads; ++id) {
+    ring.emplace_back([&, id] {
+      for (int i = 0; i < kTurnsPerThread; ++i) {
+        lock->lock();
+        while (turn % threads != id) {
+          cv.Wait(*lock);
+        }
+        std::this_thread::yield();
+        turn = turn + 1;
+        lock->unlock();
+        cv.Broadcast();
+      }
+    });
+  }
+  for (auto& t : ring) {
+    t.join();
+  }
+  EXPECT_EQ(turn, threads * kTurnsPerThread);
 }
 
 }  // namespace

@@ -62,10 +62,6 @@ TEST(Futex, CountedWrappersAccount) {
   FutexWakeCounted(&word, 1, &stats);
   EXPECT_EQ(stats.wake_calls.load(), 1u);
   EXPECT_EQ(stats.threads_woken.load(), 0u);
-
-  stats.Reset();
-  EXPECT_EQ(stats.sleeps.load(), 0u);
-  EXPECT_EQ(stats.wake_calls.load(), 0u);
 }
 
 TEST(Futex, WakeCountsWokenThreads) {

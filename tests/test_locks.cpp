@@ -4,6 +4,7 @@
 // single-CPU machines interleave instead of burning whole quanta.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <thread>
@@ -139,18 +140,59 @@ TEST_P(LockParamTest, TryLockAlsoExcludes) {
   EXPECT_GT(attempts_won.load(), 0);
 }
 
+// Stress case (the `stress` ctest label reruns every *Stress* test): twice
+// as many threads as CPUs, each holding the lock across a yield, so the
+// lock changes hands while its waiters spin, queue or sleep.
+class LockStressTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(LockStressTest, OversubscribedHandoversKeepExclusion) {
+  auto lock = MakeLock(GetParam(), TestOptions());
+  const int threads = 2 * static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  constexpr int kIters = 250;
+  long long counter = 0;
+  std::atomic<int> inside{0};
+  std::atomic<bool> violated{false};
+  std::atomic<int> started{0};
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&] {
+      started.fetch_add(1);
+      while (started.load() < threads) {
+        std::this_thread::yield();
+      }
+      for (int i = 0; i < kIters; ++i) {
+        HandleGuard guard(*lock);
+        if (inside.fetch_add(1) != 0) {
+          violated.store(true);
+        }
+        std::this_thread::yield();
+        counter = counter + 1;
+        inside.fetch_sub(1);
+      }
+    });
+  }
+  for (auto& t : workers) {
+    t.join();
+  }
+  EXPECT_FALSE(violated.load());
+  EXPECT_EQ(counter, static_cast<long long>(threads) * kIters);
+}
+
+std::string LockTestName(const ::testing::TestParamInfo<std::string>& info) {
+  std::string name = info.param;
+  for (char& c : name) {
+    if (c == '-') {
+      c = '_';
+    }
+  }
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(AllLocks, LockParamTest,
-                         ::testing::Values("MUTEX", "PTHREAD", "TAS", "TTAS", "TICKET", "MCS",
-                                           "CLH", "MUTEXEE", "MUTEXEE-TO", "ADAPTIVE"),
-                         [](const ::testing::TestParamInfo<std::string>& info) {
-                           std::string name = info.param;
-                           for (char& c : name) {
-                             if (c == '-') {
-                               c = '_';
-                             }
-                           }
-                           return name;
-                         });
+                         ::testing::ValuesIn(RegisteredLockNames()), LockTestName);
+INSTANTIATE_TEST_SUITE_P(AllLocks, LockStressTest,
+                         ::testing::ValuesIn(RegisteredLockNames()), LockTestName);
 
 TEST(LockRegistry, UnknownNameReturnsNull) {
   EXPECT_EQ(MakeLock("NOPE"), nullptr);

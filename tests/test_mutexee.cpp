@@ -2,7 +2,9 @@
 // adaptation, the unlock grace window and the fairness timeout.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -36,6 +38,27 @@ TEST(Mutexee, UncontestedAcquiresAreSpinHandovers) {
   EXPECT_EQ(stats.spin_handovers, 100u);
   EXPECT_EQ(stats.futex_handovers, 0u);
   EXPECT_EQ(lock.futex_stats().wake_calls.load(), 0u);
+}
+
+TEST(Mutexee, CountsEveryAcquireAcrossAdaptWindows) {
+  // The holder counts acquires in an open window that Adapt() closes every
+  // kAdaptPeriod acquires; GetStats() adds the closed windows to the open
+  // one. A successful try_lock counts, a failed one does not.
+  MutexeeLock lock;
+  constexpr std::uint64_t kPairs = 3 * MutexeeLock::kAdaptPeriod + 7;
+  for (std::uint64_t i = 0; i < kPairs; ++i) {
+    lock.lock();
+    lock.unlock();
+  }
+  ASSERT_TRUE(lock.try_lock());
+  EXPECT_FALSE(lock.try_lock());
+  lock.unlock();
+  const MutexeeLock::Stats stats = lock.GetStats();
+  EXPECT_EQ(stats.acquires, 3 * MutexeeLock::kAdaptPeriod + 8);
+  EXPECT_EQ(stats.spin_handovers, stats.acquires);
+  EXPECT_EQ(stats.futex_handovers, 0u);
+  EXPECT_EQ(stats.timeout_handovers, 0u);
+  EXPECT_EQ(stats.mode_switches, 0u);
 }
 
 TEST(Mutexee, TryLock) {
@@ -112,16 +135,6 @@ TEST(Mutexee, TimeoutWakesSleeperEventually) {
   // The waiter either timed out (then spun) or was woken by the unlock;
   // with a 2 ms timeout and a 20 ms hold it must have timed out at least once.
   EXPECT_GE(lock.futex_stats().timeouts.load(), 1u);
-}
-
-TEST(Mutexee, StatsResetClears) {
-  MutexeeLock lock;
-  lock.lock();
-  lock.unlock();
-  lock.ResetStats();
-  const MutexeeLock::Stats stats = lock.GetStats();
-  EXPECT_EQ(stats.acquires, 0u);
-  EXPECT_EQ(stats.spin_handovers, 0u);
 }
 
 TEST(Mutexee, GraceWindowSkipsWakes) {
@@ -216,6 +229,98 @@ TEST(Mutexee, ModeSwitchesToMutexUnderFutexChurn) {
   // With >30% futex handovers sustained, the lock must have adapted at
   // least once to mutex mode.
   EXPECT_GT(stats.mode_switches, 0u);
+}
+
+TEST(Mutexee, HandoversAddUpToLockCallsUnderFutexChurn) {
+  // The shape of ModeSwitchesToMutexUnderFutexChurn: every lock() call is
+  // one acquire, and every acquire is exactly one kind of handover.
+  MutexeeConfig config;
+  config.spin_mode_lock_cycles = 50;
+  config.mutex_mode_lock_cycles = 50;
+  MutexeeLock lock(config);
+  constexpr int kThreads = 4;
+  constexpr int kIters = 600;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kIters; ++i) {
+        lock.lock();
+        SpinForCycles(20000);
+        lock.unlock();
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  const MutexeeLock::Stats stats = lock.GetStats();
+  EXPECT_EQ(stats.acquires, static_cast<std::uint64_t>(kThreads) * kIters);
+  EXPECT_EQ(stats.spin_handovers + stats.futex_handovers + stats.timeout_handovers,
+            stats.acquires);
+}
+
+// Stress cases (the `stress` ctest label reruns every *Stress* test):
+// twice as many threads as CPUs, each holding the lock across a yield or a
+// short sleep, so the lock changes hands while waiters spin, sleep and
+// time out. A reader polls GetStats() throughout: the counters it reads
+// are being written by the holders.
+void RunStatsStress(const MutexeeConfig& config, int iters, int sleep_every) {
+  MutexeeLock lock(config);
+  const int threads = 2 * static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  const std::uint64_t total = static_cast<std::uint64_t>(threads) * iters;
+  long long counter = 0;
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> bad_reads{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      const MutexeeLock::Stats s = lock.GetStats();
+      if (s.spin_handovers > s.acquires || s.acquires > total + MutexeeLock::kAdaptPeriod) {
+        bad_reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+  });
+  std::atomic<int> started{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < threads; ++t) {
+    workers.emplace_back([&] {
+      started.fetch_add(1);
+      while (started.load() < threads) {
+        std::this_thread::yield();
+      }
+      for (int i = 0; i < iters; ++i) {
+        lock.lock();
+        counter = counter + 1;
+        if (i % sleep_every == 0) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        } else {
+          std::this_thread::yield();
+        }
+        lock.unlock();
+      }
+    });
+  }
+  for (auto& t : workers) {
+    t.join();
+  }
+  done.store(true, std::memory_order_relaxed);
+  reader.join();
+  EXPECT_EQ(counter, static_cast<long long>(total));
+  EXPECT_EQ(bad_reads.load(), 0u);
+  const MutexeeLock::Stats stats = lock.GetStats();
+  EXPECT_EQ(stats.acquires, total);
+  EXPECT_EQ(stats.spin_handovers + stats.futex_handovers + stats.timeout_handovers, total);
+}
+
+TEST(MutexeeStress, StatsAddUpUnderOversubscribedHandovers) {
+  RunStatsStress(MutexeeConfig{}, 300, 40);
+}
+
+TEST(MutexeeStress, TimeoutHandoversAddUpUnderOversubscription) {
+  // A 20 us sleep timeout against 50 us holds: sleepers time out and spin.
+  MutexeeConfig config;
+  config.sleep_timeout_ns = 20'000;
+  config.spin_mode_lock_cycles = 2000;
+  RunStatsStress(config, 40, 8);
 }
 
 }  // namespace
