@@ -7,10 +7,7 @@
 // ~600K-cycle delays the turnaround explodes because the context fell into
 // a deep idle state.
 //
-// The simulated series is printed always; with a multi-core host the native
-// microbenchmark (same shape, host latencies) runs too.
-#include <thread>
-
+// The series comes from the simulated Xeon's futex model (src/sim/waiting).
 #include "bench/bench_common.hpp"
 #include "src/sim/waiting.hpp"
 

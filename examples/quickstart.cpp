@@ -1,10 +1,10 @@
 // Quickstart: the MUTEXEE lock as a drop-in mutex.
 //
 // Builds a MUTEXEE, protects a shared counter with std::lock_guard (the
-// lock satisfies the standard Lockable protocol), and prints the handover
-// statistics the paper's analysis revolves around: how many acquisitions
-// were resolved by busy waiting vs by futex, and how many futex wakes the
-// unlock grace window avoided.
+// lock satisfies the standard BasicLockable protocol), and prints the
+// handover statistics the paper's analysis revolves around: how many
+// acquisitions were resolved by busy waiting vs by futex, and how many
+// futex wakes the unlock grace window avoided.
 //
 //   $ ./quickstart
 #include <cstdio>

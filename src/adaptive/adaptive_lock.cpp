@@ -31,18 +31,6 @@ void AdaptiveLock::LockBackend(AdaptiveBackend b) {
   }
 }
 
-bool AdaptiveLock::TryLockBackend(AdaptiveBackend b) {
-  switch (b) {
-    case AdaptiveBackend::kSpin:
-      return ttas_.try_lock();
-    case AdaptiveBackend::kSleep:
-      return futex_.try_lock();
-    case AdaptiveBackend::kMutexee:
-      return mutexee_.try_lock();
-  }
-  return false;
-}
-
 void AdaptiveLock::UnlockBackend(AdaptiveBackend b) {
   switch (b) {
     case AdaptiveBackend::kSpin:
@@ -93,23 +81,6 @@ void AdaptiveLock::lock() {
   }
 }
 
-bool AdaptiveLock::try_lock() {
-  const AdaptiveBackend b = current_.load(std::memory_order_acquire);
-  if (!TryLockBackend(b)) {
-    return false;
-  }
-  if (current_.load(std::memory_order_acquire) != b) {
-    // A switch raced us; fail spuriously rather than spin here.
-    UnlockBackend(b);
-    return false;
-  }
-  held_ = b;
-  sampled_ = true;
-  wait_cycles_pending_ = 0;
-  hold_start_cycles_ = ReadCycles();
-  return true;
-}
-
 void AdaptiveLock::OwnerEpochMaintenance() {
   const std::uint64_t sleep_calls = BackendSleepCalls();
   const LockSiteSnapshot snapshot = stats_.EndEpoch(sleep_calls - last_sleep_calls_);
@@ -123,7 +94,11 @@ void AdaptiveLock::OwnerEpochMaintenance() {
   }
   if (next != held_) {
     // Published while we still hold the old backend: every thread that
-    // validates after this store validates against `next`.
+    // validates after this store validates against `next`. The release
+    // pairs with the acquire validation load in lock(): the next owner
+    // takes `next`'s backend, whose last release predates this store and so
+    // orders nothing of ours, and only this pair makes our stats_ and
+    // policy writes visible to it.
     current_.store(next, std::memory_order_release);
     switches_.fetch_add(1, std::memory_order_relaxed);
     // LockScope: epoch switches are rare (once per epoch at most) and

@@ -72,7 +72,6 @@ class LL_CAPABILITY("mutex") AdaptiveLock {
   AdaptiveLock& operator=(const AdaptiveLock&) = delete;
 
   void lock() LL_ACQUIRE();
-  bool try_lock() LL_TRY_ACQUIRE(true);  // may fail spuriously during a backend switch
   void unlock() LL_RELEASE();
 
   // Diagnostics. backend() is always safe; the snapshot accessors report
@@ -92,7 +91,6 @@ class LL_CAPABILITY("mutex") AdaptiveLock {
   // behalf of the AdaptiveLock capability callers see; the analysis cannot
   // equate the two (see LockAdapter in src/locks/lock_api.hpp).
   void LockBackend(AdaptiveBackend b) LL_NO_THREAD_SAFETY_ANALYSIS;
-  bool TryLockBackend(AdaptiveBackend b) LL_NO_THREAD_SAFETY_ANALYSIS;
   void UnlockBackend(AdaptiveBackend b) LL_NO_THREAD_SAFETY_ANALYSIS;
   std::uint64_t BackendSleepCalls() const;
   void OwnerEpochMaintenance();

@@ -28,11 +28,6 @@
 // with locks held, one probe of the edge table; full graph analysis runs
 // only when a *new* edge appears (bounded: the table holds kEdgeCapacity
 // edges, so steady-state acquires never analyze).
-//
-// Conservatism: the event stream cannot distinguish lock() from try_lock()
-// at acquire-begin, so try_lock attempts count as ordering points too.
-// That can flag a technically-safe reversed try_lock as an inversion; it
-// cannot miss a real one.
 #ifndef SRC_ANALYSIS_LOCKDEP_HPP_
 #define SRC_ANALYSIS_LOCKDEP_HPP_
 

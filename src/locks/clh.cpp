@@ -2,6 +2,8 @@
 
 #include <mutex>
 
+#include "src/obs/trace.hpp"
+
 namespace lockin {
 namespace {
 
@@ -88,36 +90,11 @@ void ClhLock::lock() {
   ClhNode* pred = tail_.exchange(node, std::memory_order_acq_rel);
   std::uint32_t iteration = 0;
   while (pred->locked.load(std::memory_order_acquire) != 0) {
+    TraceContended();
     SpinWaitStep(config_, iteration++);
   }
   holder_node_ = node;
   holder_pred_ = pred;
-}
-
-bool ClhLock::try_lock() {
-  ClhNode* current_tail = tail_.load(std::memory_order_acquire);
-  if (current_tail->locked.load(std::memory_order_acquire) != 0) {
-    return false;  // held or queued behind
-  }
-  ClhNode* node = TakeNode();
-  node->locked.store(1, std::memory_order_relaxed);
-  if (!tail_.compare_exchange_strong(current_tail, node, std::memory_order_acq_rel,
-                                     std::memory_order_relaxed)) {
-    GiveNode(node);
-    return false;
-  }
-  // Nodes are recycled across threads, so the tail can go N -> M -> N
-  // between the check and the CAS, with N re-locked by a new holder; the
-  // CAS still succeeds. We are enqueued either way, so wait on the
-  // predecessor as lock() does: normally it is still unlocked and this
-  // returns at once, and in the ABA case it waits out that holder.
-  std::uint32_t iteration = 0;
-  while (current_tail->locked.load(std::memory_order_acquire) != 0) {
-    SpinWaitStep(config_, iteration++);
-  }
-  holder_node_ = node;
-  holder_pred_ = current_tail;
-  return true;
 }
 
 void ClhLock::unlock() {

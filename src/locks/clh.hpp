@@ -6,9 +6,10 @@
 // ("CLH ... differ[s] in [its] busy-waiting implementation").
 //
 // A node carries no lock identity, so any free node serves any lock. Nodes
-// are recycled, never freed: try_lock() reads the flag of a tail it loaded
-// a moment earlier, by which time that node may have moved on to another
-// thread or lock, so every node must outlive every reader (clh.cpp).
+// are recycled, never freed: every handover moves a node to another thread
+// (unlock() passes the holder's node to its successor and keeps its
+// predecessor's), so no thread or lock owns a node for its lifetime, and
+// the free lists (clh.cpp) keep lock() allocation-free once warm.
 #ifndef SRC_LOCKS_CLH_HPP_
 #define SRC_LOCKS_CLH_HPP_
 
@@ -36,7 +37,6 @@ class LL_CAPABILITY("mutex") ClhLock {
   ClhLock& operator=(const ClhLock&) = delete;
 
   void lock() LL_ACQUIRE();
-  bool try_lock() LL_TRY_ACQUIRE(true);
   void unlock() LL_RELEASE();
 
  private:

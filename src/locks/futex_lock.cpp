@@ -1,8 +1,11 @@
 #include "src/locks/futex_lock.hpp"
 
+#include "src/obs/trace.hpp"
+
 namespace lockin {
 
 void FutexLock::LockSlow() {
+  TraceContended();
   // Sleep phase (the spin phase ran inline and failed): advertise waiters
   // by moving to state 2, then futex-wait.
   std::uint32_t current = state_.load(std::memory_order_relaxed);

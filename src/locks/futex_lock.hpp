@@ -41,12 +41,6 @@ class LL_CAPABILITY("mutex") FutexLock {
     LockSlow();
   }
 
-  bool try_lock() LL_TRY_ACQUIRE(true) {
-    std::uint32_t expected = 0;
-    return state_.compare_exchange_strong(expected, 1, std::memory_order_acquire,
-                                          std::memory_order_relaxed);
-  }
-
   void unlock() LL_RELEASE() {
     // Release in user space; wake one sleeper only when waiters were
     // advertised (state 2).

@@ -2,9 +2,8 @@
 //
 // Two layers:
 //   * a compile-time `Lockable` concept following the standard library's
-//     BasicLockable/Lockable protocol (lock/unlock/try_lock, lowercase by
-//     design so std::lock_guard, std::unique_lock and our CondVar work with
-//     every lock in the library);
+//     BasicLockable protocol (lock/unlock, lowercase by design so
+//     std::lock_guard and our CondVar work with every lock in the library);
 //   * a type-erased `LockHandle` used by the benchmark harness and the
 //     mini-systems to switch lock algorithms at run time, which is exactly
 //     the paper's experiment ("we do not modify anything else other than the
@@ -14,7 +13,6 @@
 #ifndef SRC_LOCKS_LOCK_API_HPP_
 #define SRC_LOCKS_LOCK_API_HPP_
 
-#include <concepts>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -29,7 +27,6 @@ template <typename L>
 concept Lockable = requires(L lock) {
   lock.lock();
   lock.unlock();
-  { lock.try_lock() } -> std::convertible_to<bool>;
 };
 
 // Runtime-polymorphic lock. LockAdapter<L> below is the one implementation;
@@ -45,16 +42,17 @@ class LL_CAPABILITY("mutex") LockHandle {
 
   virtual void lock() LL_ACQUIRE() = 0;
   virtual void unlock() LL_RELEASE() = 0;
-  virtual bool try_lock() LL_TRY_ACQUIRE(true) = 0;
 
   // Algorithm name as used in the paper's figures ("MUTEX", "TICKET", ...).
   virtual std::string name() const = 0;
 
   // LockScope tracing hook, chosen once after construction and before the
   // lock is shared (ScenarioConfig::MakeLockFactory): acquisitions emit
-  // kAcquireBegin, kContended (fast path failed), kAcquired and kReleased
-  // under a fresh trace site, which lockdep reports under name(). An
-  // untraced handle pays one member test per lock() and per unlock().
+  // kAcquireBegin, kAcquired and kReleased under a fresh trace site, which
+  // lockdep reports under name(), and the lock's own slow path adds
+  // kContended (TraceContended; PTHREAD's slow path is inside glibc and
+  // adds none). An untraced handle pays one member test per lock() and per
+  // unlock().
   void EnableTrace() {
     trace_site_ = NextTraceSiteId();
     LockdepRegisterSiteName(trace_site_, name());
@@ -89,16 +87,10 @@ class LockAdapter final : public LockHandle {
   // the next holder's begins; the wake-up a release may cost has its own
   // kFutexWake event.
   void unlock() LL_RELEASE() LL_NO_THREAD_SAFETY_ANALYSIS override {
-    Emit(TraceEventKind::kReleased);
-    impl_.unlock();
-  }
-  bool try_lock() LL_TRY_ACQUIRE(true) LL_NO_THREAD_SAFETY_ANALYSIS override {
-    Emit(TraceEventKind::kAcquireBegin);
-    if (!impl_.try_lock()) {
-      return false;
+    if (trace_site_ != 0) [[unlikely]] {
+      TraceEmit(TraceEventKind::kReleased, trace_site_);
     }
-    Emit(TraceEventKind::kAcquired);
-    return true;
+    impl_.unlock();
   }
   std::string name() const override { return name_; }
 
@@ -106,20 +98,14 @@ class LockAdapter final : public LockHandle {
   const L& impl() const { return impl_; }
 
  private:
-  void Emit(TraceEventKind kind) const {
-    if (trace_site_ != 0) [[unlikely]] {
-      TraceEmit(kind, trace_site_);
-    }
-  }
-
-  // lock() with the trace hook enabled. Out of line, so the untraced
+  // lock() with the trace hook enabled: the same impl_.lock() call, with
+  // the site published for its slow path. Out of line, so the untraced
   // lock() stays one test in front of impl_.lock(), with no register spills.
   [[gnu::noinline]] void TracedLock() LL_NO_THREAD_SAFETY_ANALYSIS {
     TraceEmit(TraceEventKind::kAcquireBegin, trace_site_);
-    if (!impl_.try_lock()) {
-      TraceEmit(TraceEventKind::kContended, trace_site_);
-      impl_.lock();
-    }
+    tls_acquire_site = trace_site_;
+    impl_.lock();
+    tls_acquire_site = 0;
     TraceEmit(TraceEventKind::kAcquired, trace_site_);
   }
 

@@ -7,7 +7,8 @@
 
 namespace lockin {
 
-std::unique_ptr<LockHandle> MakeLock(const std::string& name, const LockBuildOptions& options) {
+std::unique_ptr<LockHandle> MakeLockOrThrow(const std::string& name,
+                                            const LockBuildOptions& options) {
   // Every concrete (non-ADAPTIVE) name routes through the compile-time
   // dispatch table, wrapped in a LockAdapter, which keeps this type-erased
   // tier and the devirtualized tier configured identically.
@@ -28,21 +29,12 @@ std::unique_ptr<LockHandle> MakeLock(const std::string& name, const LockBuildOpt
     config.spin = options.spin;
     return std::make_unique<LockAdapter<AdaptiveLock>>("ADAPTIVE", config);
   }
-  return nullptr;
-}
-
-std::unique_ptr<LockHandle> MakeLockOrThrow(const std::string& name,
-                                            const LockBuildOptions& options) {
-  auto lock = MakeLock(name, options);
-  if (lock == nullptr) {
-    std::string message = "unknown lock: '" + name + "'; available locks:";
-    for (const std::string& lock_name : RegisteredLockNames()) {
-      message += ' ';
-      message += lock_name;
-    }
-    throw std::invalid_argument(message);
+  std::string message = "unknown lock: '" + name + "'; available locks:";
+  for (const std::string& lock_name : RegisteredLockNames()) {
+    message += ' ';
+    message += lock_name;
   }
-  return lock;
+  throw std::invalid_argument(message);
 }
 
 std::vector<std::string> RegisteredLockNames() {

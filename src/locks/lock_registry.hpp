@@ -27,16 +27,8 @@ struct LockBuildOptions {
 // Creates a lock by paper name. Recognized names: "MUTEX" (FutexLock),
 // "PTHREAD" (glibc), "TAS", "TTAS", "TICKET", "MCS", "CLH", "MUTEXEE",
 // "MUTEXEE-TO" (MUTEXEE with MutexeeLock::kToSleepTimeoutNs), "ADAPTIVE"
-// (the energy-aware adaptive runtime, src/adaptive/).
-//
-// Unknown-name contract: MakeLock returns nullptr (callers that probe names
-// need no exception handling); MakeLockOrThrow raises std::invalid_argument
-// naming the offender. RunNativeBench (src/locks/harness.hpp) and the
-// mini-systems build through the throwing variant.
-std::unique_ptr<LockHandle> MakeLock(const std::string& name,
-                                     const LockBuildOptions& options = {});
-
-// Like MakeLock, but throws std::invalid_argument for unknown names.
+// (the energy-aware adaptive runtime, src/adaptive/). An unknown name
+// raises std::invalid_argument naming the offender and the known names.
 std::unique_ptr<LockHandle> MakeLockOrThrow(const std::string& name,
                                             const LockBuildOptions& options = {});
 

@@ -1,5 +1,7 @@
 #include "src/locks/mcs.hpp"
 
+#include "src/obs/trace.hpp"
+
 namespace lockin {
 namespace {
 
@@ -21,19 +23,12 @@ void McsLock::lock(McsNode* node) {
   if (prev == nullptr) {
     return;  // lock was free
   }
+  TraceContended();
   prev->next.store(node, std::memory_order_release);
   std::uint32_t iteration = 0;
   while (node->locked.load(std::memory_order_acquire) != 0) {
     SpinWaitStep(config_, iteration++);
   }
-}
-
-bool McsLock::try_lock(McsNode* node) {
-  node->next.store(nullptr, std::memory_order_relaxed);
-  node->locked.store(1, std::memory_order_relaxed);
-  McsNode* expected = nullptr;
-  return tail_.compare_exchange_strong(expected, node, std::memory_order_acq_rel,
-                                       std::memory_order_relaxed);
 }
 
 void McsLock::unlock(McsNode* node) {
@@ -72,15 +67,6 @@ McsNode* McsLock::PopTlsNode() {
 }
 
 void McsLock::lock() { lock(PushTlsNode()); }
-
-bool McsLock::try_lock() {
-  McsNode* node = PushTlsNode();
-  if (try_lock(node)) {
-    return true;
-  }
-  PopTlsNode();
-  return false;
-}
 
 void McsLock::unlock() { unlock(PopTlsNode()); }
 

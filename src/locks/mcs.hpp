@@ -6,11 +6,8 @@
 // paper's Figure 11 -- and why, being FIFO-fair, it collapses beyond 40
 // threads when the next-in-queue thread may be descheduled.
 //
-// Two APIs:
-//   * explicit-node: lock(&node)/unlock(&node), the classical interface;
-//   * Lockable-conforming lock()/unlock() that draws nodes from a small
-//     thread-local stack (supports nested acquisition of distinct MCS locks
-//     up to kMaxNesting deep).
+// lock()/unlock() draw queue nodes from a small thread-local stack, which
+// supports nested acquisition of distinct MCS locks up to kMaxNesting deep.
 #ifndef SRC_LOCKS_MCS_HPP_
 #define SRC_LOCKS_MCS_HPP_
 
@@ -34,19 +31,16 @@ class LL_CAPABILITY("mutex") McsLock {
   McsLock() = default;
   explicit McsLock(SpinConfig config) : config_(config) {}
 
-  // Classical explicit-node interface. The node must stay alive and
-  // unreused until the matching unlock returns.
-  void lock(McsNode* node) LL_ACQUIRE();
-  bool try_lock(McsNode* node) LL_TRY_ACQUIRE(true);
-  void unlock(McsNode* node) LL_RELEASE();
-
-  // Lockable interface using thread-local nodes.
   void lock() LL_ACQUIRE();
-  bool try_lock() LL_TRY_ACQUIRE(true);
   void unlock() LL_RELEASE();
 
  private:
   static constexpr int kMaxNesting = 16;
+
+  // The classical explicit-node protocol. The node must stay alive and
+  // unreused until the matching unlock returns.
+  void lock(McsNode* node) LL_ACQUIRE();
+  void unlock(McsNode* node) LL_RELEASE();
 
   McsNode* PushTlsNode();
   McsNode* PopTlsNode();

@@ -1,5 +1,6 @@
 #include "src/locks/mutexee.hpp"
 
+#include "src/obs/trace.hpp"
 #include "src/platform/cycles.hpp"
 #include "src/platform/spin_hint.hpp"
 
@@ -24,6 +25,7 @@ bool MutexeeLock::SpinAcquire(std::uint64_t budget) {
 }
 
 void MutexeeLock::LockSlow() {
+  TraceContended();
   const Mode mode = mode_.load(std::memory_order_relaxed);
   const std::uint64_t spin_budget = mode == Mode::kSpin
                                         ? spin_lock_budget_.load(std::memory_order_relaxed)

@@ -95,10 +95,10 @@ class LL_CAPABILITY("mutex") MutexeeLock {
         spin_lock_budget_(config.spin_mode_lock_cycles),
         spin_grace_budget_(config.spin_mode_grace_cycles) {}
 
-  // Fast paths are inline, as FutexLock's are: lock() and try_lock() are
-  // one CAS plus the holder's window count, unlock() is one exchange plus
-  // the sleepers_ load. The spin, sleep, grace/wake and adaptation paths
-  // stay out of line in mutexee.cpp.
+  // Fast paths are inline, as FutexLock's are: lock() is one CAS plus the
+  // holder's window count, unlock() is one exchange plus the sleepers_
+  // load. The spin, sleep, grace/wake and adaptation paths stay out of
+  // line in mutexee.cpp.
   void lock() LL_ACQUIRE() {
     std::uint32_t expected = 0;
     if (state_.compare_exchange_strong(expected, 1, std::memory_order_acquire,
@@ -107,16 +107,6 @@ class LL_CAPABILITY("mutex") MutexeeLock {
       return;
     }
     LockSlow();
-  }
-
-  bool try_lock() LL_TRY_ACQUIRE(true) {
-    std::uint32_t expected = 0;
-    if (!state_.compare_exchange_strong(expected, 1, std::memory_order_acquire,
-                                        std::memory_order_relaxed)) {
-      return false;
-    }
-    CountAcquire();
-    return true;
   }
 
   void unlock() LL_RELEASE() {

@@ -2,7 +2,9 @@
 //
 // The paper's systems experiments replace pthread mutexes in six systems;
 // this adapter is the "stock MUTEX" reference point so benchmarks can
-// compare the re-implemented FutexLock against the real glibc lock.
+// compare the re-implemented FutexLock against the real glibc lock. Its
+// slow path is inside glibc, so a traced PTHREAD acquire shows its wait
+// and hold spans but no kContended instant and no futex events.
 #ifndef SRC_LOCKS_PTHREAD_ADAPTER_HPP_
 #define SRC_LOCKS_PTHREAD_ADAPTER_HPP_
 
@@ -21,7 +23,6 @@ class LL_CAPABILITY("mutex") PthreadMutex {
   PthreadMutex& operator=(const PthreadMutex&) = delete;
 
   void lock() LL_ACQUIRE() { pthread_mutex_lock(&mutex_); }
-  bool try_lock() LL_TRY_ACQUIRE(true) { return pthread_mutex_trylock(&mutex_) == 0; }
   void unlock() LL_RELEASE() { pthread_mutex_unlock(&mutex_); }
 
  private:

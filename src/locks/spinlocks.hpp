@@ -7,13 +7,15 @@
 //
 // Every spinlock pauses with mfence, the paper's choice (section 4.2,
 // Figure 4), and takes a SpinConfig for one escape hatch: yielding after N
-// spins on oversubscribed hosts (default: never).
+// spins on oversubscribed hosts (default: never). Each reports leaving its
+// fast path to a traced acquire (TraceContended, src/obs/trace.hpp).
 #ifndef SRC_LOCKS_SPINLOCKS_HPP_
 #define SRC_LOCKS_SPINLOCKS_HPP_
 
 #include <atomic>
 #include <cstdint>
 
+#include "src/obs/trace.hpp"
 #include "src/platform/cacheline.hpp"
 #include "src/platform/spin_hint.hpp"
 #include "src/platform/thread_annotations.hpp"
@@ -55,12 +57,9 @@ class LL_CAPABILITY("mutex") TasLock {
     // the highest-power waiting mode measured in Figure 3.
     std::uint32_t iteration = 0;
     while (locked_.exchange(1, std::memory_order_acquire) != 0) {
+      TraceContended();
       SpinWaitStep(config_, iteration++);
     }
-  }
-
-  bool try_lock() LL_TRY_ACQUIRE(true) {
-    return locked_.exchange(1, std::memory_order_acquire) == 0;
   }
 
   void unlock() LL_RELEASE() { locked_.store(0, std::memory_order_release); }
@@ -84,17 +83,13 @@ class LL_CAPABILITY("mutex") TtasLock {
           locked_.exchange(1, std::memory_order_acquire) == 0) {
         return;
       }
+      TraceContended();
       // Local spinning: wait on the cached copy until the line is
       // invalidated by the release store.
       while (locked_.load(std::memory_order_relaxed) != 0) {
         SpinWaitStep(config_, iteration++);
       }
     }
-  }
-
-  bool try_lock() LL_TRY_ACQUIRE(true) {
-    return locked_.load(std::memory_order_relaxed) == 0 &&
-           locked_.exchange(1, std::memory_order_acquire) == 0;
   }
 
   void unlock() LL_RELEASE() { locked_.store(0, std::memory_order_release); }
@@ -117,21 +112,10 @@ class LL_CAPABILITY("mutex") TicketLock {
     const std::uint32_t my_ticket = next_ticket_.fetch_add(1, std::memory_order_relaxed);
     std::uint32_t iteration = 0;
     while (now_serving_.load(std::memory_order_acquire) != my_ticket) {
+      TraceContended();
       SpinWaitStep(config_, iteration++);
     }
     depart_ = my_ticket + 1;
-  }
-
-  bool try_lock() LL_TRY_ACQUIRE(true) {
-    std::uint32_t serving = now_serving_.load(std::memory_order_acquire);
-    std::uint32_t expected = serving;
-    // Acquire only when no one is queued: next_ticket == now_serving.
-    if (next_ticket_.compare_exchange_strong(expected, serving + 1, std::memory_order_acquire,
-                                             std::memory_order_relaxed)) {
-      depart_ = serving + 1;
-      return true;
-    }
-    return false;
   }
 
   void unlock() LL_RELEASE() {
@@ -142,19 +126,12 @@ class LL_CAPABILITY("mutex") TicketLock {
     now_serving_.store(depart_, std::memory_order_release);
   }
 
-  // Number of threads waiting right now (approximate; diagnostics only).
-  std::uint32_t QueueLength() const {
-    const std::uint32_t next = next_ticket_.load(std::memory_order_relaxed);
-    const std::uint32_t serving = now_serving_.load(std::memory_order_relaxed);
-    return next - serving;
-  }
-
  private:
   SpinConfig config_{};
-  // Holder-owned: written under the lock (end of lock()/try_lock()), read
-  // by the same holder in unlock(); the handover's release/acquire pair
-  // orders successive holders' accesses. Shares the uncontended config line
-  // on purpose -- waiters never touch it.
+  // Holder-owned: written under the lock (end of lock()), read by the same
+  // holder in unlock(); the handover's release/acquire pair orders
+  // successive holders' accesses. Shares the uncontended config line on
+  // purpose -- waiters never touch it.
   std::uint32_t depart_ = 1;
   alignas(kCacheLineSize) std::atomic<std::uint32_t> next_ticket_{0};
   alignas(kCacheLineSize) std::atomic<std::uint32_t> now_serving_{0};

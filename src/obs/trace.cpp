@@ -5,6 +5,12 @@
 namespace lockin {
 
 thread_local constinit TraceBuffer* tls_trace_sink = nullptr;
+thread_local constinit std::uint32_t tls_acquire_site = 0;
+
+void EmitContended(std::uint32_t site) {
+  tls_acquire_site = 0;
+  TraceEmit(TraceEventKind::kContended, site);
+}
 
 namespace {
 

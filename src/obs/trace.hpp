@@ -15,10 +15,10 @@
 //   * events carry rdtsc timestamps, which the Chrome-trace writer
 //     (src/obs/export.hpp) converts to microseconds.
 //
-// Cost when off: the static lock tier has no emit sites at all; an
-// untraced LockHandle pays one member test per lock()/unlock(); slow paths
-// (futex syscalls, adaptive epoch maintenance) pay one thread-local pointer
-// load and a predictable branch.
+// Cost when off: an untraced LockHandle pays one member test per
+// lock()/unlock(); slow paths (a lock's own, futex syscalls, adaptive epoch
+// maintenance) pay one thread-local load and a predictable branch; fast
+// paths have no emit sites at all.
 #ifndef SRC_OBS_TRACE_HPP_
 #define SRC_OBS_TRACE_HPP_
 
@@ -40,7 +40,7 @@ enum class TraceEventKind : std::uint16_t {
   kAcquireBegin = 1,     // arg = lock site id; start of a lock() call
   kAcquired = 2,         // arg = site id; lock() returned
   kReleased = 3,         // arg = site id; unlock() about to release
-  kContended = 4,        // arg = site id; fast path failed, entering slow path
+  kContended = 4,        // arg = site id; the lock's fast path failed (TraceContended)
   kFutexSleepBegin = 5,  // entering FUTEX_WAIT (the kernel round-trip)
   kFutexSleepEnd = 6,    // arg = FutexWaitResult; back from FUTEX_WAIT
   kFutexWake = 7,        // arg = threads woken by this FUTEX_WAKE
@@ -143,6 +143,25 @@ inline void TraceEmit(TraceEventKind kind, std::uint32_t arg) {
   TraceBuffer* sink = tls_trace_sink;
   if (sink != nullptr) {
     sink->Emit(kind, arg);
+  }
+}
+
+// The site of the traced lock() the calling thread is inside, 0 outside
+// one: a traced LockHandle sets it around the wrapped lock's lock().
+extern thread_local constinit std::uint32_t tls_acquire_site;
+
+// Clears tls_acquire_site and emits kContended for `site` (out of line, so
+// inlined slow paths stay small).
+void EmitContended(std::uint32_t site);
+
+// Called where a lock algorithm leaves its fast path, and on each retry of
+// its slow path: emits kContended for the traced acquire in progress at
+// most once, since the first call clears the site. Untraced, it is one TLS
+// load and a not-taken branch.
+inline void TraceContended() {
+  const std::uint32_t site = tls_acquire_site;
+  if (site != 0) [[unlikely]] {
+    EmitContended(site);
   }
 }
 

@@ -156,6 +156,7 @@ std::atomic<bool> g_armed{false};
 
 FailpointAction HitSlow(FailpointId id) {
   SiteState& site = g_sites[static_cast<std::size_t>(id)];
+  // Pairs with the release exchange in FailpointsArm (see g_armed).
   const Rule* rule = site.rule.load(std::memory_order_acquire);
   if (rule == nullptr) return FailpointAction::kNone;
   const std::uint64_t hit =
@@ -234,6 +235,7 @@ void FailpointsArm(const std::string& spec, std::uint64_t seed) {
     if (rule.text == "off") continue;
     SiteState& site = g_sites[static_cast<std::size_t>(id)];
     const Rule* fresh = new Rule(std::move(rule));
+    // Release: a hit that loads `fresh` (acquire, HitSlow) sees it built.
     if (const Rule* old =
             site.rule.exchange(fresh, std::memory_order_release)) {
       RetiredRules().push_back(old);  // duplicate entry: last one wins

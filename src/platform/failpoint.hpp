@@ -68,7 +68,12 @@ enum class FailpointAction : std::uint8_t {
 
 namespace failpoint_internal {
 
-// Single global arm flag: the only cost a disarmed site pays.
+// Single global arm flag: the only cost a disarmed site pays. It is only a
+// relaxed gate and orders nothing: a hit that passes it loads the site's
+// rule with acquire (HitSlow), which pairs with the release exchange that
+// published the rule (FailpointsArm), and retired rules are never freed,
+// so a hit racing an arm or disarm acts on the old rule, the new one or
+// none, each fully built.
 extern std::atomic<bool> g_armed;
 
 FailpointAction HitSlow(FailpointId id);

@@ -18,8 +18,7 @@
 // Conventions used across the repo:
 //   * lock types:  class LL_CAPABILITY("mutex") FooLock { ...
 //                    void lock() LL_ACQUIRE();
-//                    void unlock() LL_RELEASE();
-//                    bool try_lock() LL_TRY_ACQUIRE(true); };
+//                    void unlock() LL_RELEASE(); };
 //   * guards:      class LL_SCOPED_CAPABILITY Guard { Guard(L& l) LL_ACQUIRE(l);
 //                    ~Guard() LL_RELEASE(); };
 //   * data:        std::map<...> map_ LL_GUARDED_BY(*lock_);
@@ -65,9 +64,6 @@
 // The function releases the capability. The no-argument form on a scoped
 // capability's destructor releases whatever the scope holds.
 #define LL_RELEASE(...) LL_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-
-// try_lock-shaped functions: acquires only when returning `value`.
-#define LL_TRY_ACQUIRE(...) LL_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 
 // The caller must hold the capability for the duration of the call. This
 // is how "called with lock_ held" helper contracts become machine-checked.

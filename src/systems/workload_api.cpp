@@ -139,33 +139,25 @@ std::vector<ScenarioInfo> ScenarioRegistry::List() const {
   return infos;
 }
 
-const ScenarioInfo* ScenarioRegistry::Find(const std::string& name) const {
+const ScenarioRegistry::Entry* ScenarioRegistry::FindEntry(const std::string& name) const {
   for (const Entry& entry : entries_) {
     if (entry.info.name == name) {
-      return &entry.info;
+      return &entry;
     }
   }
   return nullptr;
 }
 
-std::unique_ptr<ScenarioWorkload> ScenarioRegistry::Make(const std::string& name) const {
-  for (const Entry& entry : entries_) {
-    if (entry.info.name == name) {
-      return entry.factory();
-    }
-  }
-  return nullptr;
+const ScenarioInfo* ScenarioRegistry::Find(const std::string& name) const {
+  const Entry* entry = FindEntry(name);
+  return entry != nullptr ? &entry->info : nullptr;
 }
 
 std::vector<ScenarioInfo> RegisteredScenarios() { return ScenarioRegistry::Instance().List(); }
 
-std::unique_ptr<ScenarioWorkload> MakeScenario(const std::string& name) {
-  return ScenarioRegistry::Instance().Make(name);
-}
-
 std::unique_ptr<ScenarioWorkload> MakeScenarioOrThrow(const std::string& name) {
-  std::unique_ptr<ScenarioWorkload> workload = MakeScenario(name);
-  if (workload == nullptr) {
+  const ScenarioRegistry::Entry* entry = ScenarioRegistry::Instance().FindEntry(name);
+  if (entry == nullptr) {
     std::string message = "unknown scenario: '" + name + "'; available scenarios:";
     for (const ScenarioInfo& info : RegisteredScenarios()) {
       message += ' ';
@@ -173,7 +165,7 @@ std::unique_ptr<ScenarioWorkload> MakeScenarioOrThrow(const std::string& name) {
     }
     throw std::invalid_argument(message);
   }
-  return workload;
+  return entry->factory();
 }
 
 ScenarioResult RunScenarioByName(const std::string& name, const ScenarioConfig& config) {

@@ -228,22 +228,23 @@ class ScenarioRegistry {
 
   std::vector<ScenarioInfo> List() const;  // registration order
   const ScenarioInfo* Find(const std::string& name) const;  // nullptr unknown
-  std::unique_ptr<ScenarioWorkload> Make(const std::string& name) const;  // nullptr unknown
 
  private:
   struct Entry {
     ScenarioInfo info;
     Factory factory;
   };
+  const Entry* FindEntry(const std::string& name) const;
+
+  friend std::unique_ptr<ScenarioWorkload> MakeScenarioOrThrow(const std::string& name);
+
   std::vector<Entry> entries_;
 };
 
-// Conveniences over Instance(), mirroring the lock registry's unknown-name
-// contract (src/locks/lock_registry.hpp): MakeScenario returns nullptr for
-// unknown names, MakeScenarioOrThrow raises std::invalid_argument naming
-// the offender.
+// Conveniences over Instance(). As with the lock registry
+// (src/locks/lock_registry.hpp), an unknown name raises
+// std::invalid_argument naming the offender and the known names.
 std::vector<ScenarioInfo> RegisteredScenarios();
-std::unique_ptr<ScenarioWorkload> MakeScenario(const std::string& name);
 std::unique_ptr<ScenarioWorkload> MakeScenarioOrThrow(const std::string& name);
 
 // MakeScenarioOrThrow + RunScenario in one call.

@@ -18,6 +18,7 @@
 #include "src/obs/trace.hpp"
 #include "src/sim/workload.hpp"
 #include "src/systems/common.hpp"
+#include "tests/lock_probe.hpp"
 
 namespace lockin {
 namespace {
@@ -140,18 +141,13 @@ TEST(LockSiteStatsTest, EpochDigestAggregatesAcquisitions) {
 
 // --- Adaptive lock ----------------------------------------------------------
 
-TEST(AdaptiveLockTest, LockUnlockAndTryLockSemantics) {
+TEST(AdaptiveLockTest, LockUnlockAndExclusion) {
   AdaptiveLock lock;
   for (int i = 0; i < 100; ++i) {
     lock.lock();
     lock.unlock();
   }
-  EXPECT_TRUE(lock.try_lock());
-  lock.unlock();
-  lock.lock();
-  std::thread other([&] { EXPECT_FALSE(lock.try_lock()); });
-  other.join();
-  lock.unlock();
+  EXPECT_FALSE(EntersWhileHeld(lock));
 }
 
 TEST(AdaptiveLockTest, UncontendedSiteSettlesOnSpinning) {
@@ -246,13 +242,11 @@ TEST(AdaptiveLockTest, EverySwitchReachesTheTimelineWithItsBackend) {
 TEST(AdaptiveRegistryTest, MakeLockBuildsAWorkingAdaptiveLock) {
   LockBuildOptions options;
   options.spin.yield_after = 64;
-  auto lock = MakeLock("ADAPTIVE", options);
-  ASSERT_NE(lock, nullptr);
+  auto lock = MakeLockOrThrow("ADAPTIVE", options);
   EXPECT_EQ(lock->name(), "ADAPTIVE");
   lock->lock();
   lock->unlock();
-  EXPECT_TRUE(lock->try_lock());
-  lock->unlock();
+  EXPECT_FALSE(EntersWhileHeld(*lock));
 }
 
 TEST(AdaptiveRegistryTest, RegisteredAlongsideEveryStaticLock) {
@@ -262,7 +256,7 @@ TEST(AdaptiveRegistryTest, RegisteredAlongsideEveryStaticLock) {
     if (name == "ADAPTIVE") {
       found = true;
     }
-    EXPECT_NE(MakeLock(name), nullptr) << name;
+    EXPECT_NE(MakeLockOrThrow(name), nullptr) << name;
   }
   EXPECT_TRUE(found);
 }
@@ -277,8 +271,7 @@ TEST(AdaptiveRegistryTest, SystemsFactoryUsesTheThrowingContract) {
 TEST(AdaptiveRegistryTest, RegistryKnobsReachTheBackends) {
   LockBuildOptions options;
   options.spin.yield_after = 77;
-  auto lock = MakeLock("ADAPTIVE", options);
-  ASSERT_NE(lock, nullptr);
+  auto lock = MakeLockOrThrow("ADAPTIVE", options);
   const AdaptiveLock& adaptive =
       static_cast<LockAdapter<AdaptiveLock>*>(lock.get())->impl();
   EXPECT_EQ(adaptive.config().spin.yield_after, 77u);

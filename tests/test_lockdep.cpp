@@ -106,9 +106,10 @@ TEST(LockdepTest, RecursiveSelfAcquireCaught) {
   std::unique_ptr<LockHandle> a = MakeTraced("TICKET");
 
   a->lock();
-  // Re-entry on the holding thread. try_lock fails (and must: TicketLock is
-  // not recursive) but the acquire attempt itself is the violation.
-  EXPECT_FALSE(a->try_lock());
+  // Re-entry on the holding thread: the acquire-begin a second a->lock()
+  // emits before it would spin forever (TicketLock is not recursive). The
+  // attempt itself is the violation.
+  TraceEmit(TraceEventKind::kAcquireBegin, a->trace_site());
   a->unlock();
 
   const std::vector<LockdepReport> reports = LockdepReports();

@@ -1,7 +1,8 @@
 // Lock-algorithm correctness tests, parameterized over every registered
-// algorithm (TEST_P): mutual exclusion, try_lock semantics, progress under
-// contention, guard RAII. Host-agnostic: spinlocks get a yield threshold so
-// single-CPU machines interleave instead of burning whole quanta.
+// algorithm (TEST_P): mutual exclusion, a held lock keeping a second thread
+// out, progress under contention, guard RAII. Host-agnostic: spinlocks get
+// a yield threshold so single-CPU machines interleave instead of burning
+// whole quanta.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include "src/locks/lock_registry.hpp"
 #include "src/locks/mcs.hpp"
 #include "src/locks/spinlocks.hpp"
+#include "tests/lock_probe.hpp"
 
 namespace lockin {
 namespace {
@@ -27,47 +29,25 @@ LockBuildOptions TestOptions() {
 class LockParamTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(LockParamTest, Constructs) {
-  auto lock = MakeLock(GetParam(), TestOptions());
-  ASSERT_NE(lock, nullptr);
+  auto lock = MakeLockOrThrow(GetParam(), TestOptions());
   EXPECT_EQ(lock->name(), GetParam());
 }
 
 TEST_P(LockParamTest, LockUnlockSingleThread) {
-  auto lock = MakeLock(GetParam(), TestOptions());
+  auto lock = MakeLockOrThrow(GetParam(), TestOptions());
   for (int i = 0; i < 1000; ++i) {
     lock->lock();
     lock->unlock();
   }
 }
 
-TEST_P(LockParamTest, TryLockSucceedsWhenFree) {
-  auto lock = MakeLock(GetParam(), TestOptions());
-  EXPECT_TRUE(lock->try_lock());
-  lock->unlock();
-}
-
-TEST_P(LockParamTest, TryLockFailsWhenHeld) {
-  auto lock = MakeLock(GetParam(), TestOptions());
-  lock->lock();
-  std::atomic<int> tries{0};
-  std::atomic<int> successes{0};
-  std::thread other([&] {
-    for (int i = 0; i < 10; ++i) {
-      if (lock->try_lock()) {
-        successes.fetch_add(1);
-        lock->unlock();
-      }
-      tries.fetch_add(1);
-    }
-  });
-  other.join();
-  EXPECT_EQ(tries.load(), 10);
-  EXPECT_EQ(successes.load(), 0);
-  lock->unlock();
+TEST_P(LockParamTest, HeldLockKeepsOtherThreadOut) {
+  auto lock = MakeLockOrThrow(GetParam(), TestOptions());
+  EXPECT_FALSE(EntersWhileHeld(*lock));
 }
 
 TEST_P(LockParamTest, MutualExclusionCounter) {
-  auto lock = MakeLock(GetParam(), TestOptions());
+  auto lock = MakeLockOrThrow(GetParam(), TestOptions());
   constexpr int kThreads = 4;
   constexpr int kIters = 3000;
   // A plain (non-atomic) counter: lost updates appear unless the lock
@@ -90,7 +70,7 @@ TEST_P(LockParamTest, MutualExclusionCounter) {
 }
 
 TEST_P(LockParamTest, MutualExclusionInvariantHolds) {
-  auto lock = MakeLock(GetParam(), TestOptions());
+  auto lock = MakeLockOrThrow(GetParam(), TestOptions());
   constexpr int kThreads = 4;
   constexpr int kIters = 1500;
   std::atomic<int> inside{0};
@@ -115,38 +95,13 @@ TEST_P(LockParamTest, MutualExclusionInvariantHolds) {
   EXPECT_FALSE(violated.load());
 }
 
-TEST_P(LockParamTest, TryLockAlsoExcludes) {
-  auto lock = MakeLock(GetParam(), TestOptions());
-  constexpr int kThreads = 4;
-  long long counter = 0;
-  std::atomic<long long> attempts_won{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 2000; ++i) {
-        if (lock->try_lock()) {
-          counter = counter + 1;
-          attempts_won.fetch_add(1);
-          lock->unlock();
-        }
-      }
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  EXPECT_EQ(counter, attempts_won.load());
-  EXPECT_GT(attempts_won.load(), 0);
-}
-
 // Stress case (the `stress` ctest label reruns every *Stress* test): twice
 // as many threads as CPUs, each holding the lock across a yield, so the
 // lock changes hands while its waiters spin, queue or sleep.
 class LockStressTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(LockStressTest, OversubscribedHandoversKeepExclusion) {
-  auto lock = MakeLock(GetParam(), TestOptions());
+  auto lock = MakeLockOrThrow(GetParam(), TestOptions());
   const int threads = 2 * static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   constexpr int kIters = 250;
   long long counter = 0;
@@ -194,13 +149,8 @@ INSTANTIATE_TEST_SUITE_P(AllLocks, LockParamTest,
 INSTANTIATE_TEST_SUITE_P(AllLocks, LockStressTest,
                          ::testing::ValuesIn(RegisteredLockNames()), LockTestName);
 
-TEST(LockRegistry, UnknownNameReturnsNull) {
-  EXPECT_EQ(MakeLock("NOPE"), nullptr);
-}
-
-TEST(LockRegistry, UnknownNameThrowsInThrowingVariant) {
-  // The two-level contract: MakeLock probes (nullptr), MakeLockOrThrow
-  // raises -- the exception RunNativeBench documents comes from here.
+TEST(LockRegistry, UnknownNameThrows) {
+  // The exception RunNativeBench documents comes from here.
   EXPECT_THROW(MakeLockOrThrow("NOPE"), std::invalid_argument);
   EXPECT_NE(MakeLockOrThrow("MUTEX"), nullptr);
 }
@@ -210,28 +160,8 @@ TEST(LockRegistry, ListsAllNames) {
   EXPECT_EQ(names, (std::vector<std::string>{"MUTEX", "PTHREAD", "TAS", "TTAS", "TICKET", "MCS",
                                               "CLH", "MUTEXEE", "MUTEXEE-TO", "ADAPTIVE"}));
   for (const auto& name : names) {
-    EXPECT_NE(MakeLock(name, TestOptions()), nullptr) << name;
+    EXPECT_NE(MakeLockOrThrow(name, TestOptions()), nullptr) << name;
   }
-}
-
-TEST(TicketLock, QueueLengthTracksWaiters) {
-  TicketLock lock;
-  EXPECT_EQ(lock.QueueLength(), 0u);
-  lock.lock();
-  EXPECT_EQ(lock.QueueLength(), 1u);  // holder counts as one outstanding ticket
-  lock.unlock();
-  EXPECT_EQ(lock.QueueLength(), 0u);
-}
-
-TEST(McsLock, ExplicitNodeInterface) {
-  McsLock lock;
-  McsNode node;
-  lock.lock(&node);
-  McsNode other;
-  EXPECT_FALSE(lock.try_lock(&other));
-  lock.unlock(&node);
-  EXPECT_TRUE(lock.try_lock(&other));
-  lock.unlock(&other);
 }
 
 TEST(McsLock, NestedDistinctLocks) {

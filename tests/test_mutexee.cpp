@@ -10,6 +10,7 @@
 
 #include "src/locks/mutexee.hpp"
 #include "src/platform/cycles.hpp"
+#include "tests/lock_probe.hpp"
 
 namespace lockin {
 namespace {
@@ -43,31 +44,27 @@ TEST(Mutexee, UncontestedAcquiresAreSpinHandovers) {
 TEST(Mutexee, CountsEveryAcquireAcrossAdaptWindows) {
   // The holder counts acquires in an open window that Adapt() closes every
   // kAdaptPeriod acquires; GetStats() adds the closed windows to the open
-  // one. A successful try_lock counts, a failed one does not.
+  // one.
   MutexeeLock lock;
-  constexpr std::uint64_t kPairs = 3 * MutexeeLock::kAdaptPeriod + 7;
+  constexpr std::uint64_t kPairs = 3 * MutexeeLock::kAdaptPeriod + 8;
   for (std::uint64_t i = 0; i < kPairs; ++i) {
     lock.lock();
     lock.unlock();
   }
-  ASSERT_TRUE(lock.try_lock());
-  EXPECT_FALSE(lock.try_lock());
-  lock.unlock();
   const MutexeeLock::Stats stats = lock.GetStats();
-  EXPECT_EQ(stats.acquires, 3 * MutexeeLock::kAdaptPeriod + 8);
+  EXPECT_EQ(stats.acquires, kPairs);
   EXPECT_EQ(stats.spin_handovers, stats.acquires);
   EXPECT_EQ(stats.futex_handovers, 0u);
   EXPECT_EQ(stats.timeout_handovers, 0u);
   EXPECT_EQ(stats.mode_switches, 0u);
 }
 
-TEST(Mutexee, TryLock) {
+TEST(Mutexee, HeldLockKeepsOtherThreadOut) {
   MutexeeLock lock;
-  EXPECT_TRUE(lock.try_lock());
-  EXPECT_FALSE(lock.try_lock());
-  lock.unlock();
-  EXPECT_TRUE(lock.try_lock());
-  lock.unlock();
+  EXPECT_FALSE(EntersWhileHeld(lock));
+  // The holder and the thread it kept out, which took the lock after the
+  // release.
+  EXPECT_EQ(lock.GetStats().acquires, 2u);
 }
 
 TEST(Mutexee, MutualExclusion) {

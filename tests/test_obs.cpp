@@ -300,34 +300,70 @@ TEST(TraceSinkTest, ScopedSinkRoutesEmitsAndRestores) {
 
 // --- LockHandle trace hook ---------------------------------------------------
 
-std::vector<TraceEventKind> DrainKinds(TraceBuffer& ring, std::uint32_t site) {
+// The lock events in `ring` (futex events, which carry no site, are left
+// out), each checked to be under `site`.
+std::vector<TraceEventKind> DrainLockKinds(TraceBuffer& ring, std::uint32_t site) {
   std::vector<TraceEvent> events;
   ring.Drain(&events);
   std::vector<TraceEventKind> kinds;
   for (const TraceEvent& event : events) {
-    EXPECT_EQ(event.arg, site);
-    kinds.push_back(static_cast<TraceEventKind>(event.kind));
+    const auto kind = static_cast<TraceEventKind>(event.kind);
+    if (kind == TraceEventKind::kAcquireBegin || kind == TraceEventKind::kContended ||
+        kind == TraceEventKind::kAcquired || kind == TraceEventKind::kReleased) {
+      EXPECT_EQ(event.arg, site);
+      kinds.push_back(kind);
+    }
   }
   return kinds;
 }
 
 TEST(LockTraceHookTest, EveryRegisteredLockEmitsUnderOneSite) {
+  using K = TraceEventKind;
   for (const std::string& name : RegisteredLockNames()) {
-    TraceBuffer ring(/*capacity=*/64, /*tid=*/0);
+    TraceBuffer ring(/*capacity=*/256, /*tid=*/0);
     ScopedTraceSink sink(&ring);
     std::unique_ptr<LockHandle> handle = MakeLockOrThrow(name, {});
     handle->EnableTrace();
     EXPECT_EQ(handle->name(), name);
     ASSERT_NE(handle->trace_site(), 0u) << name;
+
+    // Uncontended: the fast path succeeds, so no kContended.
     handle->lock();
     handle->unlock();
-    EXPECT_TRUE(handle->try_lock()) << name;
-    handle->unlock();
-    using K = TraceEventKind;
-    EXPECT_EQ(DrainKinds(ring, handle->trace_site()),
-              (std::vector<K>{K::kAcquireBegin, K::kAcquired, K::kReleased, K::kAcquireBegin,
-                              K::kAcquired, K::kReleased}))
+    EXPECT_EQ(DrainLockKinds(ring, handle->trace_site()),
+              (std::vector<K>{K::kAcquireBegin, K::kAcquired, K::kReleased}))
         << name;
+
+    // Contended: another thread (no sink, so its events are dropped) holds
+    // the lock until this thread's traced acquire has reported contention,
+    // begin then kContended, or for PTHREAD, which reports none, has begun;
+    // then 20 ms more. A slow path that stays silent is released after a
+    // second, so the check below fails instead of the test hanging.
+    std::atomic<bool> held{false};
+    std::thread holder([&] {
+      handle->lock();
+      held.store(true);
+      const std::size_t reported = name == "PTHREAD" ? 1 : 2;
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+      while (ring.size() < reported && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      handle->unlock();
+    });
+    while (!held.load()) {
+      std::this_thread::yield();
+    }
+    handle->lock();
+    handle->unlock();
+    holder.join();
+    // One kContended from the lock's own slow path, inside the wait span.
+    // PTHREAD's slow path is inside glibc, which reports none.
+    const std::vector<K> contended =
+        name == "PTHREAD"
+            ? std::vector<K>{K::kAcquireBegin, K::kAcquired, K::kReleased}
+            : std::vector<K>{K::kAcquireBegin, K::kContended, K::kAcquired, K::kReleased};
+    EXPECT_EQ(DrainLockKinds(ring, handle->trace_site()), contended) << name;
   }
 }
 
@@ -337,9 +373,46 @@ TEST(LockTraceHookTest, UntracedHandleEmitsNothing) {
   std::unique_ptr<LockHandle> handle = MakeLockOrThrow("TAS", {});
   handle->lock();
   handle->unlock();
-  EXPECT_TRUE(handle->try_lock());
-  handle->unlock();
   EXPECT_EQ(handle->trace_site(), 0u);
+  EXPECT_EQ(ring.size(), 0u);
+}
+
+// A lock that counts its lock() calls and, while `contended` is set, takes
+// a slow path that reports contention on every retry.
+class RetryingLock {
+ public:
+  void lock() {
+    ++lock_calls;
+    for (int retry = 0; contended && retry < 3; ++retry) {
+      TraceContended();
+    }
+  }
+  void unlock() {}
+
+  bool contended = true;
+  int lock_calls = 0;
+};
+
+TEST(LockTraceHookTest, TracedAcquireCallsLockOnceAndReportsOnce) {
+  TraceBuffer ring(/*capacity=*/64, /*tid=*/0);
+  ScopedTraceSink sink(&ring);
+  LockAdapter<RetryingLock> handle("RETRY");
+  handle.EnableTrace();
+  handle.lock();
+  handle.unlock();
+  EXPECT_EQ(handle.impl().lock_calls, 1);
+  using K = TraceEventKind;
+  EXPECT_EQ(DrainLockKinds(ring, handle.trace_site()),
+            (std::vector<K>{K::kAcquireBegin, K::kContended, K::kAcquired, K::kReleased}));
+  // An acquire that never leaves its fast path reports nothing, and leaves
+  // no site behind for a slow path outside a traced lock() to report on.
+  handle.impl().contended = false;
+  handle.lock();
+  handle.unlock();
+  EXPECT_EQ(DrainLockKinds(ring, handle.trace_site()),
+            (std::vector<K>{K::kAcquireBegin, K::kAcquired, K::kReleased}));
+  handle.impl().contended = true;
+  handle.impl().lock();
   EXPECT_EQ(ring.size(), 0u);
 }
 
@@ -348,11 +421,10 @@ TEST(LockTraceHookTest, UntracedHandleEmitsNothing) {
 class LingeringUnlockLock {
  public:
   void lock() {
-    while (!try_lock()) {
+    while (held_.exchange(true, std::memory_order_acquire)) {
       std::this_thread::yield();
     }
   }
-  bool try_lock() { return !held_.exchange(true, std::memory_order_acquire); }
   void unlock() {
     held_.store(false, std::memory_order_release);
     std::this_thread::sleep_for(std::chrono::microseconds(100));

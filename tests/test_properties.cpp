@@ -229,8 +229,7 @@ class NativeLockFuzz : public ::testing::TestWithParam<std::string> {};
 TEST_P(NativeLockFuzz, RandomizedHoldTimesPreserveExclusion) {
   LockBuildOptions options;
   options.spin.yield_after = 48;
-  auto lock = MakeLock(GetParam(), options);
-  ASSERT_NE(lock, nullptr);
+  auto lock = MakeLockOrThrow(GetParam(), options);
   long long counter = 0;
   std::atomic<bool> violated{false};
   std::atomic<int> inside{0};

@@ -48,14 +48,13 @@ TEST(ScenarioRegistry, ListsEverySystem) {
 
 TEST(ScenarioRegistry, ConstructsEveryListedScenario) {
   for (const ScenarioInfo& info : RegisteredScenarios()) {
-    EXPECT_NE(MakeScenario(info.name), nullptr) << info.name;
+    EXPECT_NE(MakeScenarioOrThrow(info.name), nullptr) << info.name;
     EXPECT_NE(ScenarioRegistry::Instance().Find(info.name), nullptr) << info.name;
   }
 }
 
 TEST(ScenarioRegistry, UnknownNameContract) {
-  // Mirrors the lock registry: Make -> nullptr, MakeOrThrow -> throws.
-  EXPECT_EQ(MakeScenario("no/such-scenario"), nullptr);
+  // Mirrors the lock registry: Find -> nullptr, MakeScenarioOrThrow -> throws.
   EXPECT_EQ(ScenarioRegistry::Instance().Find("no/such-scenario"), nullptr);
   EXPECT_THROW(MakeScenarioOrThrow("no/such-scenario"), std::invalid_argument);
   EXPECT_THROW(RunScenarioByName("no/such-scenario", ScenarioConfig{}), std::invalid_argument);

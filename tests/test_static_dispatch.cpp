@@ -5,10 +5,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 
 #include "src/locks/static_dispatch.hpp"
+#include "tests/lock_probe.hpp"
 
 namespace lockin {
 namespace {
@@ -43,11 +45,7 @@ TEST(StaticDispatch, ConstructedLocksSatisfyLockable) {
       using L = typename decltype(tag)::type;
       static_assert(Lockable<L>);
       L lock(args...);
-      lock.lock();
-      EXPECT_FALSE(lock.try_lock()) << name;
-      lock.unlock();
-      EXPECT_TRUE(lock.try_lock()) << name;
-      lock.unlock();
+      EXPECT_FALSE(EntersWhileHeld(lock)) << name;
     });
     EXPECT_TRUE(dispatched) << name;
   }
@@ -74,8 +72,7 @@ TEST(StaticDispatch, MutexeeTimeoutPlumbingMatchesRegistry) {
           }
         });
     EXPECT_TRUE(dispatched) << c.name;
-    const std::unique_ptr<LockHandle> handle = MakeLock(c.name);
-    ASSERT_NE(handle, nullptr) << c.name;
+    const std::unique_ptr<LockHandle> handle = MakeLockOrThrow(c.name);
     EXPECT_EQ(static_cast<LockAdapter<MutexeeLock>*>(handle.get())->impl().config().sleep_timeout_ns,
               c.sleep_timeout_ns)
         << c.name;
@@ -83,13 +80,13 @@ TEST(StaticDispatch, MutexeeTimeoutPlumbingMatchesRegistry) {
 }
 
 TEST(StaticDispatch, RegistryBuildsConcreteNamesThroughSameTable) {
-  // MakeLock must succeed exactly for {statically dispatchable} + ADAPTIVE.
+  // MakeLockOrThrow must succeed exactly for {statically dispatchable} +
+  // ADAPTIVE.
   for (const std::string& name : RegisteredLockNames()) {
-    const std::unique_ptr<LockHandle> handle = MakeLock(name);
-    ASSERT_NE(handle, nullptr) << name;
+    const std::unique_ptr<LockHandle> handle = MakeLockOrThrow(name);
     EXPECT_EQ(handle->name(), name);
   }
-  EXPECT_EQ(MakeLock("NOPE"), nullptr);
+  EXPECT_THROW(MakeLockOrThrow("NOPE"), std::invalid_argument);
 }
 
 }  // namespace
